@@ -39,13 +39,22 @@ let plan_full = Kar.Controller.scenario_plan Topo.Nets.net15 Kar.Controller.Full
 let net15 = Topo.Nets.net15
 let rnp = Topo.Nets.rnp28
 
-let port_states_of g v =
-  Array.init (Topo.Graph.degree g v) (fun p ->
-      let link = Topo.Graph.link_at g v p in
-      let far = (Topo.Graph.other_end link v).Topo.Graph.node in
-      { Kar.Policy.up = true; to_host = not (Topo.Graph.is_core g far) })
+let sw13_degree =
+  let g = net15.Topo.Nets.graph in
+  Topo.Graph.degree g (Topo.Graph.node_of_label g 13)
 
-let sw13_ports = port_states_of net15.Topo.Nets.graph (Topo.Graph.node_of_label net15.Topo.Nets.graph 13)
+let sw13_live = (1 lsl sw13_degree) - 1
+
+(* One NIP decision at SW13 with every port live, as Karnet makes it. *)
+let forward_nip rng buf =
+  let c = Kar.Route.cached_port_flat plan_full buf ~switch_id:13 in
+  let choice =
+    Kar.Policy.choose Kar.Policy.Not_input_port ~computed:c ~in_port:0
+      ~deflected:false ~degree:sw13_degree ~live:sw13_live
+  in
+  if choice < 0 then lnot choice
+  else if choice > 0 then Kar.Policy.pick rng choice
+  else -1
 
 let fail_links = List.map (fun fc -> fc.Topo.Nets.link) net15.Topo.Nets.failures
 
@@ -75,10 +84,6 @@ let tests =
     Test.make ~name:"rns/port-erem-reference"
       (Staged.stage (fun () ->
            Z.to_int_exn (Z.erem plan_full.Kar.Route.route_id (Z.of_int 13))));
-    Test.make ~name:"kar/residue-cache-lookup"
-      (Staged.stage (fun () ->
-           Kar.Route.cached_port plan_full
-             ~route_id:plan_full.Kar.Route.route_id ~switch_id:13));
     Test.make ~name:"rns/extend-1-residue"
       (Staged.stage (fun () ->
            Rns.extend ~route_id:plan_full.Kar.Route.route_id
@@ -86,29 +91,14 @@ let tests =
              [ { Rns.modulus = 59; value = 1 } ]));
     (* forwarding decision (per-packet cost of a KAR switch): the
        zero-allocation fast path Karnet actually runs — residue-cache
-       lookup + packed-int decision *)
+       lookup on the flat packet image + packed-int choice *)
     Test.make ~name:"kar/forward-nip"
       (Staged.stage
          (let rng = Util.Prng.of_int 9 in
-          let route_id = plan_full.Kar.Route.route_id in
-          fun () ->
-            let c = Kar.Route.cached_port plan_full ~route_id ~switch_id:13 in
-            Kar.Policy.decide Kar.Policy.Not_input_port ~computed:c ~in_port:0
-              ~deflected:false ~ports:sw13_ports rng));
-    (* the boxed compatibility wrapper (what Walk/Markov callers use) *)
-    Test.make ~name:"kar/forward-nip-compat"
-      (Staged.stage
-         (let rng = Util.Prng.of_int 9 in
-          let packet =
-            {
-              Kar.Policy.route_id = plan_full.Kar.Route.route_id;
-              in_port = 0;
-              deflected = false;
-            }
-          in
-          fun () ->
-            Kar.Policy.forward Kar.Policy.Not_input_port ~switch_id:13
-              ~ports:sw13_ports ~packet rng));
+          let buf = Wire.Flat.create () in
+          Wire.Flat.stamp buf ~uid:7 ~src:1 ~dst:5 ~size_bytes:512
+            ~route_id:plan_full.Kar.Route.route_id;
+          fun () -> forward_nip rng buf));
     (* flat wire image: stamping a pooled buffer and the two data-plane
        reads that replace record access on the hot path *)
     Test.make ~name:"wire/flat-stamp"
@@ -218,12 +208,6 @@ let tests =
     Test.make ~name:"topo/bfs-rnp"
       (Staged.stage (fun () ->
            Topo.Paths.bfs rnp.Topo.Nets.graph rnp.Topo.Nets.ingress));
-    (* plan compiler: lowering one (plan, policy) pair into per-switch
-       match-action tables for every core switch of net15 *)
-    Test.make ~name:"verify/compile-net15-plan"
-      (Staged.stage (fun () ->
-           Kar_verify.Compiler.compile net15.Topo.Nets.graph ~plan:plan_full
-             ~policy:Kar.Policy.Not_input_port));
     (* metrics registry: the two hot-path update kernels (a handful of ns,
        zero minor words) and the cost of serialising a netsim-sized schema
        to one JSONL snapshot line (paid only at snapshot intervals) *)
@@ -346,9 +330,11 @@ let netsim_packets_per_sec ?(metrics = false) ~packets () =
   Netsim.Engine.run engine;
   let wall = Unix.gettimeofday () -. t0 in
   let s = Netsim.Net.stats net in
-  if s.Netsim.Net.delivered <> packets then
+  if s.Netsim.Net.delivered <> packets then begin
     Printf.eprintf "netsim probe: %d/%d delivered\n%!" s.Netsim.Net.delivered
       packets;
+    exit 1
+  end;
   float_of_int packets /. wall
 
 (* Minor-heap words per steady-state simulated packet, measured directly:
@@ -372,11 +358,7 @@ let forward_minor_words_per_packet ~iters =
     let buf = Netsim.Packet.bytes p in
     for hop = 0 to 3 do
       Netsim.Packet.set_hops p hop;
-      let c = Kar.Route.cached_port_flat plan_full buf ~switch_id:13 in
-      ignore
-        (Sys.opaque_identity
-           (Kar.Policy.decide Kar.Policy.Not_input_port ~computed:c ~in_port:0
-              ~deflected:false ~ports:sw13_ports rng))
+      ignore (Sys.opaque_identity (forward_nip rng buf))
     done;
     Netsim.Packet.Pool.release pool p
   done;
@@ -572,8 +554,7 @@ let svc_entries () =
    (ingress->egress, full protection, NIP) over every failure set of up to
    2 core links on a private pool of N jobs.  The j1 number is the
    verifier's serial throughput (gated, higher is better); j4 is a
-   machine-shape observation.  The compile cost itself is the bechamel
-   kernel [verify/compile-net15-plan]. *)
+   machine-shape observation. *)
 
 let verify_entries () =
   let sc = Topo.Nets.net15 in

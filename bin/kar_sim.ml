@@ -330,7 +330,7 @@ let sim_term =
                  $(b,flap:links=N,period=S,duty=D,seed=K), \
                  $(b,regional:groups=N,mtbf=S,mttr=S,seed=K), \
                  $(b,adversarial:k=N,period=S,hold=S,level=L) or \
-                 $(b,events:fail\\@T=A-B,...).  Applied at region barriers, \
+                 $(b,events:fail@T=A-B,...).  Applied at region barriers, \
                  so results are identical at any $(b,--regions)/$(b,-j).")
   in
   let duration =

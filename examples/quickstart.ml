@@ -14,15 +14,6 @@ module Graph = Topo.Graph
 let trace_walk g plan ~failed ~src ~dst ~seed =
   (* Follow one packet with the NIP data plane, printing each hop. *)
   let rng = Util.Prng.of_int seed in
-  let port_states v =
-    Array.init (Graph.degree g v) (fun p ->
-        let link = Graph.link_at g v p in
-        let far = (Graph.other_end link v).Graph.node in
-        {
-          Kar.Policy.up = not (List.mem link.Graph.id failed);
-          to_host = not (Graph.is_core g far);
-        })
-  in
   let entry = (Graph.other_end (Graph.link_at g src 0) src).Graph.node in
   let entry_port = (Graph.other_end (Graph.link_at g src 0) src).Graph.port in
   Printf.printf "  S";
@@ -31,18 +22,21 @@ let trace_walk g plan ~failed ~src ~dst ~seed =
     else if budget = 0 then print_endline "  ... (truncated)"
     else begin
       Printf.printf " -> SW%d" (Graph.label g v);
-      let packet =
-        { Kar.Policy.route_id = plan.Kar.Route.route_id; in_port; deflected }
+      let choice =
+        Kar.Policy.choose Kar.Policy.Not_input_port
+          ~computed:(Kar.Route.port_at plan ~switch_id:(Graph.label g v))
+          ~in_port ~deflected ~degree:(Graph.degree g v)
+          ~live:
+            (Kar.Policy.mask_of_failures g ~node:v ~failed:(fun id ->
+                 List.mem id failed))
       in
-      let decision, deflected' =
-        Kar.Policy.forward Kar.Policy.Not_input_port
-          ~switch_id:(Graph.label g v) ~ports:(port_states v) ~packet rng
-      in
-      match decision with
-      | Kar.Policy.Drop -> print_endline "  (dropped)"
-      | Kar.Policy.Forward port ->
+      if choice = 0 then print_endline "  (dropped)"
+      else begin
+        (* negative: the computed port; positive: a deflection draw *)
+        let port = if choice < 0 then lnot choice else Kar.Policy.pick rng choice in
         let far = Graph.other_end (Graph.link_at g v port) v in
-        step far.Graph.node far.Graph.port deflected' (budget - 1)
+        step far.Graph.node far.Graph.port (deflected || choice > 0) (budget - 1)
+      end
     end
   in
   step entry entry_port false 16

@@ -82,52 +82,29 @@ let analyze g ~plan ~policy ~failed ~src ~dst =
     else if not (Graph.is_core g u) then Absorb_stranded
     else To (state_id u far.Graph.port defl)
   in
-  (* The forwarding distribution at a state: list of (probability, target).
-     Mirrors Policy.forward exactly; Test suite cross-checks against the
-     Monte-Carlo walker. *)
+  (* The forwarding distribution at a state: list of (probability, target),
+     read off the switch's one decision — the taken port, each candidate of
+     a uniform draw in ascending port order, or a drop.  The test suite
+     cross-checks it against the Monte-Carlo walker. *)
   let distribution (v, in_port, defl) =
-    let switch_id = Graph.label g v in
     let deg = Graph.degree g v in
-    let healthy p = not (link_down (Graph.link_at g v p).Graph.id) in
-    let all_healthy = List.filter healthy (List.init deg (fun p -> p)) in
-    let c =
-      Policy.computed_port ~switch_id ~route_id:plan.Route.route_id
+    let choice =
+      Policy.choose policy
+        ~computed:
+          (Policy.computed_port ~switch_id:(Graph.label g v)
+             ~route_id:plan.Route.route_id)
+        ~in_port ~deflected:defl ~degree:deg
+        ~live:(Policy.mask_of_failures g ~node:v ~failed:link_down)
     in
-    let computed_usable = c < deg && healthy c in
-    let uniform targets defl' =
-      let k = List.length targets in
-      List.map (fun p -> (1.0 /. float_of_int k, classify_exit v p defl')) targets
-    in
-    match policy with
-    | Policy.No_deflection ->
-      if computed_usable then [ (1.0, classify_exit v c defl) ]
-      else [ (1.0, Absorb_dropped) ]
-    | Policy.Hot_potato ->
-      if defl then
-        (match all_healthy with
-         | [] -> [ (1.0, Absorb_dropped) ]
-         | ps -> uniform ps true)
-      else if computed_usable then [ (1.0, classify_exit v c false) ]
-      else
-        (match all_healthy with
-         | [] -> [ (1.0, Absorb_dropped) ]
-         | ps -> uniform ps true)
-    | Policy.Any_valid_port ->
-      if computed_usable then [ (1.0, classify_exit v c defl) ]
-      else
-        (match all_healthy with
-         | [] -> [ (1.0, Absorb_dropped) ]
-         | ps -> uniform ps true)
-    | Policy.Not_input_port ->
-      if computed_usable && c <> in_port then [ (1.0, classify_exit v c defl) ]
-      else begin
-        match List.filter (fun p -> p <> in_port) all_healthy with
-        | [] ->
-          if in_port < deg && in_port >= 0 && healthy in_port then
-            [ (1.0, classify_exit v in_port true) ]
-          else [ (1.0, Absorb_dropped) ]
-        | ps -> uniform ps true
-      end
+    if choice < 0 then [ (1.0, classify_exit v (lnot choice) defl) ]
+    else if choice = 0 then [ (1.0, Absorb_dropped) ]
+    else begin
+      let ports =
+        List.filter (fun p -> choice land (1 lsl p) <> 0) (List.init deg Fun.id)
+      in
+      let share = 1.0 /. float_of_int (List.length ports) in
+      List.map (fun p -> (share, classify_exit v p true)) ports
+    end
   in
   (* Entry: the packet leaves [src] by its first healthy port. *)
   let entry =

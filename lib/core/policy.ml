@@ -1,4 +1,4 @@
-module Z = Bignum.Z
+module Graph = Topo.Graph
 
 type t =
   | No_deflection
@@ -21,150 +21,60 @@ let of_string = function
   | "nip" -> Some Not_input_port
   | _ -> None
 
-type port_state = { up : bool; to_host : bool }
-
-type decision =
-  | Forward of int
-  | Drop
-
-type packet_view = { route_id : Z.t; in_port : int; deflected : bool }
-
-let computed_port ~switch_id ~route_id = Z.rem_int route_id switch_id
+let computed_port ~switch_id ~route_id = Bignum.Z.rem_int route_id switch_id
 
 (* Same kernel over a flat packet image: the remainder fold runs directly on
    the buffer's limb words, no Z.t in sight. *)
 let computed_port_flat ~switch_id buf = Wire.Flat.rem_route_id buf switch_id
 
-(* Packed forwarding decision: the steady-state data plane must not touch
-   the minor heap, so [decide] returns port and deflected-flag in one
-   immediate int instead of a (decision * bool) pair.  Port -1 encodes
-   Drop; the +1 bias keeps the packed value non-negative. *)
-let code ~port ~deflected = ((port + 1) lsl 1) lor (if deflected then 1 else 0)
-let code_port c = (c lsr 1) - 1
-let code_deflected c = c land 1 = 1
-
-(* Uniform draw over the healthy ports (for NIP, minus the input port),
-   straight off the [ports] array: count the candidates, draw one index,
-   select it — no candidate list, no [List.nth].  [exclude = -1] excludes
-   nothing.  Consumes exactly one PRNG draw when there are >= 2 candidates
-   and none otherwise ([Prng.int _ 1] short-circuits), draw-for-draw
-   identical to the list-based pick it replaces, so seeded traces are
-   unchanged.  Returns the port, or -1 when no candidate is healthy. *)
-let draw_healthy ports ~exclude rng =
-  let n = Array.length ports in
-  let rec count p acc =
-    if p >= n then acc
-    else count (p + 1) (if ports.(p).up && p <> exclude then acc + 1 else acc)
-  in
-  match count 0 0 with
-  | 0 -> -1
-  | k ->
-    let rec nth p remaining =
-      if ports.(p).up && p <> exclude then
-        if remaining = 0 then p else nth (p + 1) (remaining - 1)
-      else nth (p + 1) remaining
-    in
-    nth 0 (Util.Prng.int rng k)
-
-let decide policy ~computed:c ~in_port ~deflected ~ports rng =
-  let n_ports = Array.length ports in
-  let computed_usable = c < n_ports && ports.(c).up in
+(* The decision is one immediate int, so the data plane never touches the
+   minor heap: [lnot p] (negative) takes port [p], a positive value is the
+   candidate mask of a uniform draw, 0 is stuck.  Every port index is below
+   [max_degree], so a mask never reaches the sign bit. *)
+let choose policy ~computed:c ~in_port ~deflected ~degree ~live =
+  let usable = c >= 0 && c < degree && live land (1 lsl c) <> 0 in
   match policy with
-  | No_deflection ->
-    if computed_usable then code ~port:c ~deflected else code ~port:(-1) ~deflected
-  | Hot_potato ->
-    if deflected then code ~port:(draw_healthy ports ~exclude:(-1) rng) ~deflected:true
-    else if computed_usable then code ~port:c ~deflected:false
-    else code ~port:(draw_healthy ports ~exclude:(-1) rng) ~deflected:true
-  | Any_valid_port ->
-    if computed_usable then code ~port:c ~deflected
-    else code ~port:(draw_healthy ports ~exclude:(-1) rng) ~deflected:true
+  | No_deflection -> if usable then lnot c else 0
+  | Hot_potato -> if usable && not deflected then lnot c else live
+  | Any_valid_port -> if usable then lnot c else live
   | Not_input_port ->
-    if computed_usable && c <> in_port then code ~port:c ~deflected
+    if usable && c <> in_port then lnot c
     else begin
-      match draw_healthy ports ~exclude:in_port rng with
-      | -1 ->
-        (* Degree-one dead end: the paper's Algorithm 1 would spin forever;
-           we send the packet back where it came from if that port is up. *)
-        code
-          ~port:
-            (if in_port >= 0 && in_port < n_ports && ports.(in_port).up then
-               in_port
-             else -1)
-          ~deflected:true
-      | port -> code ~port ~deflected:true
+      let others = if in_port >= 0 then live land lnot (1 lsl in_port) else live in
+      (* Degree-one dead end: the paper's Algorithm 1 would spin forever;
+         with no other live port, [live] is either empty or exactly the
+         input port, which sends the packet back where it came from. *)
+      if others <> 0 then others else live
     end
 
-(* The symbolic mirror of [decide]: instead of drawing one candidate, name
-   the full decision — the computed port taken deterministically, the exact
-   candidate set a deflection draw ranges over, or a dead end.  The plan
-   compiler ([Kar_verify.Compiler]) lowers switches through this, and the
-   differential test in test_verify pins it draw-for-draw to [decide]:
-   [Take p] iff [decide] returns [p] with the flag preserved, [Pick m] iff
-   [decide] returns a member of [m] with the flag set, [Stuck] iff [decide]
-   drops. *)
-type choice =
-  | Take of int
-  | Pick of int
-  | Stuck
+let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1))
 
-let healthy_mask ~degree ~up ~exclude =
+(* Port of the [k]-th set bit of [m] at or above port [p]. *)
+let rec nth_port m p k =
+  if m land (1 lsl p) = 0 then nth_port m (p + 1) k
+  else if k = 0 then p
+  else nth_port m (p + 1) (k - 1)
+
+(* [Prng.int _ 1] consumes nothing, so a singleton mask makes no draw. *)
+let pick rng m = nth_port m 0 (Util.Prng.int rng (popcount m))
+
+let max_degree = Sys.int_size - 1
+
+let check_degree ~who g v =
+  let degree = Graph.degree g v in
+  if degree > max_degree then
+    invalid_arg
+      (Printf.sprintf
+         "%s: SW%d has %d ports; a live-port mask holds at most %d" who
+         (Graph.label g v) degree max_degree)
+
+let mask_of_failures g ~node ~failed =
+  check_degree ~who:"Policy.mask_of_failures" g node;
   let rec go p acc =
-    if p >= degree then acc
-    else go (p + 1) (if up p && p <> exclude then acc lor (1 lsl p) else acc)
+    if p < 0 then acc
+    else
+      go (p - 1)
+        (if failed (Graph.link_at g node p).Graph.id then acc
+         else acc lor (1 lsl p))
   in
-  go 0 0
-
-let enumerate policy ~computed:c ~in_port ~deflected ~degree ~up =
-  let computed_usable = c >= 0 && c < degree && up c in
-  let pick_or_stuck mask = if mask = 0 then Stuck else Pick mask in
-  match policy with
-  | No_deflection -> if computed_usable then Take c else Stuck
-  | Hot_potato ->
-    if deflected then pick_or_stuck (healthy_mask ~degree ~up ~exclude:(-1))
-    else if computed_usable then Take c
-    else pick_or_stuck (healthy_mask ~degree ~up ~exclude:(-1))
-  | Any_valid_port ->
-    if computed_usable then Take c
-    else pick_or_stuck (healthy_mask ~degree ~up ~exclude:(-1))
-  | Not_input_port ->
-    if computed_usable && c <> in_port then Take c
-    else begin
-      match healthy_mask ~degree ~up ~exclude:in_port with
-      | 0 ->
-        (* Degree-one dead end: [decide] bounces the packet back through
-           its input port when that port is up — a forced singleton
-           choice, not a computed forward. *)
-        if in_port >= 0 && in_port < degree && up in_port then
-          Pick (1 lsl in_port)
-        else Stuck
-      | mask -> Pick mask
-    end
-
-(* Could [forward] have returned [port] via the modulo computation rather
-   than a random draw?  Decidable after the fact because every random draw
-   is constrained: HP random-walks deflected packets regardless of the
-   computed port, and NIP never re-emits the computed port when it equals
-   the input port.  Used by the flight recorder to classify decisions
-   without touching the hot path. *)
-let via_computed_port policy ~computed:c ~in_port ~deflected ~port =
-  port = c
-  && (match policy with
-      | No_deflection -> true
-      | Hot_potato -> not deflected
-      | Any_valid_port -> true
-      | Not_input_port -> c <> in_port)
-
-let via_computed policy ~switch_id ~(packet : packet_view) ~port =
-  via_computed_port policy
-    ~computed:(computed_port ~switch_id ~route_id:packet.route_id)
-    ~in_port:packet.in_port ~deflected:packet.deflected ~port
-
-let forward policy ~switch_id ~ports ~packet rng =
-  let c = computed_port ~switch_id ~route_id:packet.route_id in
-  let d =
-    decide policy ~computed:c ~in_port:packet.in_port
-      ~deflected:packet.deflected ~ports rng
-  in
-  let port = code_port d in
-  ((if port < 0 then Drop else Forward port), code_deflected d)
+  go (Graph.degree g node - 1) 0

@@ -32,96 +32,54 @@ val all : t list
 val to_string : t -> string
 val of_string : string -> t option
 
-(** Liveness and orientation of one local port. *)
-type port_state = {
-  up : bool; (** link currently usable *)
-  to_host : bool; (** far end is an edge node *)
-}
+(** {2 The forwarding decision}
 
-type decision =
-  | Forward of int (** output port index *)
-  | Drop
+    [choose policy ~computed ~in_port ~deflected ~degree ~live] is the one
+    definition of what a switch of [degree] ports does with a packet:
+    [computed] is the modulo answer [<R>_s] (which may not name a port),
+    [in_port] the arrival port (-1 for local injection), and [live] the
+    bitmask of usable ports (bit [p] = port [p]; no bit at or above
+    [degree]).  The result is an immediate int, so the call never
+    allocates:
 
-(** What the switch needs to know about the packet in flight. *)
-type packet_view = {
-  route_id : Bignum.Z.t;
-  in_port : int;
-  deflected : bool;
-}
+    - negative: {e take} port [lnot choice], the computed port; the
+      packet's deflected flag is kept;
+    - positive: {e pick} uniformly from the ports in mask [choice] (see
+      {!pick}); the deflected flag becomes [true].  NIP's forced bounce
+      back through the input port is the singleton case;
+    - [0]: {e stuck}, no usable port; the packet is dropped.
 
-(** [forward policy ~switch_id ~ports ~packet rng] is the forwarding
-    decision and the packet's updated [deflected] flag.  [ports.(p)]
-    describes local port [p]; [rng] is only consulted on deflection, so
-    failure-free forwarding is deterministic.
-
-    This is a convenience wrapper over {!decide} that allocates its result;
-    per-packet hot paths (the simulator's switch handler) call {!decide}
-    directly and stay off the heap. *)
-val forward :
-  t ->
-  switch_id:int ->
-  ports:port_state array ->
-  packet:packet_view ->
-  Util.Prng.t ->
-  decision * bool
-
-(** {2 Allocation-free fast path}
-
-    [decide policy ~computed ~in_port ~deflected ~ports rng] is the same
-    forwarding decision with the modulo result supplied by the caller
-    (either {!computed_port} or a per-plan residue-table lookup, see
-    [Kar.Route.cached_port]) and the result packed into an immediate int:
-    {!code_port} is the output port (-1 = drop) and {!code_deflected} the
-    packet's updated deflected flag.  The steady-state path (computed port
-    healthy) performs no minor-heap allocation; the deflection draw samples
-    the healthy ports directly off the [ports] array, consuming the PRNG
-    stream draw-for-draw identically to the candidate-list implementation
-    it replaced (seeded traces are unchanged). *)
-val decide :
-  t ->
-  computed:int ->
-  in_port:int ->
-  deflected:bool ->
-  ports:port_state array ->
-  Util.Prng.t ->
-  int
-
-val code_port : int -> int
-val code_deflected : int -> bool
-
-(** {2 Symbolic decisions}
-
-    The plan compiler ({!Kar_verify.Compiler}) needs the forwarding
-    decision as a {e set}, not a sample: which port is taken
-    deterministically, or exactly which candidates a deflection draw
-    ranges over.  [enumerate] is that mirror of {!decide}; the
-    differential test suite pins the two together for every policy, mask,
-    input port and deflected flag. *)
-type choice =
-  | Take of int
-      (** the computed port, taken deterministically; the deflected flag
-          is preserved *)
-  | Pick of int
-      (** a uniform draw over the ports in this bitmask (bit [p] = port
-          [p]); the packet's deflected flag becomes [true].  Includes
-          NIP's forced bounce through the input port as the singleton
-          case. *)
-  | Stuck  (** no usable port: {!decide} drops *)
-
-(** [enumerate policy ~computed ~in_port ~deflected ~degree ~up] is the
-    symbolic forwarding decision at a switch of [degree] ports whose
-    liveness is [up].  Agrees with {!decide} pointwise: [Take p] iff
-    [decide] returns [p] without consulting the PRNG, [Pick m] iff
-    [decide]'s result is a uniform draw over exactly the ports in [m],
-    [Stuck] iff [decide] drops. *)
-val enumerate :
+    The data plane draws with {!pick}; the exact analysis ({!Markov}) and
+    the verifier read the candidate mask itself. *)
+val choose :
   t ->
   computed:int ->
   in_port:int ->
   deflected:bool ->
   degree:int ->
-  up:(int -> bool) ->
-  choice
+  live:int ->
+  int
+
+(** [pick rng m] is a uniformly drawn port of the non-empty mask [m]: one
+    [Util.Prng.int rng (popcount m)] call, selecting that set bit in
+    ascending port order.  A singleton mask consumes no draw. *)
+val pick : Util.Prng.t -> int -> int
+
+(** The widest switch a live-port mask describes: [Sys.int_size - 1]
+    ports. *)
+val max_degree : int
+
+(** [check_degree ~who g v] rejects a node wider than {!max_degree}.
+    @raise Invalid_argument naming [who] and the switch. *)
+val check_degree : who:string -> Topo.Graph.t -> Topo.Graph.node -> unit
+
+(** [mask_of_failures g ~node ~failed] is the live-port mask of [node]
+    when exactly the links satisfying [failed] are down — the one
+    live-mask builder shared by {!Walk}, {!Markov} and the verifier.
+    @raise Invalid_argument when [node] has more than {!max_degree}
+    ports. *)
+val mask_of_failures :
+  Topo.Graph.t -> node:Topo.Graph.node -> failed:(Topo.Graph.link_id -> bool) -> int
 
 (** [computed_port ~switch_id ~route_id] is the raw modulo result
     [<R>_s] (which may not name an existing port), via the remainder-only
@@ -132,18 +90,3 @@ val computed_port : switch_id:int -> route_id:Bignum.Z.t -> int
     {!Wire.Flat} packet image: the remainder fold runs directly on the
     buffer's route-ID limb words, allocating nothing. *)
 val computed_port_flat : switch_id:int -> Bytes.t -> int
-
-(** [via_computed policy ~switch_id ~packet ~port] — given that [forward]
-    chose [port] for [packet], was that the modulo computation rather than
-    a random deflection draw?  Sound because every policy's random draw is
-    constrained away from the computed port in the relevant state (HP
-    random-walks deflected packets; NIP excludes the input port).  Used by
-    the flight recorder to classify decisions offline. *)
-val via_computed :
-  t -> switch_id:int -> packet:packet_view -> port:int -> bool
-
-(** [via_computed_port] is {!via_computed} with the modulo result already
-    in hand — the form used next to {!decide}, where the computed port was
-    a cached-table lookup and need not be recomputed. *)
-val via_computed_port :
-  t -> computed:int -> in_port:int -> deflected:bool -> port:int -> bool

@@ -130,44 +130,26 @@ let protect_exn g plan hops =
   | Ok p -> p
   | Error e -> raise_error e
 
+let is_protected plan switch_id =
+  switch_id >= 0
+  && switch_id < Array.length plan.residue_ports
+  && plan.residue_ports.(switch_id) >= 0
+
 (* Data-plane lookup with the cache guard: the table only answers for the
    route ID it was built from, so packets re-encoded at an edge (fresh
    route ID) automatically miss and fall back to the modulo kernel — the
    cache never needs explicit invalidation beyond plan re-encode.  The
-   physical-equality test catches the common case (packets stamped straight
-   from this plan) in O(1); [Z.equal] covers structurally equal IDs. *)
-let cached_port plan ~route_id ~switch_id =
-  if
-    switch_id >= 0
-    && switch_id < Array.length plan.residue_ports
-    && plan.residue_ports.(switch_id) >= 0
-    && (plan.route_id == route_id || Z.equal plan.route_id route_id)
-  then plan.residue_ports.(switch_id)
-  else Policy.computed_port ~switch_id ~route_id
-
-(* The same lookup over a flat packet image.  Pointer identity is gone (the
-   buffer holds limb words, not the plan's Z.t), so the guard is the limb
-   comparison — O(limbs) machine-int equality, still allocation-free and
-   still a cheap win over the fold for multi-limb IDs. *)
+   guard compares the buffer's limb words against the plan's route ID:
+   O(limbs) machine-int equality, allocation-free and a cheap win over the
+   fold for multi-limb IDs. *)
 let cached_port_flat plan buf ~switch_id =
-  if
-    switch_id >= 0
-    && switch_id < Array.length plan.residue_ports
-    && plan.residue_ports.(switch_id) >= 0
-    && Wire.Flat.route_id_equal buf plan.route_id
+  if is_protected plan switch_id && Wire.Flat.route_id_equal buf plan.route_id
   then plan.residue_ports.(switch_id)
   else Policy.computed_port_flat ~switch_id buf
 
-let residue_table plan =
-  fun switch_id ->
-    if switch_id >= 0
-       && switch_id < Array.length plan.residue_ports
-       && plan.residue_ports.(switch_id) >= 0
-    then plan.residue_ports.(switch_id)
-    else Policy.computed_port ~switch_id ~route_id:plan.route_id
-
-let next_hop plan ~switch_id =
-  Policy.computed_port ~switch_id ~route_id:plan.route_id
+let port_at plan ~switch_id =
+  if is_protected plan switch_id then plan.residue_ports.(switch_id)
+  else Policy.computed_port ~switch_id ~route_id:plan.route_id
 
 let verify plan =
   List.filter_map

@@ -20,7 +20,7 @@ type plan = {
           [residue_ports.(switch_id)] is the plan's port at that switch, or
           [-1] when the switch carries no residue.  Rebuilt whenever the
           plan is re-encoded ({!protect}, [Rns.extend]); read through
-          {!cached_port} on the data plane. *)
+          {!cached_port_flat} on the data plane. *)
 }
 
 type error =
@@ -59,30 +59,25 @@ val of_labels_exn : Topo.Graph.t -> int list -> egress_label:int -> plan
 
 val protect_exn : Topo.Graph.t -> plan -> (int * int) list -> plan
 
-(** [cached_port plan ~route_id ~switch_id] is the data-plane forwarding
-    answer with the residue cache in front of the modulo kernel: when
-    [route_id] is the plan's own ID and [switch_id] carries a residue, one
-    int-array read; otherwise (stray switch, or a packet re-encoded at an
-    edge with a fresh route ID) it falls back to
-    [Policy.computed_port].  Always equal to [<route_id>_switch_id]. *)
-val cached_port : plan -> route_id:Z.t -> switch_id:int -> int
-
-(** [cached_port_flat plan buf ~switch_id] is {!cached_port} over a
-    {!Wire.Flat} packet image: the cache guard compares the buffer's limb
-    words against the plan's route ID (no pointer identity on flat buffers),
-    falling back to the in-place remainder fold on a miss.  Allocation-free
-    either way. *)
+(** [cached_port_flat plan buf ~switch_id] is the data-plane forwarding
+    answer [<R>_s] for the route ID in a {!Wire.Flat} packet image, with
+    the residue cache in front of the modulo kernel: when the buffer
+    carries the plan's own route ID (limb comparison) and [switch_id]
+    carries a residue, one int-array read; otherwise (stray switch, or a
+    packet re-encoded at an edge with a fresh route ID) the in-place
+    remainder fold.  Allocation-free either way. *)
 val cached_port_flat : plan -> Bytes.t -> switch_id:int -> int
 
-(** [residue_table plan] is the plan's switch-to-port map as a function:
-    the cached port for switches in the plan, the computed [<R>_s] (for the
-    plan's own route ID) otherwise. *)
-val residue_table : plan -> int -> int
+(** [port_at plan ~switch_id] is the port switch [switch_id] computes for
+    this plan's route ID ([<R>_s]): the cached residue for switches in the
+    plan, the modulo answer otherwise — useful for predicting where stray
+    packets go. *)
+val port_at : plan -> switch_id:int -> int
 
-(** [next_hop g plan v] is the port switch [v] will compute for this plan's
-    route ID ([<R>_s]), whether or not [v] is in the plan — useful for
-    predicting where stray packets go. *)
-val next_hop : plan -> switch_id:int -> int
+(** [is_protected plan switch_id] — does the plan carry a residue at this
+    switch (so a modulo forward of a deflected packet is a driven
+    deflection)? *)
+val is_protected : plan -> int -> bool
 
 (** [verify g plan] checks the invariant that every residue in the plan is
     recovered by the modulo operation ([<R>_{s_i} = p_i], Eq. 3); returns

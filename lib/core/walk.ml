@@ -17,15 +17,6 @@ type result = {
   p_delivery : float;
 }
 
-let port_states g ~failed v =
-  Array.init (Graph.degree g v) (fun p ->
-      let link = Graph.link_at g v p in
-      let far = (Graph.other_end link v).Graph.node in
-      {
-        Policy.up = not (List.mem link.Graph.id failed);
-        to_host = not (Graph.is_core g far);
-      })
-
 (* Per-core-switch PRNG streams split from one master seed, in the exact
    order {!Netsim.Karnet.install_switches} splits them — the contract that
    makes a walk and a zero-delay netsim run take identical random draws. *)
@@ -89,36 +80,38 @@ let walk g ~plan ~policy ~failed ~src ~dst ~ttl ?recorder ?(uid = 0) ?rng_for
         Ttl_exceeded
       end
       else begin
-        let view =
-          { Policy.route_id = plan.Route.route_id; in_port; deflected }
+        let choice =
+          Policy.choose policy
+            ~computed:
+              (Policy.computed_port ~switch_id:label
+                 ~route_id:plan.Route.route_id)
+            ~in_port ~deflected ~degree:(Graph.degree g node)
+            ~live:
+              (Policy.mask_of_failures g ~node ~failed:(fun id ->
+                   List.mem id failed))
         in
-        let decision, deflected' =
-          Policy.forward policy ~switch_id:label
-            ~ports:(port_states g ~failed node)
-            ~packet:view (rng_for node)
-        in
-        match decision with
-        | Policy.Drop ->
+        if choice = 0 then begin
           record ~vtime:(float_of_int hops) ~switch:label ~in_port
             ~out_port:(-1) ~ttl:(ttl - hops - 1) (Trace.Event.Drop "no_route");
           Dropped hops
-        | Policy.Forward port ->
+        end
+        else begin
+          let port =
+            if choice < 0 then lnot choice else Policy.pick (rng_for node) choice
+          in
           (match recorder with
            | None -> ()
            | Some r ->
              let action =
-               Trace.Event.decision_action
-                 ~via_computed:
-                   (Policy.via_computed policy ~switch_id:label ~packet:view
-                      ~port)
-                 ~deflected:view.Policy.deflected
+               Trace.Event.decision_action ~via_computed:(choice < 0) ~deflected
                  ~protected_:(Trace.Recorder.is_protected r label)
                  ~policy:(Policy.to_string policy)
              in
              record ~vtime:(float_of_int hops) ~switch:label ~in_port
                ~out_port:port ~ttl:(ttl - hops - 1) action);
           let far = Graph.other_end (Graph.link_at g node port) node in
-          step far.Graph.node far.Graph.port (hops + 1) deflected'
+          step far.Graph.node far.Graph.port (hops + 1) (deflected || choice > 0)
+        end
       end
     in
     step entry.Graph.node entry.Graph.port 0 false

@@ -95,8 +95,8 @@ let groups =
             "Trace-checked invariants over every single core-link failure"
             (fun _ -> Invariants.to_string ());
           e "verify"
-            "Exhaustive k-failure resilience verifier (compiled tables, \
-             adversarial deflection)"
+            "Exhaustive k-failure resilience verifier (adversarial \
+             deflection)"
             (fun _ -> Verify.to_string ())
             ~metrics:(fun _ -> Verify.to_string ~metrics:true ());
         ];

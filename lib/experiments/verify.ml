@@ -1,6 +1,5 @@
 module Graph = Topo.Graph
 module Nets = Topo.Nets
-module Compiler = Kar_verify.Compiler
 module Verifier = Kar_verify.Verifier
 module Counterexample = Kar_verify.Counterexample
 module Registry = Kar_obs.Registry
@@ -346,9 +345,9 @@ let to_string ?policy ?(metrics = false) () =
   let registry = Registry.create () in
   let spans = Span.create () in
   let reports = run ~registry ~spans ?policy () in
-  "Exhaustive k-failure resilience verification (compiled forwarding \
-   tables;\ndeflection draws treated as adversarial choice; G guaranteed, \
-   PD policy-dependent,\nL loop, B blackhole, X disconnected)\n\n"
+  "Exhaustive k-failure resilience verification (the data plane's own \
+   decision per state;\ndeflection draws treated as adversarial choice; G \
+   guaranteed, PD policy-dependent,\nL loop, B blackhole, X disconnected)\n\n"
   ^ String.concat "\n" (List.map report_to_string reports)
   ^
   if metrics then

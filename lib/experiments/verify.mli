@@ -2,7 +2,7 @@
 
     The simulation experiments sample what KAR does under failures; this
     one {e decides} it.  Every (src, dst) edge pair of the two evaluation
-    topologies is compiled ({!Kar_verify.Compiler}) and every failure set
+    topologies is prepared once and every failure set
     of up to [max_k] core links is classified by the exhaustive verifier
     ({!Kar_verify.Verifier}) with deflection draws treated as adversarial
     choice.  Refuted classes come with a machine-checked counterexample

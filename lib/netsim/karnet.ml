@@ -6,6 +6,7 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 let install_switches ?plan net ~policy ~seed =
   let master = Util.Prng.of_int seed in
+  let stuck_deflects = policy <> Kar.Policy.No_deflection in
   List.iter
     (fun v ->
       let rng = Util.Prng.split master in
@@ -21,6 +22,7 @@ let install_switches ?plan net ~policy ~seed =
         | Some p -> fun buf -> Kar.Route.cached_port_flat p buf ~switch_id
         | None -> fun buf -> Kar.Policy.computed_port_flat ~switch_id buf
       in
+      let degree = Graph.degree (Net.graph net) v in
       let handler net _node (packet : Packet.t) ~in_port =
         let hops = Packet.hops packet + 1 in
         Packet.set_hops packet hops;
@@ -28,17 +30,25 @@ let install_switches ?plan net ~policy ~seed =
         if hops > Net.ttl net then
           Net.drop ~at:v ~in_port net packet Net.Ttl_exceeded
         else begin
-          let ports = Net.port_states net v in
           let was_deflected = Packet.deflected packet in
           let c = computed_for (Packet.bytes packet) in
           (* Steady state (computed port healthy, no recorder): everything
              from here to [Net.send] stays off the minor heap. *)
-          let d =
-            Kar.Policy.decide policy ~computed:c ~in_port
-              ~deflected:was_deflected ~ports rng
+          let choice =
+            Kar.Policy.choose policy ~computed:c ~in_port
+              ~deflected:was_deflected ~degree ~live:(Net.live_mask net v)
           in
-          let port = Kar.Policy.code_port d in
-          let deflected = Kar.Policy.code_deflected d in
+          let port =
+            if choice < 0 then lnot choice
+            else if choice > 0 then Kar.Policy.pick rng choice
+            else -1
+          in
+          (* A take keeps the flag, a pick sets it; a stuck packet under a
+             deflecting policy counts as deflected too (it tried). *)
+          let deflected =
+            if choice < 0 then was_deflected
+            else choice > 0 || stuck_deflects || was_deflected
+          in
           (* Flight recorder: classify the decision (computed forward,
              random deflection, or driven deflection) and tally it.  Only
              entered with a recorder attached, so the default path pays
@@ -46,10 +56,7 @@ let install_switches ?plan net ~policy ~seed =
           (match Net.recorder net with
            | Some r when port >= 0 ->
              let action =
-               Trace.Event.decision_action
-                 ~via_computed:
-                   (Kar.Policy.via_computed_port policy ~computed:c ~in_port
-                      ~deflected:was_deflected ~port)
+               Trace.Event.decision_action ~via_computed:(choice < 0)
                  ~deflected:was_deflected
                  ~protected_:(Trace.Recorder.is_protected r switch_id)
                  ~policy:(Kar.Policy.to_string policy)

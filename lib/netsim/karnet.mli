@@ -16,7 +16,7 @@ val log_src : Logs.src
     stats.
 
     With [?plan], each switch answers the modulo computation through the
-    plan's residue cache ([Kar.Route.cached_port]): an int-array read for
+    plan's residue cache ([Kar.Route.cached_port_flat]): an int-array read for
     packets carrying the plan's route ID, the remainder kernel for any
     other route ID (e.g. after an edge re-encode) — behaviour is identical
     either way, byte-for-byte in the flight-recorder trace.  The

@@ -124,7 +124,7 @@ type t = {
   channels : channel array array; (* channels.(link).(dir) *)
   out_channel : channel array array; (* out_channel.(node).(port) *)
   handlers : handler option array;
-  port_cache : Kar.Policy.port_state array array;
+  live : int array; (* per node: the live-port mask switches observe *)
   registry : Registry.t; (* the main (merged) registry *)
   counters : counters; (* main counter handles *)
   pool : Packet.Pool.t; (* main pool (the only pool when solo) *)
@@ -233,15 +233,19 @@ let build_channels graph =
   in
   (channels, out_channel)
 
-let build_port_cache graph =
+(* Every port of a core switch starts live; edge nodes keep 0 (nothing
+   reads their mask).  Rejects switches too wide for an int mask. *)
+let build_live ~who graph =
   Array.init (Graph.n_nodes graph) (fun v ->
-      Array.init (Graph.degree graph v) (fun p ->
-          let link = Graph.link_at graph v p in
-          let far = (Graph.other_end link v).Graph.node in
-          { Kar.Policy.up = true; to_host = not (Graph.is_core graph far) }))
+      if Graph.is_core graph v then begin
+        Kar.Policy.check_degree ~who graph v;
+        (1 lsl Graph.degree graph v) - 1
+      end
+      else 0)
 
 let create ~graph ~engine ?registry ?(queue_capacity_bytes = 1_048_576)
     ?(ttl = 128) ?(detection_delay_s = 0.0) () =
+  let live = build_live ~who:"Net.create" graph in
   let n_links = Graph.n_links graph in
   let n_nodes = Graph.n_nodes graph in
   let channels, out_channel = build_channels graph in
@@ -278,7 +282,7 @@ let create ~graph ~engine ?registry ?(queue_capacity_bytes = 1_048_576)
     channels;
     out_channel;
     handlers = Array.make n_nodes None;
-    port_cache = build_port_cache graph;
+    live;
     registry;
     counters;
     pool;
@@ -320,6 +324,7 @@ let create_partitioned ~graph ~partition ?registry ?queue_capacity_bytes ?ttl
     net
   end
   else begin
+    let live = build_live ~who:"Net.create_partitioned" graph in
     (* Conservative simulation needs strictly positive lookahead: a cut
        through a zero-delay link would force zero-width epochs and the
        barrier would never advance.  Reject it up front. *)
@@ -396,7 +401,7 @@ let create_partitioned ~graph ~partition ?registry ?queue_capacity_bytes ?ttl
       channels;
       out_channel;
       handlers = Array.make n_nodes None;
-      port_cache = build_port_cache graph;
+      live;
       registry;
       counters;
       pool;
@@ -703,9 +708,13 @@ let schedule_admin net ~at f =
 let set_cached_up net id value =
   let link = Graph.link net.graph id in
   List.iter
-    (fun ep ->
-      let states = net.port_cache.(ep.Graph.node) in
-      states.(ep.Graph.port) <- { (states.(ep.Graph.port)) with Kar.Policy.up = value })
+    (fun (ep : Graph.endpoint) ->
+      if Graph.is_core net.graph ep.node then begin
+        let bit = 1 lsl ep.port in
+        net.live.(ep.node) <-
+          (if value then net.live.(ep.node) lor bit
+           else net.live.(ep.node) land lnot bit)
+      end)
     [ link.Graph.ep0; link.Graph.ep1 ]
 
 (* Liveness as the data plane *sees* it lags physical state by the
@@ -717,7 +726,7 @@ let schedule_detection net id =
     let fn () = set_cached_up net id net.up.(id) in
     let ch0 = net.channels.(id).(0) in
     if (not net.solo) && ch0.x_cut then
-      (* detection flips port caches in two regions: barrier action *)
+      (* detection flips live masks in two regions: barrier action *)
       (let e = (ctx net).r_engine in
        push_admin net
          ~at:(Engine.now e +. net.detection_delay_s)
@@ -780,7 +789,7 @@ let schedule_failure net id ~at ~duration =
         repair_link net id)
   end
 
-let port_states net node = net.port_cache.(node)
+let live_mask net node = net.live.(node)
 
 (* [schedule_at_node] books work onto the region that owns [node] — the
    only safe way for setup-time code (e.g. a TCP flow's kickoff) to enter

@@ -51,7 +51,9 @@ type handler = t -> Topo.Graph.node -> Packet.t -> in_port:int -> unit
     until then they keep forwarding into a dead link and those packets are
     lost — the loss-of-signal / BFD window of a real deployment.
     [registry] is the metrics registry the network's counters, gauges and
-    engine probes register on (a fresh private registry when omitted). *)
+    engine probes register on (a fresh private registry when omitted).
+    @raise Invalid_argument if a core switch has more ports than a
+    live-port mask holds ({!Kar.Policy.max_degree}). *)
 val create :
   graph:Topo.Graph.t ->
   engine:Engine.t ->
@@ -87,10 +89,10 @@ val create :
     ([netsim/pool-release] and [netsim/queue-peak-bytes] remain
     invariant).
 
-    @raise Invalid_argument if the partition does not match [graph], or
-    if (with 2+ regions) a cut link has a non-positive delay — a
-    zero-delay cut would force zero-width epochs and deadlock the
-    barrier. *)
+    @raise Invalid_argument if the partition does not match [graph], if
+    (with 2+ regions) a cut link has a non-positive delay — a zero-delay
+    cut would force zero-width epochs and deadlock the barrier — or if a
+    core switch is too wide for a live-port mask (as {!create}). *)
 val create_partitioned :
   graph:Topo.Graph.t ->
   partition:Topo.Partition.t ->
@@ -240,9 +242,11 @@ val pool : t -> Packet.Pool.t
     [Packet.Pool.in_flight (pool net)] on solo nets). *)
 val pool_in_flight : t -> int
 
-(** [port_states net node] is the current {!Kar.Policy.port_state} array of
-    [node] (liveness from the failure state, orientation from the graph). *)
-val port_states : t -> Topo.Graph.node -> Kar.Policy.port_state array
+(** [live_mask net node] is the live-port mask core switch [node]
+    currently observes (bit [p] = port [p] usable; liveness changes land
+    after the detection delay), the [~live] argument of
+    {!Kar.Policy.choose}.  Always [0] for edge nodes. *)
+val live_mask : t -> Topo.Graph.node -> int
 
 (** {2 Flight recorder}
 

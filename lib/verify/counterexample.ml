@@ -55,7 +55,7 @@ let events (inst : Verifier.instance) (r : Verifier.refutation)
         let action =
           Trace.Event.decision_action ~via_computed:s.Verifier.via_computed
             ~deflected:s.Verifier.deflected_before
-            ~protected_:(Compiler.is_protected inst.plans.(0) s.Verifier.switch)
+            ~protected_:(Kar.Route.is_protected inst.plan s.Verifier.switch)
             ~policy
         in
         emit ~switch:s.Verifier.switch ~in_port:s.Verifier.in_port

@@ -31,13 +31,22 @@ type instance = {
   dst : Graph.node;
   policy : Kar.Policy.t;
   ttl : int;
-  plans : Compiler.t array;
+  plan : Kar.Route.plan;
+  primary : int array array;
   plan_of_edge : int array;
 }
 
+(* Per node, the port the plan computes there ([-1] at edge nodes): all
+   the verifier needs of a plan, since [Policy.choose] does the rest per
+   state. *)
+let primary_ports g plan =
+  Array.init (Graph.n_nodes g) (fun v ->
+      if Graph.is_core g v then
+        Kar.Route.port_at plan ~switch_id:(Graph.label g v)
+      else -1)
+
 let prepare ?(ttl = 128) g ~plan ~policy ~src ~dst () =
-  let primary = Compiler.compile g ~plan ~policy in
-  let compiled = ref [ primary ] in
+  let primary = ref [ primary_ports g plan ] in
   let n = ref 1 in
   let plan_of_edge = Array.make (Graph.n_nodes g) (-1) in
   List.iter
@@ -47,7 +56,7 @@ let prepare ?(ttl = 128) g ~plan ~policy ~src ~dst () =
            from the stranding edge, computed on the failure-free graph. *)
         match Kar.Controller.route g ~src:e ~dst ~protection:[] with
         | p ->
-          compiled := Compiler.compile g ~plan:p ~policy :: !compiled;
+          primary := primary_ports g p :: !primary;
           plan_of_edge.(e) <- !n;
           incr n
         | exception Invalid_argument _ -> ())
@@ -58,7 +67,8 @@ let prepare ?(ttl = 128) g ~plan ~policy ~src ~dst () =
     dst;
     policy;
     ttl;
-    plans = Array.of_list (List.rev !compiled);
+    plan;
+    primary = Array.of_list (List.rev !primary);
     plan_of_edge;
   }
 
@@ -92,10 +102,10 @@ let connected inst ~failed =
 (* --- the state graph ---
 
    A state is (plan index, core node, input port, deflected): exactly what
-   the compiled data plane consults.  TTL is deliberately not part of the
-   state: a reachable cycle in this finite graph is a run that exhausts any
-   TTL, and acyclic runs are bounded by the longest path, which [verify]
-   checks against the TTL explicitly. *)
+   [Policy.choose] consults besides the live mask.  TTL is deliberately not
+   part of the state: a reachable cycle in this finite graph is a run that
+   exhausts any TTL, and acyclic runs are bounded by the longest path,
+   which [verify] checks against the TTL explicitly. *)
 
 type step = {
   switch : int;
@@ -131,11 +141,11 @@ type exploration = {
 let explore inst ~failed =
   let g = inst.graph in
   let n_nodes = Graph.n_nodes g in
-  let n_plans = Array.length inst.plans in
+  let n_plans = Array.length inst.primary in
   let masks =
     Array.init n_nodes (fun v ->
         if Graph.is_core g v then
-          Compiler.mask_of_failures g ~node:v ~failed:(fun id -> failed.(id))
+          Kar.Policy.mask_of_failures g ~node:v ~failed:(fun id -> failed.(id))
         else 0)
   in
   let ids : (int, int) Hashtbl.t = Hashtbl.create 256 in
@@ -194,10 +204,11 @@ let explore inst ~failed =
   while not (Queue.is_empty todo) do
     let id = Queue.pop todo in
     let plan, v, in_port, deflected = Hashtbl.find state_of id in
-    let st = Compiler.table_exn inst.plans.(plan) v in
+    let switch_id = Graph.label g v in
+    let degree = Graph.degree g v in
     let out ports_mask ~via_computed ~deflected_after =
       let rec go p acc =
-        if p >= st.Compiler.degree then List.rev acc
+        if p >= degree then List.rev acc
         else if ports_mask land (1 lsl p) = 0 then go (p + 1) acc
         else begin
           let u, q = Graph.peer g v p in
@@ -207,7 +218,7 @@ let explore inst ~failed =
           in
           let step =
             {
-              switch = st.Compiler.switch_id;
+              switch = switch_id;
               in_port;
               out_port = p;
               via_computed;
@@ -221,13 +232,16 @@ let explore inst ~failed =
       in
       go 0 []
     in
+    let choice =
+      Kar.Policy.choose inst.policy ~computed:inst.primary.(plan).(v) ~in_port
+        ~deflected ~degree ~live:masks.(v)
+    in
     let successors =
-      match Compiler.action_of st ~mask:masks.(v) ~in_port ~deflected with
-      | Compiler.Drop ->
-        [ (T_drop { at = st.Compiler.switch_id; at_in_port = in_port }, None) ]
-      | Compiler.Forward p ->
-        out (1 lsl p) ~via_computed:true ~deflected_after:deflected
-      | Compiler.Deflect m -> out m ~via_computed:false ~deflected_after:true
+      if choice < 0 then
+        out (1 lsl lnot choice) ~via_computed:true ~deflected_after:deflected
+      else if choice > 0 then
+        out choice ~via_computed:false ~deflected_after:true
+      else [ (T_drop { at = switch_id; at_in_port = in_port }, None) ]
     in
     Hashtbl.replace succs_tbl id successors
   done;

@@ -1,11 +1,12 @@
 (** Exhaustive k-failure resilience verification.
 
-    Given a compiled plan ({!Compiler}) and a concrete failure set F, the
-    verifier decides — not samples — what can happen to a packet from
-    [src] to [dst]: it walks the compiled forwarding tables as a
-    finite-state reachability problem whose state is (current plan, core
-    switch, input port, deflected flag), treating every deflection draw
-    as a {e universal} choice over the compiled candidate set.  Edge
+    Given a plan and a concrete failure set F, the verifier decides — not
+    samples — what can happen to a packet from [src] to [dst]: it
+    explores a finite-state reachability problem whose state is (current
+    plan, core switch, input port, deflected flag), evaluating
+    {!Kar.Policy.choose} at each state and treating every deflection draw
+    as a {e universal} choice over its candidate mask (the adversarial
+    reading of Chiesa et al.).  No per-switch table is materialised.  Edge
     behaviour mirrors Karnet exactly: landing on the destination edge
     delivers; landing on a foreign edge re-encodes (an unprotected
     shortest-path plan on the failure-free graph, deflected flag cleared)
@@ -52,22 +53,25 @@ type classification =
 val classification_to_string : classification -> string
 val all_classifications : classification list
 
-(** A prepared (and compiled) verification instance for one (src, dst)
-    pair: the primary plan at index 0 plus one re-encode plan per edge
-    node that can reach [dst], shared across all failure sets. *)
+(** A prepared verification instance for one (src, dst) pair: the
+    primary plan at index 0 plus one re-encode plan per edge node that can
+    reach [dst], shared across all failure sets. *)
 type instance = {
   graph : Graph.t;
   src : Graph.node;
   dst : Graph.node;
   policy : Kar.Policy.t;
   ttl : int;
-  plans : Compiler.t array;
+  plan : Kar.Route.plan;  (** the primary plan *)
+  primary : int array array;
+      (** per plan index, per node: the port the plan computes there
+          ({!Kar.Route.port_at}), [-1] at edge nodes *)
   plan_of_edge : int array;  (** node -> plan index, -1 when unreachable *)
 }
 
-(** [prepare ?ttl g ~plan ~policy ~src ~dst ()] compiles the primary plan
-    and every re-encode plan once; [ttl] defaults to 128 (Karnet's
-    default). *)
+(** [prepare ?ttl g ~plan ~policy ~src ~dst ()] plans every re-encode
+    once and records each plan's per-node computed port; [ttl] defaults
+    to 128 (Karnet's default). *)
 val prepare :
   ?ttl:int ->
   Graph.t ->

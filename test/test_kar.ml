@@ -12,16 +12,23 @@ let qtest ?(count = 200) name gen f =
 
 let rng () = Util.Prng.of_int 7
 
-(* --- Policy: exhaustive semantics on a synthetic 4-port switch --- *)
+(* --- Policy: the forwarding decision on a synthetic 4-port switch --- *)
 
-let ports ?(down = []) ?(hosts = []) n =
-  Array.init n (fun p ->
-      { Kar.Policy.up = not (List.mem p down); to_host = List.mem p hosts })
+let live ?(down = []) n =
+  List.fold_left (fun m p -> m land lnot (1 lsl p)) ((1 lsl n) - 1) down
 
-let view ?(deflected = false) ~route_id ~in_port () =
-  { Kar.Policy.route_id = Z.of_int route_id; in_port; deflected }
-
-(* switch_id 13, route_id r: computed port = r mod 13 *)
+(* One decision at switch 13 (computed port = route mod 13), resolved the
+   way the data plane does: the output port (-1 = drop) and the packet's
+   new deflected flag. *)
+let forward ?(deflected = false) ?(down = []) policy ~route ~in_port rng =
+  let choice =
+    Kar.Policy.choose policy
+      ~computed:(Kar.Policy.computed_port ~switch_id:13 ~route_id:(Z.of_int route))
+      ~in_port ~deflected ~degree:4 ~live:(live ~down 4)
+  in
+  if choice < 0 then (lnot choice, deflected)
+  else if choice > 0 then (Kar.Policy.pick rng choice, true)
+  else (-1, deflected)
 
 let test_computed_port () =
   Alcotest.(check int) "44 mod 4" 0 (Kar.Policy.computed_port ~switch_id:4 ~route_id:(Z.of_int 44));
@@ -29,113 +36,85 @@ let test_computed_port () =
   Alcotest.(check int) "660 mod 5" 0 (Kar.Policy.computed_port ~switch_id:5 ~route_id:(Z.of_int 660))
 
 let test_none_forwards_valid () =
-  let d, defl =
-    Kar.Policy.forward Kar.Policy.No_deflection ~switch_id:13 ~ports:(ports 4)
-      ~packet:(view ~route_id:2 ~in_port:0 ()) (rng ())
-  in
-  Alcotest.(check bool) "forward 2" true (d = Kar.Policy.Forward 2);
+  let port, defl = forward Kar.Policy.No_deflection ~route:2 ~in_port:0 (rng ()) in
+  Alcotest.(check int) "forward 2" 2 port;
   Alcotest.(check bool) "not deflected" false defl
 
 let test_none_drops_invalid_port () =
   (* route_id 7 mod 13 = 7 >= 4 ports: invalid *)
-  let d, _ =
-    Kar.Policy.forward Kar.Policy.No_deflection ~switch_id:13 ~ports:(ports 4)
-      ~packet:(view ~route_id:7 ~in_port:0 ()) (rng ())
-  in
-  Alcotest.(check bool) "drop" true (d = Kar.Policy.Drop)
+  let port, _ = forward Kar.Policy.No_deflection ~route:7 ~in_port:0 (rng ()) in
+  Alcotest.(check int) "drop" (-1) port
 
 let test_none_drops_down_port () =
-  let d, _ =
-    Kar.Policy.forward Kar.Policy.No_deflection ~switch_id:13
-      ~ports:(ports ~down:[ 2 ] 4)
-      ~packet:(view ~route_id:2 ~in_port:0 ()) (rng ())
+  let port, _ =
+    forward Kar.Policy.No_deflection ~down:[ 2 ] ~route:2 ~in_port:0 (rng ())
   in
-  Alcotest.(check bool) "drop" true (d = Kar.Policy.Drop)
+  Alcotest.(check int) "drop" (-1) port
 
 let test_avp_uses_computed_even_if_input () =
   (* computed = 2 = in_port: AVP still uses it ("allows to use its incoming
      port as an outgoing port in any case") *)
-  let d, _ =
-    Kar.Policy.forward Kar.Policy.Any_valid_port ~switch_id:13 ~ports:(ports 4)
-      ~packet:(view ~route_id:2 ~in_port:2 ()) (rng ())
-  in
-  Alcotest.(check bool) "forward back out" true (d = Kar.Policy.Forward 2)
+  let port, _ = forward Kar.Policy.Any_valid_port ~route:2 ~in_port:2 (rng ()) in
+  Alcotest.(check int) "forward back out" 2 port
 
 let test_nip_never_uses_input () =
   (* same situation: NIP must pick another port at random *)
   let r = rng () in
   for _ = 1 to 50 do
-    let d, defl =
-      Kar.Policy.forward Kar.Policy.Not_input_port ~switch_id:13 ~ports:(ports 4)
-        ~packet:(view ~route_id:2 ~in_port:2 ()) r
-    in
-    match d with
-    | Kar.Policy.Forward p ->
-      Alcotest.(check bool) "not input" true (p <> 2);
-      Alcotest.(check bool) "marked deflected" true defl
-    | Kar.Policy.Drop -> Alcotest.fail "should deflect, not drop"
+    let port, defl = forward Kar.Policy.Not_input_port ~route:2 ~in_port:2 r in
+    if port < 0 then Alcotest.fail "should deflect, not drop";
+    Alcotest.(check bool) "not input" true (port <> 2);
+    Alcotest.(check bool) "marked deflected" true defl
   done
 
 let test_nip_random_excludes_input_and_down () =
   let r = rng () in
   for _ = 1 to 50 do
-    let d, _ =
-      Kar.Policy.forward Kar.Policy.Not_input_port ~switch_id:13
-        ~ports:(ports ~down:[ 7 mod 13; 1 ] 4) (* computed invalid anyway *)
-        ~packet:(view ~route_id:7 ~in_port:0 ()) r
+    (* computed port 7 is invalid anyway *)
+    let port, _ =
+      forward Kar.Policy.Not_input_port ~down:[ 1 ] ~route:7 ~in_port:0 r
     in
-    match d with
-    | Kar.Policy.Forward p ->
-      Alcotest.(check bool) "healthy, not input" true (p = 2 || p = 3)
-    | Kar.Policy.Drop -> Alcotest.fail "candidates exist"
+    if port < 0 then Alcotest.fail "candidates exist";
+    Alcotest.(check bool) "healthy, not input" true (port = 2 || port = 3)
   done
 
 let test_nip_degree_one_returns () =
   (* only the input port is healthy: NIP sends the packet back rather than
      spinning (documented deviation from the paper's non-terminating
      Algorithm 1) *)
-  let d, _ =
-    Kar.Policy.forward Kar.Policy.Not_input_port ~switch_id:13
-      ~ports:(ports ~down:[ 1; 2; 3 ] 4)
-      ~packet:(view ~route_id:7 ~in_port:0 ()) (rng ())
+  let port, _ =
+    forward Kar.Policy.Not_input_port ~down:[ 1; 2; 3 ] ~route:7 ~in_port:0
+      (rng ())
   in
-  Alcotest.(check bool) "returns on input port" true (d = Kar.Policy.Forward 0)
+  Alcotest.(check int) "returns on input port" 0 port
 
 let test_hp_random_after_first_deflection () =
   (* once deflected, HP ignores the computed port entirely *)
   let r = rng () in
   let seen = Hashtbl.create 4 in
   for _ = 1 to 200 do
-    let d, defl =
-      Kar.Policy.forward Kar.Policy.Hot_potato ~switch_id:13 ~ports:(ports 4)
-        ~packet:(view ~deflected:true ~route_id:2 ~in_port:0 ()) r
+    let port, defl =
+      forward Kar.Policy.Hot_potato ~deflected:true ~route:2 ~in_port:0 r
     in
     Alcotest.(check bool) "stays deflected" true defl;
-    match d with
-    | Kar.Policy.Forward p -> Hashtbl.replace seen p ()
-    | Kar.Policy.Drop -> Alcotest.fail "healthy ports exist"
+    if port < 0 then Alcotest.fail "healthy ports exist";
+    Hashtbl.replace seen port ()
   done;
   Alcotest.(check int) "all four ports seen" 4 (Hashtbl.length seen)
 
 let test_hp_not_deflected_follows_modulo () =
-  let d, defl =
-    Kar.Policy.forward Kar.Policy.Hot_potato ~switch_id:13 ~ports:(ports 4)
-      ~packet:(view ~route_id:2 ~in_port:0 ()) (rng ())
-  in
-  Alcotest.(check bool) "follows computed" true (d = Kar.Policy.Forward 2);
+  let port, defl = forward Kar.Policy.Hot_potato ~route:2 ~in_port:0 (rng ()) in
+  Alcotest.(check int) "follows computed" 2 port;
   Alcotest.(check bool) "not deflected" false defl
 
 let test_all_drop_when_everything_down () =
   List.iter
     (fun policy ->
-      let d, _ =
-        Kar.Policy.forward policy ~switch_id:13
-          ~ports:(ports ~down:[ 0; 1; 2; 3 ] 4)
-          ~packet:(view ~route_id:2 ~in_port:0 ()) (rng ())
+      let port, _ =
+        forward policy ~down:[ 0; 1; 2; 3 ] ~route:2 ~in_port:0 (rng ())
       in
-      Alcotest.(check bool) (Kar.Policy.to_string policy) true (d = Kar.Policy.Drop))
-    [ Kar.Policy.No_deflection; Kar.Policy.Hot_potato; Kar.Policy.Any_valid_port;
-      Kar.Policy.Not_input_port ]
+      Alcotest.(check int) (Kar.Policy.to_string policy) (-1) port)
+    Kar.Policy.all
 
 let test_policy_string_roundtrip () =
   List.iter
@@ -145,18 +124,15 @@ let test_policy_string_roundtrip () =
     Kar.Policy.all;
   Alcotest.(check bool) "unknown" true (Kar.Policy.of_string "bogus" = None)
 
-(* deflection draws are uniform over the candidate set *)
+(* deflection draws are uniform over the candidate set; a singleton set
+   consumes no draw *)
 let test_deflection_uniformity () =
   let r = rng () in
   let counts = Array.make 4 0 in
   let n = 20_000 in
   for _ = 1 to n do
-    match
-      Kar.Policy.forward Kar.Policy.Not_input_port ~switch_id:13 ~ports:(ports 4)
-        ~packet:(view ~route_id:7 ~in_port:0 ()) r
-    with
-    | Kar.Policy.Forward p, _ -> counts.(p) <- counts.(p) + 1
-    | Kar.Policy.Drop, _ -> ()
+    let port, _ = forward Kar.Policy.Not_input_port ~route:7 ~in_port:0 r in
+    if port >= 0 then counts.(port) <- counts.(port) + 1
   done;
   Alcotest.(check int) "input port never drawn" 0 counts.(0);
   (* three candidates, ~n/3 each within 5% *)
@@ -167,7 +143,77 @@ let test_deflection_uniformity () =
         (Printf.sprintf "port %d share %.3f" p share)
         true
         (Float.abs (share -. (1.0 /. 3.0)) < 0.017))
-    [ 1; 2; 3 ]
+    [ 1; 2; 3 ];
+  let a = rng () and b = rng () in
+  Alcotest.(check int) "singleton mask picks its port" 5 (Kar.Policy.pick a (1 lsl 5));
+  Alcotest.(check bool) "singleton mask makes no draw" true
+    (Util.Prng.next a = Util.Prng.next b)
+
+(* Section 2.1 written out naively over port lists: the reference the
+   packed [choose] is checked against. *)
+type reference = Take of int | Pick of int list | Stuck
+
+let reference policy ~computed ~in_port ~deflected ~degree ~live =
+  let healthy =
+    List.filter (fun p -> live land (1 lsl p) <> 0) (List.init degree Fun.id)
+  in
+  let usable = List.mem computed healthy in
+  let draw = function [] -> Stuck | ports -> Pick ports in
+  match policy with
+  | Kar.Policy.No_deflection -> if usable then Take computed else Stuck
+  | Kar.Policy.Hot_potato ->
+    if usable && not deflected then Take computed else draw healthy
+  | Kar.Policy.Any_valid_port -> if usable then Take computed else draw healthy
+  | Kar.Policy.Not_input_port ->
+    if usable && computed <> in_port then Take computed
+    else begin
+      match List.filter (fun p -> p <> in_port) healthy with
+      | [] -> if List.mem in_port healthy then Pick [ in_port ] else Stuck
+      | others -> Pick others
+    end
+
+let decode choice =
+  if choice < 0 then Take (lnot choice)
+  else if choice = 0 then Stuck
+  else
+    Pick
+      (List.filter
+         (fun p -> choice land (1 lsl p) <> 0)
+         (List.init Kar.Policy.max_degree Fun.id))
+
+let test_choose_matches_reference () =
+  for degree = 0 to 6 do
+    for live = 0 to (1 lsl degree) - 1 do
+      for in_port = -1 to degree - 1 do
+        for computed = 0 to degree + 1 do
+          List.iter
+            (fun policy ->
+              List.iter
+                (fun deflected ->
+                  let want =
+                    reference policy ~computed ~in_port ~deflected ~degree ~live
+                  in
+                  let choice =
+                    Kar.Policy.choose policy ~computed ~in_port ~deflected
+                      ~degree ~live
+                  in
+                  if decode choice <> want then
+                    Alcotest.failf
+                      "%s deg=%d live=%#x in=%d computed=%d deflected=%b"
+                      (Kar.Policy.to_string policy)
+                      degree live in_port computed deflected;
+                  match want with
+                  | Pick ports ->
+                    let port = Kar.Policy.pick (Util.Prng.of_int live) choice in
+                    if not (List.mem port ports) then
+                      Alcotest.failf "pick %d outside mask %#x" port choice
+                  | Take _ | Stuck -> ())
+                [ false; true ])
+            Kar.Policy.all
+        done
+      done
+    done
+  done
 
 (* forwarding decisions are always safe: the chosen port exists, is up,
    and NIP never returns the input port unless it is the only healthy one *)
@@ -182,71 +228,36 @@ let prop_forward_invariants =
       let* deflected = bool in
       pure (degree, down_mask, in_port, route, policy_idx, deflected))
     (fun (degree, down_mask, in_port, route, policy_idx, deflected) ->
-      let ports_arr =
-        Array.init degree (fun p ->
-            { Kar.Policy.up = down_mask land (1 lsl p) = 0; to_host = false })
-      in
+      let live = ((1 lsl degree) - 1) land lnot down_mask in
       let policy = List.nth Kar.Policy.all policy_idx in
-      let decision, _ =
-        Kar.Policy.forward policy ~switch_id:10007
-          ~ports:ports_arr
-          ~packet:{ Kar.Policy.route_id = Z.of_int route; in_port; deflected }
-          (Util.Prng.of_int (route + down_mask))
+      let choice =
+        Kar.Policy.choose policy
+          ~computed:
+            (Kar.Policy.computed_port ~switch_id:10007 ~route_id:(Z.of_int route))
+          ~in_port ~deflected ~degree ~live
       in
-      match decision with
-      | Kar.Policy.Drop -> true
-      | Kar.Policy.Forward p ->
-        p >= 0 && p < degree
-        && ports_arr.(p).Kar.Policy.up
-        && (policy <> Kar.Policy.Not_input_port
-           || p <> in_port
-           || (* only-healthy-port exception *)
-           Array.for_all
-             (fun i ->
-               (not ports_arr.(i).Kar.Policy.up) || i = in_port)
-             (Array.init degree (fun i -> i))))
+      choice = 0
+      ||
+      let p =
+        if choice < 0 then lnot choice
+        else Kar.Policy.pick (Util.Prng.of_int (route + down_mask)) choice
+      in
+      p >= 0 && p < degree
+      && live land (1 lsl p) <> 0
+      && (policy <> Kar.Policy.Not_input_port
+         || p <> in_port
+         || (* only-healthy-port exception *) live = 1 lsl in_port))
 
 (* --- the zero-allocation fast path --- *)
-
-(* [decide] (packed-int code, what the simulator's switches run) must agree
-   decision-for-decision with [forward] (the boxed API Walk uses) — same
-   port, same deflected flag, same PRNG stream consumption. *)
-let prop_decide_matches_forward =
-  qtest ~count:2000 "decide = forward (packed vs boxed)"
-    QCheck2.Gen.(
-      let* degree = 1 -- 8 in
-      let* down_mask = 0 -- ((1 lsl degree) - 1) in
-      let* in_port = 0 -- (degree - 1) in
-      let* route = 0 -- 10_000 in
-      let* policy_idx = 0 -- 3 in
-      let* deflected = bool in
-      let* seed = 0 -- 1_000_000 in
-      pure (degree, down_mask, in_port, route, policy_idx, deflected, seed))
-    (fun (degree, down_mask, in_port, route, policy_idx, deflected, seed) ->
-      let ports_arr =
-        Array.init degree (fun p ->
-            { Kar.Policy.up = down_mask land (1 lsl p) = 0; to_host = false })
-      in
-      let policy = List.nth Kar.Policy.all policy_idx in
-      let route_id = Z.of_int route in
-      let decision, defl =
-        Kar.Policy.forward policy ~switch_id:10007 ~ports:ports_arr
-          ~packet:{ Kar.Policy.route_id; in_port; deflected }
-          (Util.Prng.of_int seed)
-      in
-      let d =
-        Kar.Policy.decide policy
-          ~computed:(Kar.Policy.computed_port ~switch_id:10007 ~route_id)
-          ~in_port ~deflected ~ports:ports_arr (Util.Prng.of_int seed)
-      in
-      (match decision with
-       | Kar.Policy.Forward p -> Kar.Policy.code_port d = p
-       | Kar.Policy.Drop -> Kar.Policy.code_port d = -1)
-      && Kar.Policy.code_deflected d = defl)
 
 let test_residue_cache () =
   let plan = Kar.Controller.scenario_plan Nets.net15 Kar.Controller.Full in
   let route_id = plan.Kar.Route.route_id in
+  let buf = Wire.Flat.create () in
+  let stamp route_id =
+    Wire.Flat.stamp buf ~uid:1 ~src:0 ~dst:1 ~size_bytes:64 ~route_id
+  in
+  stamp route_id;
   (* every residue of the plan answers from the table, identically to the
      remainder kernel *)
   List.iter
@@ -255,52 +266,53 @@ let test_residue_cache () =
       Alcotest.(check int)
         (Printf.sprintf "cached port at SW%d" sw)
         (Kar.Policy.computed_port ~switch_id:sw ~route_id)
-        (Kar.Route.cached_port plan ~route_id ~switch_id:sw);
+        (Kar.Route.cached_port_flat plan buf ~switch_id:sw);
       Alcotest.(check int)
-        (Printf.sprintf "residue_table at SW%d" sw)
+        (Printf.sprintf "port_at SW%d" sw)
         r.Rns.value
-        (Kar.Route.residue_table plan sw))
+        (Kar.Route.port_at plan ~switch_id:sw))
     plan.Kar.Route.residues;
   (* switches outside the plan and foreign route IDs fall back to the
      kernel *)
   Alcotest.(check int) "unplanned switch" (Kar.Policy.computed_port ~switch_id:23 ~route_id)
-    (Kar.Route.cached_port plan ~route_id ~switch_id:23);
+    (Kar.Route.cached_port_flat plan buf ~switch_id:23);
   let other = Z.of_int 44 in
+  stamp other;
   List.iter
     (fun r ->
       let sw = r.Rns.modulus in
       Alcotest.(check int)
         (Printf.sprintf "re-encoded packet at SW%d" sw)
         (Kar.Policy.computed_port ~switch_id:sw ~route_id:other)
-        (Kar.Route.cached_port plan ~route_id:other ~switch_id:sw))
+        (Kar.Route.cached_port_flat plan buf ~switch_id:sw))
     plan.Kar.Route.residues
 
 (* The acceptance bar of the fast-path work: a steady-state forwarding
-   decision (cache lookup + NIP decide, healthy computed port) touches the
+   decision (cache lookup + NIP choice, healthy computed port) touches the
    minor heap not at all.  [Gc.minor_words] itself boxes its float result,
    so allow a small constant slack rather than demanding an exact zero. *)
 let test_forward_zero_alloc () =
   let plan = Kar.Controller.scenario_plan Nets.net15 Kar.Controller.Full in
-  let route_id = plan.Kar.Route.route_id in
-  let ports_arr = ports 4 in
+  let buf = Wire.Flat.create () in
+  Wire.Flat.stamp buf ~uid:1 ~src:0 ~dst:1 ~size_bytes:64
+    ~route_id:plan.Kar.Route.route_id;
+  let live = live 4 in
   let r = rng () in
-  (* warm up: fault in closures/tables before counting *)
-  for _ = 1 to 100 do
-    let c = Kar.Route.cached_port plan ~route_id ~switch_id:13 in
+  let decide () =
+    let c = Kar.Route.cached_port_flat plan buf ~switch_id:13 in
+    let choice =
+      Kar.Policy.choose Kar.Policy.Not_input_port ~computed:c ~in_port:0
+        ~deflected:false ~degree:4 ~live
+    in
     ignore
       (Sys.opaque_identity
-         (Kar.Policy.decide Kar.Policy.Not_input_port ~computed:c ~in_port:0
-            ~deflected:false ~ports:ports_arr r))
-  done;
+         (if choice < 0 then lnot choice else Kar.Policy.pick r choice))
+  in
+  (* warm up: fault in closures/tables before counting *)
+  for _ = 1 to 100 do decide () done;
   let iters = 100_000 in
   let w0 = Gc.minor_words () in
-  for _ = 1 to iters do
-    let c = Kar.Route.cached_port plan ~route_id ~switch_id:13 in
-    ignore
-      (Sys.opaque_identity
-         (Kar.Policy.decide Kar.Policy.Not_input_port ~computed:c ~in_port:0
-            ~deflected:false ~ports:ports_arr r))
-  done;
+  for _ = 1 to iters do decide () done;
   let delta = Gc.minor_words () -. w0 in
   Alcotest.(check bool)
     (Printf.sprintf "%.0f minor words over %d decisions" delta iters)
@@ -362,7 +374,7 @@ let test_next_hop_matches_residues () =
       Alcotest.(check int)
         (Printf.sprintf "SW%d" r.Rns.modulus)
         r.Rns.value
-        (Kar.Route.next_hop plan ~switch_id:r.Rns.modulus))
+        (Kar.Route.port_at plan ~switch_id:r.Rns.modulus))
     plan.Kar.Route.residues
 
 (* --- Protection --- *)
@@ -886,11 +898,12 @@ let () =
           Alcotest.test_case "all drop when isolated" `Quick test_all_drop_when_everything_down;
           Alcotest.test_case "policy names roundtrip" `Quick test_policy_string_roundtrip;
           Alcotest.test_case "deflection uniformity" `Quick test_deflection_uniformity;
+          Alcotest.test_case "choose = section 2.1 reference (deg <= 6)" `Quick
+            test_choose_matches_reference;
           prop_forward_invariants;
         ] );
       ( "fastpath",
         [
-          prop_decide_matches_forward;
           Alcotest.test_case "residue cache" `Quick test_residue_cache;
           Alcotest.test_case "steady-state zero allocation" `Quick
             test_forward_zero_alloc;

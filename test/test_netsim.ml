@@ -606,6 +606,36 @@ let test_sharded_zero_delay_cut_rejected () =
   let net = Net.create_partitioned ~graph:g ~partition:solo () in
   Alcotest.(check int) "solo regions" 1 (Net.n_regions net)
 
+(* A live-port mask is one int: a core switch with more than
+   [Sys.int_size - 1] ports is rejected up front, naming the switch, by
+   the shared live-mask builder and by both network constructors. *)
+let test_wide_switch_rejected () =
+  let g = Topo.Gen.complete 64 in
+  let v = Topo.Graph.node_of_label g 1 in
+  let rejects who f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted a 63-port switch" who
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s names the caller and the switch (%s)" who msg)
+        true
+        (Astring.String.is_prefix ~affix:(who ^ ": SW1 has 63 ports") msg)
+  in
+  rejects "Policy.mask_of_failures" (fun () ->
+      Kar.Policy.mask_of_failures g ~node:v ~failed:(fun _ -> false));
+  rejects "Net.create" (fun () ->
+      Net.create ~graph:g ~engine:(Engine.create ()) ());
+  rejects "Net.create_partitioned" (fun () ->
+      Net.create_partitioned ~graph:g
+        ~partition:(Topo.Partition.make g ~regions:2)
+        ());
+  (* one port narrower fits *)
+  let fits = Topo.Gen.complete 63 in
+  Alcotest.(check int) "62 live ports" ((1 lsl 62) - 1)
+    (Kar.Policy.mask_of_failures fits
+       ~node:(Topo.Graph.node_of_label fits 1)
+       ~failed:(fun _ -> false))
+
 let () =
   Alcotest.run "netsim"
     [
@@ -662,6 +692,8 @@ let () =
           Alcotest.test_case "edge re-encode rescues strays" `Quick test_edge_reencode;
           Alcotest.test_case "healthy path is deterministic" `Quick
             test_karnet_full_path_deterministic;
+          Alcotest.test_case "switch too wide for a live mask" `Quick
+            test_wide_switch_rejected;
         ] );
       ( "sharded",
         [

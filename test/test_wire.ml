@@ -385,7 +385,7 @@ let prop_packet_accessors_match_flat =
       && Packet.born p = 0.25)
 
 (* --- flat vs record forwarding: the data plane must be indistinguishable —
-   same computed port, same packed decision, same PRNG stream — for every
+   same computed port, same packed choice, same PRNG stream — for every
    net15 core switch, every port-liveness mask, every policy *)
 
 let test_flat_vs_record_decide () =
@@ -397,63 +397,52 @@ let test_flat_vs_record_decide () =
   List.iter
     (fun (r : Rns.residue) ->
       let sw = r.Rns.modulus in
-      let v = Topo.Graph.node_of_label g sw in
-      let degree = Topo.Graph.degree g v in
+      let degree = Topo.Graph.degree g (Topo.Graph.node_of_label g sw) in
       List.iter
         (fun route_id ->
           F.stamp b ~uid:1 ~src:0 ~dst:1 ~size_bytes:64 ~route_id;
+          let computed_rec = Kar.Policy.computed_port ~switch_id:sw ~route_id in
           Alcotest.(check int)
             (Printf.sprintf "computed_port SW%d" sw)
-            (Kar.Policy.computed_port ~switch_id:sw ~route_id)
+            computed_rec
             (Kar.Policy.computed_port_flat ~switch_id:sw b);
-          Alcotest.(check int)
-            (Printf.sprintf "cached_port SW%d" sw)
-            (Kar.Route.cached_port plan ~route_id ~switch_id:sw)
-            (Kar.Route.cached_port_flat plan b ~switch_id:sw);
-          let computed_rec =
-            Kar.Route.cached_port plan ~route_id ~switch_id:sw
-          in
           let computed_flat = Kar.Route.cached_port_flat plan b ~switch_id:sw in
-          for mask = 0 to (1 lsl degree) - 1 do
-            let ports =
-              Array.init degree (fun p ->
-                  let far =
-                    (Topo.Graph.other_end (Topo.Graph.link_at g v p) v)
-                      .Topo.Graph.node
-                  in
-                  {
-                    Kar.Policy.up = mask land (1 lsl p) <> 0;
-                    to_host = not (Topo.Graph.is_core g far);
-                  })
-            in
+          Alcotest.(check int)
+            (Printf.sprintf "cached_port_flat SW%d" sw)
+            computed_rec computed_flat;
+          for live = 0 to (1 lsl degree) - 1 do
             List.iter
               (fun policy ->
                 List.iter
                   (fun deflected ->
-                    let seed = (sw * 7919) + (mask * 31) + 1 in
-                    let rng_rec = Util.Prng.of_int seed in
-                    let rng_flat = Util.Prng.of_int seed in
-                    let d_rec =
-                      Kar.Policy.decide policy ~computed:computed_rec
-                        ~in_port:0 ~deflected ~ports rng_rec
+                    let choose computed =
+                      Kar.Policy.choose policy ~computed ~in_port:0 ~deflected
+                        ~degree ~live
                     in
-                    let d_flat =
-                      Kar.Policy.decide policy ~computed:computed_flat
-                        ~in_port:0 ~deflected ~ports rng_flat
-                    in
-                    if d_rec <> d_flat then
+                    let c_rec = choose computed_rec
+                    and c_flat = choose computed_flat in
+                    if c_rec <> c_flat then
                       Alcotest.failf
                         "SW%d mask %#x policy %s deflected %b: record %d, \
                          flat %d"
-                        sw mask
+                        sw live
                         (Kar.Policy.to_string policy)
-                        deflected d_rec d_flat;
+                        deflected c_rec c_flat;
                     (* the PRNG streams must stay draw-for-draw aligned *)
-                    if Util.Prng.next rng_rec <> Util.Prng.next rng_flat then
-                      Alcotest.failf
-                        "SW%d mask %#x policy %s: PRNG streams diverged" sw
-                        mask
-                        (Kar.Policy.to_string policy))
+                    if c_rec > 0 then begin
+                      let seed = (sw * 7919) + (live * 31) + 1 in
+                      let rng_rec = Util.Prng.of_int seed in
+                      let rng_flat = Util.Prng.of_int seed in
+                      if
+                        Kar.Policy.pick rng_rec c_rec
+                        <> Kar.Policy.pick rng_flat c_flat
+                        || Util.Prng.next rng_rec <> Util.Prng.next rng_flat
+                      then
+                        Alcotest.failf
+                          "SW%d mask %#x policy %s: PRNG streams diverged" sw
+                          live
+                          (Kar.Policy.to_string policy)
+                    end)
                   [ false; true ])
               Kar.Policy.all
           done)
@@ -470,15 +459,8 @@ let test_flat_packet_zero_alloc () =
   let g = sc.Topo.Nets.graph in
   let plan = Kar.Controller.scenario_plan sc Kar.Controller.Full in
   let route_id = plan.Kar.Route.route_id in
-  let v13 = Topo.Graph.node_of_label g 13 in
-  let ports =
-    Array.init (Topo.Graph.degree g v13) (fun p ->
-        let far =
-          (Topo.Graph.other_end (Topo.Graph.link_at g v13 p) v13)
-            .Topo.Graph.node
-        in
-        { Kar.Policy.up = true; to_host = not (Topo.Graph.is_core g far) })
-  in
+  let degree = Topo.Graph.degree g (Topo.Graph.node_of_label g 13) in
+  let live = (1 lsl degree) - 1 in
   let rng = Util.Prng.of_int 9 in
   let pool = Packet.Pool.create () in
   let born = Sys.opaque_identity 0.0 in
@@ -490,10 +472,13 @@ let test_flat_packet_zero_alloc () =
     for hop = 0 to 3 do
       Packet.set_hops p hop;
       let c = Kar.Route.cached_port_flat plan b ~switch_id:13 in
+      let choice =
+        Kar.Policy.choose Kar.Policy.Not_input_port ~computed:c ~in_port:0
+          ~deflected:false ~degree ~live
+      in
       ignore
         (Sys.opaque_identity
-           (Kar.Policy.decide Kar.Policy.Not_input_port ~computed:c
-              ~in_port:0 ~deflected:false ~ports rng))
+           (if choice < 0 then lnot choice else Kar.Policy.pick rng choice))
     done;
     Packet.Pool.release pool p
   in
