@@ -756,6 +756,21 @@ let starts_with ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
+(* Gates that only mean something on a host with >= 4 cores.  A narrower
+   host cannot measure them, so the check reports the gate as unmeasured
+   instead of passing it silently; the exit status is unaffected. *)
+let multicore_gate key fresh ~fails ~why =
+  let cores =
+    match List.assoc_opt "pool/cores" fresh with
+    | Some c -> c
+    | None -> float_of_int (Domain.recommended_domain_count ())
+  in
+  if cores >= 4.0 then if fails then Some (why cores) else None
+  else begin
+    Printf.printf "UNMEASURED %s (needs >= 4 cores, host has %.0f)\n" key cores;
+    None
+  end
+
 (* Keys whose scale is not a kernel latency: excluded from the regression
    gate (throughput is checked in the other direction; the allocation
    counter is asserted exactly by the test suite; pool wall-clocks are
@@ -769,44 +784,33 @@ let check_entry (key, baseline) fresh =
       (* The parallel-path gate: on a host with >= 4 cores, the sweep must
          still actually go parallel.  The floor is 2x (not the ~3.5x a
          healthy pool shows) so CI noise can't trip it; a serialised pool
-         measures ~1x and fails.  Skipped on narrow hosts, where there is
-         nothing to parallelise over. *)
-      (match List.assoc_opt "pool/cores" fresh with
-       | Some cores when cores >= 4.0 && now < 2.0 ->
-         Some
-           (Printf.sprintf
-              "%s: %.2fx (< 2x on a %.0f-core host; parallel sweep path \
-               no longer scales)"
-              key now cores)
-       | _ -> None)
+         measures ~1x and fails. *)
+      multicore_gate key fresh ~fails:(now < 2.0) ~why:(fun cores ->
+          Printf.sprintf
+            "%s: %.2fx (< 2x on a %.0f-core host; parallel sweep path no \
+             longer scales)"
+            key now cores)
     else if starts_with ~prefix:"pool/" key then None
     else if key = "netsim/sharded-speedup-r4" then
       (* The sharded-path gate: on a host with >= 4 cores the 4-region
          simulation of the coarse-grained workload must actually run in
          parallel.  2x is the floor (a healthy run shows ~3x); a
-         serialised barrier loop measures ~1x and fails.  On narrow hosts
-         the gauge is recorded but not enforced. *)
-      (match List.assoc_opt "pool/cores" fresh with
-       | Some cores when cores >= 4.0 && now < 2.0 ->
-         Some
-           (Printf.sprintf
-              "%s: %.2fx (< 2x on a %.0f-core host; sharded simulation no \
-               longer scales)"
-              key now cores)
-       | _ -> None)
+         serialised barrier loop measures ~1x and fails. *)
+      multicore_gate key fresh ~fails:(now < 2.0) ~why:(fun cores ->
+          Printf.sprintf
+            "%s: %.2fx (< 2x on a %.0f-core host; sharded simulation no \
+             longer scales)"
+            key now cores)
     else if key = "netsim/sharded-r1-overhead" then
       (* A 1-region partition is structurally the serial simulator; its
          wall-clock may cost at most 5% over the single-engine path.
          Enforced alongside the speedup gate (>= 4 cores), where the
          best-of-3 runs are quiet enough for a 5% band. *)
-      (match List.assoc_opt "pool/cores" fresh with
-       | Some cores when cores >= 4.0 && now > 1.05 ->
-         Some
-           (Printf.sprintf
-              "%s: %.3fx on a %.0f-core host (single-region sharding costs \
-               more than 5%% over the serial engine)"
-              key now cores)
-       | _ -> None)
+      multicore_gate key fresh ~fails:(now > 1.05) ~why:(fun cores ->
+          Printf.sprintf
+            "%s: %.3fx on a %.0f-core host (single-region sharding costs \
+             more than 5%% over the serial engine)"
+            key now cores)
     else if
       key = "netsim/engine-serial-ms"
       || starts_with ~prefix:"netsim/engine-sharded-" key
@@ -829,14 +833,11 @@ let check_entry (key, baseline) fresh =
          keys, so j4 buys little — but on a >= 4-core host it must not be
          drastically slower than serial (that would mean the private-pool
          dispatch path went pathological, e.g. a lock convoy per batch). *)
-      (match List.assoc_opt "pool/cores" fresh with
-       | Some cores when cores >= 4.0 && now < 0.5 ->
-         Some
-           (Printf.sprintf
-              "%s: %.2fx (< 0.5x on a %.0f-core host; parallel batch \
-               dispatch is pathologically slow)"
-              key now cores)
-       | _ -> None)
+      multicore_gate key fresh ~fails:(now < 0.5) ~why:(fun cores ->
+          Printf.sprintf
+            "%s: %.2fx (< 0.5x on a %.0f-core host; parallel batch dispatch \
+             is pathologically slow)"
+            key now cores)
     else if key = "obs/metrics-pps-ratio" then
       (* Absolute floor, not baseline-relative: the metrics export path
          must never cost more than 5% of netsim packet throughput. *)

@@ -98,13 +98,7 @@ let run net requests rate skew seed levels cache_cap batch_size batch_delay
   in
   let reqs = Workload.generate graph spec in
   let config =
-    {
-      Server.default_config with
-      Server.cache_capacity = cache_cap;
-      batch_size;
-      batch_delay;
-      workers;
-    }
+    { Server.cache_capacity = cache_cap; batch_size; batch_delay; workers }
   in
   (* Both event sources compile to one Kar_scenario stream: the repeatable
      --fail-at/--repair-at flags become a degenerate explicit-events

@@ -19,14 +19,6 @@ let expect_delivery level policy =
   level = Kar.Controller.Full
   && (policy = Kar.Policy.Any_valid_port || policy = Kar.Policy.Not_input_port)
 
-let core_links g =
-  List.filter
-    (fun id ->
-      let l = Graph.link g id in
-      Graph.is_core g l.Graph.ep0.Graph.node
-      && Graph.is_core g l.Graph.ep1.Graph.node)
-    (List.init (Graph.n_links g) Fun.id)
-
 let failure_name g id =
   let l = Graph.link g id in
   Printf.sprintf "SW%d-SW%d"
@@ -109,7 +101,7 @@ let run ?(packets = 4) ?(seed = 42) () =
                     (run_case ~topology sc ~link ~level ~policy ~packets ~seed))
                 Kar.Policy.all)
             Kar.Controller.all_levels)
-        (core_links sc.Topo.Nets.graph))
+        (Graph.core_links sc.Topo.Nets.graph))
     scenarios
 
 let to_string ?(packets = 4) ?(seed = 42) () =

@@ -11,13 +11,6 @@ type row = {
   ff_survives : int;
 }
 
-let core_links g =
-  List.filter
-    (fun l ->
-      Graph.is_core g l.Graph.ep0.Graph.node && Graph.is_core g l.Graph.ep1.Graph.node)
-    (Graph.links g)
-  |> List.map (fun l -> l.Graph.id)
-
 (* Draw a k-subset uniformly (Floyd's algorithm would be fancier; the pool
    is 40 links, a shuffle is fine). *)
 let sample_subset rng pool k =
@@ -29,7 +22,7 @@ let run ?(samples = 60) ?(seed = 2718) () =
   let sc = Nets.rnp28 in
   let g = sc.Nets.graph in
   let plan = Kar.Controller.scenario_plan sc Kar.Controller.Partial in
-  let pool = core_links g in
+  let pool = Graph.core_links g in
   let rng = Util.Prng.of_int seed in
   List.map
     (fun k ->

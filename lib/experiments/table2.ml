@@ -42,15 +42,7 @@ let measure ?pool () =
   let sc = Topo.Nets.net15 in
   let g = sc.Topo.Nets.graph in
   let plan = Kar.Controller.scenario_plan sc Kar.Controller.Full in
-  let core_links =
-    List.filter
-      (fun l ->
-        Topo.Graph.is_core g l.Topo.Graph.ep0.Topo.Graph.node
-        && Topo.Graph.is_core g l.Topo.Graph.ep1.Topo.Graph.node)
-      (Topo.Graph.links g)
-    |> List.map (fun l -> l.Topo.Graph.id)
-    |> Array.of_list
-  in
+  let core_links = Array.of_list (Topo.Graph.core_links g) in
   let m = Array.length core_links in
   let pairs = Array.make (m * (m - 1) / 2) (0, 0) in
   let u = ref 0 in

@@ -48,13 +48,7 @@ type topo_report = {
       (* first refutation per refuted class, machine-checked *)
 }
 
-let core_links g =
-  List.filter
-    (fun (l : Graph.link) ->
-      Graph.is_core g l.Graph.ep0.Graph.node
-      && Graph.is_core g l.Graph.ep1.Graph.node)
-    (Graph.links g)
-  |> List.map (fun (l : Graph.link) -> l.Graph.id)
+let core_links = Graph.core_links
 
 let link_name g id =
   let l = Graph.link g id in

@@ -56,7 +56,7 @@ type topo_report = {
       (** first refutation per refuted class, in sweep order *)
 }
 
-(** Core-to-core link ids, in link-id order. *)
+(** {!Topo.Graph.core_links}. *)
 val core_links : Graph.t -> Graph.link_id list
 
 (** All k-subsets in lexicographic order of the input — the deterministic

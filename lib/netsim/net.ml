@@ -151,8 +151,6 @@ type t = {
   c_boundary : Registry.counter;
   c_stalls : Registry.counter;
   g_cut_ppm : Registry.gauge;
-  mutable spans : Kar_obs.Span.t option;
-  mutable epoch_idx : int;
 }
 
 and handler = t -> Graph.node -> Packet.t -> in_port:int -> unit
@@ -243,32 +241,55 @@ let build_live ~who graph =
       end
       else 0)
 
-let create ~graph ~engine ?registry ?(queue_capacity_bytes = 1_048_576)
-    ?(ttl = 128) ?(detection_delay_s = 0.0) () =
-  let live = build_live ~who:"Net.create" graph in
+(* The one constructor body.  One engine makes the solo structure: region
+   0 is the net itself (its registry, counters and pool), so the serial
+   hot path pays no indirection.  More engines make a sharded net: each
+   region gets a private metrics shard and packet pool, and the
+   [engine/*] probes aggregate over every region's engine. *)
+let build ~who ~graph ~engines ~region_of_node ~lookahead ?registry
+    ?(queue_capacity_bytes = 1_048_576) ?(ttl = 128) ?(detection_delay_s = 0.0)
+    () =
+  let live = build_live ~who graph in
   let n_links = Graph.n_links graph in
   let n_nodes = Graph.n_nodes graph in
+  let n_regions = Array.length engines in
+  let solo = n_regions = 1 in
   let channels, out_channel = build_channels graph in
+  (* channel ownership and cut marking *)
+  Array.iter
+    (fun chans ->
+      let link = Graph.link graph chans.(0).link_id in
+      let r0 = region_of_node.(link.Graph.ep0.Graph.node) in
+      let r1 = region_of_node.(link.Graph.ep1.Graph.node) in
+      chans.(0).owner_rid <- r0;
+      chans.(1).owner_rid <- r1;
+      chans.(0).x_cut <- r0 <> r1;
+      chans.(1).x_cut <- r0 <> r1)
+    channels;
   let registry =
     match registry with Some r -> r | None -> Registry.create ()
   in
-  Registry.probe registry "engine/events" (fun () -> Engine.processed engine);
-  Registry.probe registry "engine/pending" (fun () -> Engine.pending engine);
-  Registry.probe registry "engine/heap-peak" (fun () -> Engine.heap_peak engine);
+  let sum f () = Array.fold_left (fun acc e -> acc + f e) 0 engines in
+  Registry.probe registry "engine/events" (sum Engine.processed);
+  Registry.probe registry "engine/pending" (sum Engine.pending);
+  Registry.probe registry "engine/heap-peak" (fun () ->
+      Array.fold_left (fun acc e -> max acc (Engine.heap_peak e)) 0 engines);
   let counters = make_counters registry in
   let pool = Packet.Pool.create ~registry () in
   let c_epochs, c_boundary, c_stalls, g_cut_ppm = make_shard_metrics registry in
-  let region =
+  let region rid r_engine =
+    let r_registry = if solo then registry else Registry.create () in
     {
-      rid = 0;
-      r_engine = engine;
-      r_registry = registry;
-      r_counters = counters;
-      r_pool = pool;
+      rid;
+      r_engine;
+      r_registry;
+      r_counters = (if solo then counters else make_counters r_registry);
+      r_pool =
+        (if solo then pool else Packet.Pool.create ~registry:r_registry ());
       r_tbuf = [];
       r_tctr = 0;
       r_octr = 0;
-      outboxes = [||];
+      outboxes = Array.make n_regions [];
       r_mark = 0;
     }
   in
@@ -292,10 +313,10 @@ let create ~graph ~engine ?registry ?(queue_capacity_bytes = 1_048_576)
     switch_deflections = Array.make n_nodes 0;
     switch_drives = Array.make n_nodes 0;
     link_queue_drops = Array.make (2 * n_links) 0;
-    regions = [| region |];
-    region_of_node = Array.make n_nodes 0;
-    solo = true;
-    lookahead = infinity;
+    regions = Array.mapi region engines;
+    region_of_node;
+    solo;
+    lookahead;
     in_admin = false;
     admin = [];
     admin_seq = 0;
@@ -303,129 +324,46 @@ let create ~graph ~engine ?registry ?(queue_capacity_bytes = 1_048_576)
     c_boundary;
     c_stalls;
     g_cut_ppm;
-    spans = None;
-    epoch_idx = 0;
   }
+
+let create ~graph ~engine ?registry ?queue_capacity_bytes ?ttl
+    ?detection_delay_s () =
+  build ~who:"Net.create" ~graph ~engines:[| engine |]
+    ~region_of_node:(Array.make (Graph.n_nodes graph) 0)
+    ~lookahead:infinity ?registry ?queue_capacity_bytes ?ttl ?detection_delay_s
+    ()
 
 let create_partitioned ~graph ~partition ?registry ?queue_capacity_bytes ?ttl
     ?detection_delay_s () =
   let p : Topo.Partition.t = partition in
   if Array.length p.Topo.Partition.region_of <> Graph.n_nodes graph then
     invalid_arg "Net.create_partitioned: partition does not match the graph";
-  if p.Topo.Partition.n_regions = 1 then begin
-    (* One region degenerates to the solo structure: exactly the serial
-       net (same engine path, same pool, same metrics cells). *)
-    let net =
-      create ~graph ~engine:(Engine.create ()) ?registry
-        ?queue_capacity_bytes ?ttl ?detection_delay_s ()
-    in
-    Registry.set net.g_cut_ppm
-      (int_of_float (p.Topo.Partition.cut_ratio *. 1e6));
-    net
-  end
-  else begin
-    let live = build_live ~who:"Net.create_partitioned" graph in
-    (* Conservative simulation needs strictly positive lookahead: a cut
-       through a zero-delay link would force zero-width epochs and the
-       barrier would never advance.  Reject it up front. *)
-    if not (p.Topo.Partition.lookahead > 0.0) then
-      invalid_arg
-        (Printf.sprintf
-           "Net.create_partitioned: region cut crosses %d zero-delay \
-            link(s); lookahead would be %g — repartition or give cut \
-            links a positive delay"
-           (List.length
-              (List.filter
-                 (fun id -> (Graph.link graph id).Graph.delay_s <= 0.0)
-                 p.Topo.Partition.cut_links))
-           p.Topo.Partition.lookahead);
-    let n_regions = p.Topo.Partition.n_regions in
-    let region_of_node = Array.copy p.Topo.Partition.region_of in
-    let n_links = Graph.n_links graph in
-    let n_nodes = Graph.n_nodes graph in
-    let channels, out_channel = build_channels graph in
-    (* channel ownership and cut marking *)
-    Array.iter
-      (fun chans ->
-        let link = Graph.link graph chans.(0).link_id in
-        let r0 = region_of_node.(link.Graph.ep0.Graph.node) in
-        let r1 = region_of_node.(link.Graph.ep1.Graph.node) in
-        chans.(0).owner_rid <- r0;
-        chans.(1).owner_rid <- r1;
-        chans.(0).x_cut <- r0 <> r1;
-        chans.(1).x_cut <- r0 <> r1)
-      channels;
-    let registry =
-      match registry with Some r -> r | None -> Registry.create ()
-    in
-    let engines = Array.init n_regions (fun _ -> Engine.create ()) in
-    Registry.probe registry "engine/events" (fun () ->
-        Array.fold_left (fun acc e -> acc + Engine.processed e) 0 engines);
-    Registry.probe registry "engine/pending" (fun () ->
-        Array.fold_left (fun acc e -> acc + Engine.pending e) 0 engines);
-    Registry.probe registry "engine/heap-peak" (fun () ->
-        Array.fold_left (fun acc e -> max acc (Engine.heap_peak e)) 0 engines);
-    let counters = make_counters registry in
-    let pool = Packet.Pool.create ~registry () in
-    let c_epochs, c_boundary, c_stalls, g_cut_ppm =
-      make_shard_metrics registry
-    in
-    Registry.set g_cut_ppm (int_of_float (p.Topo.Partition.cut_ratio *. 1e6));
-    let regions =
-      Array.init n_regions (fun rid ->
-          let r_registry = Registry.create () in
-          let r_counters = make_counters r_registry in
-          let r_pool = Packet.Pool.create ~registry:r_registry () in
-          {
-            rid;
-            r_engine = engines.(rid);
-            r_registry;
-            r_counters;
-            r_pool;
-            r_tbuf = [];
-            r_tctr = 0;
-            r_octr = 0;
-            outboxes = Array.make n_regions [];
-            r_mark = 0;
-          })
-    in
-    {
-      graph;
-      queue_capacity_bytes =
-        (match queue_capacity_bytes with Some b -> b | None -> 1_048_576);
-      ttl = (match ttl with Some v -> v | None -> 128);
-      detection_delay_s =
-        (match detection_delay_s with Some d -> d | None -> 0.0);
-      up = Array.make n_links true;
-      busy_until = Array.make (2 * n_links) 0.0;
-      channels;
-      out_channel;
-      handlers = Array.make n_nodes None;
-      live;
-      registry;
-      counters;
-      pool;
-      next_uid = 0;
-      uid_ctr = Array.make n_nodes 0;
-      recorder = None;
-      switch_deflections = Array.make n_nodes 0;
-      switch_drives = Array.make n_nodes 0;
-      link_queue_drops = Array.make (2 * n_links) 0;
-      regions;
-      region_of_node;
-      solo = false;
-      lookahead = p.Topo.Partition.lookahead;
-      in_admin = false;
-      admin = [];
-      admin_seq = 0;
-      c_epochs;
-      c_boundary;
-      c_stalls;
-      g_cut_ppm;
-      spans = None;
-      epoch_idx = 0;
-    }
-  end
+  (* Conservative simulation needs strictly positive lookahead: a cut
+     through a zero-delay link would force zero-width epochs and the
+     barrier would never advance.  Reject it up front.  One region has no
+     cut and degenerates to the solo structure on a private engine (its
+     lookahead is [infinity]). *)
+  if not (p.Topo.Partition.lookahead > 0.0) then
+    invalid_arg
+      (Printf.sprintf
+         "Net.create_partitioned: region cut crosses %d zero-delay link(s); \
+          lookahead would be %g — repartition or give cut links a positive \
+          delay"
+         (List.length
+            (List.filter
+               (fun id -> (Graph.link graph id).Graph.delay_s <= 0.0)
+               p.Topo.Partition.cut_links))
+         p.Topo.Partition.lookahead);
+  let net =
+    build ~who:"Net.create_partitioned" ~graph
+      ~engines:
+        (Array.init p.Topo.Partition.n_regions (fun _ -> Engine.create ()))
+      ~region_of_node:(Array.copy p.Topo.Partition.region_of)
+      ~lookahead:p.Topo.Partition.lookahead ?registry ?queue_capacity_bytes
+      ?ttl ?detection_delay_s ()
+  in
+  Registry.set net.g_cut_ppm (int_of_float (p.Topo.Partition.cut_ratio *. 1e6));
+  net
 
 let graph net = net.graph
 let engine net = (ctx net).r_engine
@@ -433,7 +371,6 @@ let registry net = net.registry
 let n_regions net = Array.length net.regions
 let region_of net node = net.region_of_node.(node)
 let lookahead net = net.lookahead
-let set_spans net s = net.spans <- s
 
 let stats net =
   let c = net.counters in
@@ -886,20 +823,22 @@ let drain_outboxes net =
     (List.sort handoff_compare all)
 
 let run_sharded net t_stop =
-  let n = Array.length net.regions in
-  let size = max 1 (min n (Util.Pool.current_jobs ())) in
-  let team = Util.Pool.Team.create ~size in
-  Fun.protect ~finally:(fun () -> Util.Pool.Team.shutdown team) @@ fun () ->
+  let jobs = max 1 (min (Array.length net.regions) (Util.Pool.current_jobs ())) in
+  let pool = Util.Pool.create ~jobs in
+  Fun.protect ~finally:(fun () -> Util.Pool.shutdown pool) @@ fun () ->
+  (* One task per region, claimed by whichever domain is free (the caller
+     included).  A region's epoch reads and writes only that region's
+     state, so the result does not depend on which domain ran it. *)
   let section f =
     net.in_admin <- false;
-    Util.Pool.Team.run team (fun w ->
-        let rid = ref w in
-        while !rid < n do
-          Domain.DLS.set cur_rid !rid;
-          f net.regions.(!rid);
-          rid := !rid + size
-        done;
-        Domain.DLS.set cur_rid 0);
+    (match
+       Util.Pool.map pool net.regions ~f:(fun ~idx rg ->
+           Domain.DLS.set cur_rid idx;
+           Fun.protect ~finally:(fun () -> Domain.DLS.set cur_rid 0) (fun () ->
+               f rg))
+     with
+     | (_ : unit array) -> ()
+     | exception Util.Pool.Task_failed { exn; _ } -> raise exn);
     net.in_admin <- true
   in
   let admin_next () =
@@ -913,7 +852,7 @@ let run_sharded net t_stop =
         | None -> acc)
       infinity net.regions
   in
-  let commit ~from ~upto =
+  let commit ~upto =
     Array.iter (fun rg -> Engine.advance_clock rg.r_engine upto) net.regions;
     Array.iter
       (fun rg ->
@@ -923,13 +862,7 @@ let run_sharded net t_stop =
       net.regions;
     flush_traces net;
     drain_outboxes net;
-    Registry.incr net.c_epochs;
-    (match net.spans with
-     | Some ring ->
-       Kar_obs.Span.record ring Kar_obs.Span.Epoch ~t0:from ~t1:upto
-         ~detail:net.epoch_idx
-     | None -> ());
-    net.epoch_idx <- net.epoch_idx + 1
+    Registry.incr net.c_epochs
   in
   let pump_admin upto =
     let rec go () =
@@ -962,12 +895,12 @@ let run_sharded net t_stop =
       (* the next admin action bounds the epoch: run up to it, commit,
          then apply every admin entry due at that instant *)
       section (fun rg -> Engine.run_before rg.r_engine ta);
-      commit ~from:t0 ~upto:ta;
+      commit ~upto:ta;
       pump_admin ta
     end
     else if e < t_stop then begin
       section (fun rg -> Engine.run_before rg.r_engine e);
-      commit ~from:t0 ~upto:e
+      commit ~upto:e
     end
     else begin
       (* Final window: [t0, t_stop) fits within one lookahead, so first
@@ -975,10 +908,10 @@ let run_sharded net t_stop =
          (admin sorts before data at equal times, as in a serial run),
          then take the inclusive final step. *)
       section (fun rg -> Engine.run_before rg.r_engine t_stop);
-      commit ~from:t0 ~upto:t_stop;
+      commit ~upto:t_stop;
       pump_admin t_stop;
       section (fun rg -> Engine.run_until rg.r_engine t_stop);
-      commit ~from:t_stop ~upto:t_stop;
+      commit ~upto:t_stop;
       continue_ := false
     end
   done;

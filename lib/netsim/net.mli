@@ -70,11 +70,11 @@ val create :
     switches are split across [partition.n_regions] regions.  Each region
     owns a private event heap, metrics shard, packet pool and the
     [busy_until] state of the channels transmitting out of its nodes, and
-    is simulated on its own domain; {!run_until} advances all regions in
-    lockstep epochs of width [partition.lookahead] (the minimum
-    propagation delay across cut links), exchanging boundary packets
-    through per-region-pair mailboxes drained in a canonical order at
-    each barrier.  Failures of cut links (and anything else registered
+    is simulated by whichever domain claims it in each epoch;
+    {!run_until} advances all regions in lockstep epochs of width
+    [partition.lookahead] (the minimum propagation delay across cut
+    links), exchanging boundary packets through per-region-pair mailboxes
+    drained in a canonical order at each barrier.  Failures of cut links (and anything else registered
     with {!schedule_admin}) execute single-threaded at barriers.
 
     A 1-region partition degenerates to exactly the serial structure (no
@@ -105,10 +105,12 @@ val create_partitioned :
 
 (** [run_until net t] advances the simulation to virtual time [t]: on a
     solo net, exactly [Engine.run_until]; on a sharded net, the epoch
-    barrier loop (spinning up a {!Util.Pool.Team} of
-    [min regions (Util.Pool.current_jobs ())] domains for the duration of
-    the call).  After it returns, every region's metrics shard has been
-    drained into {!registry}. *)
+    barrier loop, each epoch one {!Util.Pool.map} over the regions on a
+    private pool of [min regions (Util.Pool.current_jobs ())] domains
+    (the caller included) that lives for the duration of the call.  If a
+    node handler raises, the handler's own exception escapes.  After a
+    normal return, every region's metrics shard has been drained into
+    {!registry}. *)
 val run_until : t -> float -> unit
 
 (** Region count (1 for solo nets). *)
@@ -134,10 +136,6 @@ val schedule_admin : t -> at:float -> (unit -> unit) -> unit
     behaviour). *)
 val schedule_at_node :
   t -> Topo.Graph.node -> at:float -> (unit -> unit) -> unit
-
-(** Attach a span ring: sharded runs record one {!Kar_obs.Span.Epoch}
-    span per barrier interval ([detail] = epoch index). *)
-val set_spans : t -> Kar_obs.Span.t option -> unit
 
 val graph : t -> Topo.Graph.t
 

@@ -3,13 +3,6 @@ module Prng = Util.Prng
 
 let ( let* ) = Result.bind
 
-let core_links g =
-  List.filter
-    (fun (l : Graph.link) ->
-      Graph.is_core g l.Graph.ep0.Graph.node
-      && Graph.is_core g l.Graph.ep1.Graph.node)
-    (Graph.links g)
-
 (* Per-link interval union: overlapping or touching down-windows merge, so
    the emitted stream alternates strictly per link.  A window still open
    at the horizon emits no repair. *)
@@ -57,7 +50,7 @@ let events_of_windows ~horizon windows =
   Event.normalize !events
 
 let flap g ~links ~period ~duty ~seed ~horizon =
-  let candidates = Array.of_list (core_links g) in
+  let candidates = Array.of_list (Graph.core_links g) in
   if Array.length candidates = 0 then Ok []
   else begin
     let master = Prng.of_int seed in
@@ -66,7 +59,7 @@ let flap g ~links ~period ~duty ~seed ~horizon =
     let streams = Prng.split_n master n in
     let windows = ref [] in
     for i = 0 to n - 1 do
-      let link = candidates.(i).Graph.id in
+      let link = candidates.(i) in
       let phase = Prng.float streams.(i) *. period in
       let c = ref 0 in
       let continue = ref true in
@@ -90,20 +83,18 @@ let regional g ~groups ~mtbf ~mttr ~seed ~horizon =
     let srlg =
       Array.init groups (fun r ->
           List.filter
-            (fun (l : Graph.link) ->
+            (fun id ->
+              let l = Graph.link g id in
               p.Topo.Partition.region_of.(l.Graph.ep0.Graph.node) = r
               && p.Topo.Partition.region_of.(l.Graph.ep1.Graph.node) = r)
-            (core_links g))
+            (Graph.core_links g))
     in
     let master = Prng.of_int seed in
     let windows = ref [] in
     let t = ref (Prng.exponential master ~mean:mtbf) in
     while !t < horizon do
       let r = Prng.int master groups in
-      List.iter
-        (fun (l : Graph.link) ->
-          windows := (l.Graph.id, !t, !t +. mttr) :: !windows)
-        srlg.(r);
+      List.iter (fun id -> windows := (id, !t, !t +. mttr) :: !windows) srlg.(r);
       t := !t +. Prng.exponential master ~mean:mtbf
     done;
     Ok (events_of_windows ~horizon !windows)

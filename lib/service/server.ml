@@ -16,10 +16,6 @@ type config = {
   batch_size : int;
   batch_delay : float;
   workers : int;
-  dispatch_overhead : float;
-  hit_latency : float;
-  plan_base_cost : float;
-  plan_residue_cost : float;
 }
 
 let default_config =
@@ -28,11 +24,14 @@ let default_config =
     batch_size = 16;
     batch_delay = 2e-4;
     workers = 4;
-    dispatch_overhead = 2e-5;
-    hit_latency = 5e-6;
-    plan_base_cost = 2e-4;
-    plan_residue_cost = 2e-5;
   }
+
+(* The modelled virtual costs: firing a batch, answering a cache hit, and
+   one plan computation (a base plus a per-residue share). *)
+let dispatch_overhead = 2e-5
+let hit_latency = 5e-6
+let plan_base_cost = 2e-4
+let plan_residue_cost = 2e-5
 
 (* What the batcher computes per key: the plan (None = unroutable) and the
    epoch its topology view belonged to. *)
@@ -214,9 +213,9 @@ let run t ?(sink = fun _ -> ()) ?(failures = []) ?(keep_records = false)
   let cost _key result =
     match result with
     | Ok { plan = Some p; _ } ->
-      cfg.plan_base_cost
-      +. (cfg.plan_residue_cost *. float_of_int (List.length p.Kar.Route.residues))
-    | Ok { plan = None; _ } | Error _ -> cfg.plan_base_cost
+      plan_base_cost
+      +. (plan_residue_cost *. float_of_int (List.length p.Kar.Route.residues))
+    | Ok { plan = None; _ } | Error _ -> plan_base_cost
   in
   let on_dispatch ~batch ~keys =
     sink (Event.Dispatch { t = Engine.now engine; batch; size = Array.length keys })
@@ -244,7 +243,7 @@ let run t ?(sink = fun _ -> ()) ?(failures = []) ?(keep_records = false)
   in
   let batcher =
     Batcher.create ~engine ~batch_size:cfg.batch_size ~max_delay:cfg.batch_delay
-      ~workers:cfg.workers ~dispatch_overhead:cfg.dispatch_overhead ?pool:t.pool
+      ~workers:cfg.workers ~dispatch_overhead ?pool:t.pool
       ~registry:t.registry ~spans:t.spans ~on_dispatch ~on_key_complete ~compute
       ~cost ()
   in
@@ -283,7 +282,7 @@ let run t ?(sink = fun _ -> ()) ?(failures = []) ?(keep_records = false)
      | Cache.Hit plan ->
        let ok = plan <> None in
        ignore
-         (Engine.schedule_in engine cfg.hit_latency (fun () ->
+         (Engine.schedule_in engine hit_latency (fun () ->
               finish r.seq ~arrival:r.arrival ~outcome ~ok))
      | Cache.Miss | Cache.Stale ->
        Batcher.request batcher key ~ready:(fun result ->

@@ -3,7 +3,7 @@
 
     A request asks for a route plan keyed by [(src, dst, level, policy)].
     The server answers from the epoch-checked LRU {!Cache} when it can
-    ([hit_latency] later); otherwise the key goes to the {!Batcher}, which
+    (5 us later); otherwise the key goes to the {!Batcher}, which
     plans batches of distinct keys on the domain pool and completes them on
     the modelled planner timeline.  Completed plans are inserted into the
     cache {e unless} the topology epoch moved while they were in flight —
@@ -36,14 +36,11 @@ type config = {
   batch_size : int; (** dispatch threshold, distinct keys *)
   batch_delay : float; (** max virtual seconds a batch stays open *)
   workers : int; (** modelled planner threads (fixed; not the pool width) *)
-  dispatch_overhead : float; (** virtual cost of firing a batch *)
-  hit_latency : float; (** virtual response time on a cache hit *)
-  plan_base_cost : float; (** modelled seconds per plan computation *)
-  plan_residue_cost : float; (** additional modelled seconds per residue *)
 }
 
-(** 256 entries, batches of 16 or 200 us, 4 modelled workers, 5 us hits,
-    200 us + 20 us/residue plans. *)
+(** 256 entries, batches of 16 or 200 us, 4 modelled workers.  The
+    modelled costs are fixed: a cache hit answers 5 us later, firing a
+    batch costs 20 us, and a plan costs 200 us + 20 us per residue. *)
 val default_config : config
 
 type t

@@ -219,6 +219,11 @@ let edge_nodes g =
   fold_nodes g ~init:[] ~f:(fun acc v -> if not (is_core g v) then v :: acc else acc)
   |> List.rev
 
+let core_links g =
+  List.filter_map
+    (fun l -> if is_core g l.ep0.node && is_core g l.ep1.node then Some l.id else None)
+    (links g)
+
 let core_labels g = List.sort Stdlib.compare (List.map (label g) (core_nodes g))
 
 let relabel g mapping =

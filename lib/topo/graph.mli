@@ -121,6 +121,10 @@ val iter_nodes : t -> f:(node -> unit) -> unit
 val core_nodes : t -> node list
 val edge_nodes : t -> node list
 
+(** [core_links g] is the ids of the links joining two core switches, in
+    ascending order. *)
+val core_links : t -> link_id list
+
 (** [core_labels g] is the sorted list of core switch IDs. *)
 val core_labels : t -> int list
 

@@ -157,111 +157,6 @@ let map t input ~f =
       Array.map (function Some v -> v | None -> assert false) results
   end
 
-(* --- persistent worker team (barrier-style parallel sections) --- *)
-
-module Team = struct
-  (* Unlike [map] above (task stealing over an array), a team runs ONE
-     function on every member with the member's fixed index — the shape a
-     conservative parallel simulation needs: member [w] always drives the
-     same regions, and the caller (member 0) participates.  The members are
-     persistent domains parked on a condition variable between sections,
-     so an epoch barrier costs two mutex round-trips, not a domain spawn. *)
-  type t = {
-    size : int;
-    mutex : Mutex.t;
-    work : Condition.t;
-    done_ : Condition.t;
-    mutable gen : int;
-    mutable fn : int -> unit;
-    mutable remaining : int; (* members still inside the current section *)
-    mutable failed : exn option; (* first member failure, re-raised by run *)
-    mutable stopping : bool;
-    mutable members : unit Domain.t list;
-  }
-
-  let member t w =
-    Domain.DLS.set in_task true;
-    let last = ref 0 in
-    let continue_ = ref true in
-    while !continue_ do
-      Mutex.lock t.mutex;
-      while (not t.stopping) && t.gen = !last do
-        Condition.wait t.work t.mutex
-      done;
-      if t.stopping then begin
-        Mutex.unlock t.mutex;
-        continue_ := false
-      end
-      else begin
-        last := t.gen;
-        Mutex.unlock t.mutex;
-        (try t.fn w
-         with exn ->
-           Mutex.lock t.mutex;
-           if t.failed = None then t.failed <- Some exn;
-           Mutex.unlock t.mutex);
-        Mutex.lock t.mutex;
-        t.remaining <- t.remaining - 1;
-        if t.remaining = 0 then Condition.signal t.done_;
-        Mutex.unlock t.mutex
-      end
-    done
-
-  let create ~size =
-    if size < 1 then invalid_arg "Pool.Team.create: size must be >= 1";
-    let t =
-      {
-        size;
-        mutex = Mutex.create ();
-        work = Condition.create ();
-        done_ = Condition.create ();
-        gen = 0;
-        fn = ignore;
-        remaining = 0;
-        failed = None;
-        stopping = false;
-        members = [];
-      }
-    in
-    t.members <-
-      List.init (size - 1) (fun i -> Domain.spawn (fun () -> member t (i + 1)));
-    t
-
-  let size t = t.size
-
-  let run t f =
-    if t.stopping then invalid_arg "Pool.Team.run: team is shut down";
-    if t.size = 1 then f 0
-    else begin
-      Mutex.lock t.mutex;
-      t.fn <- f;
-      t.failed <- None;
-      t.remaining <- t.size - 1;
-      t.gen <- t.gen + 1;
-      Condition.broadcast t.work;
-      Mutex.unlock t.mutex;
-      let caller_exn = (try f 0; None with exn -> Some exn) in
-      Mutex.lock t.mutex;
-      while t.remaining > 0 do
-        Condition.wait t.done_ t.mutex
-      done;
-      let member_exn = t.failed in
-      Mutex.unlock t.mutex;
-      match (caller_exn, member_exn) with
-      | Some exn, _ | None, Some exn -> raise exn
-      | None, None -> ()
-    end
-
-  let shutdown t =
-    Mutex.lock t.mutex;
-    let to_join = if t.stopping then [] else t.members in
-    t.stopping <- true;
-    t.members <- [];
-    Condition.broadcast t.work;
-    Mutex.unlock t.mutex;
-    List.iter Domain.join to_join
-end
-
 (* --- the shared pool --- *)
 
 let max_jobs = 16

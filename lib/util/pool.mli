@@ -1,10 +1,12 @@
-(** Fixed-size domain pool for the experiment layer.
+(** Fixed-size domain pool: the repository's one parallel runtime.
 
     Every sweep in the evaluation (replications, failure pairs, sampled
-    failure sets, generated graphs, ablation scenarios) is a map over an
-    array of independent units of work.  [map] runs such an array on a
-    fixed set of OCaml 5 domains while preserving three properties the
-    experiments depend on:
+    failure sets, generated graphs, ablation scenarios), the service
+    batcher, the verifier and each epoch of a sharded network simulation
+    ([Netsim.Net.run_until], one task per region) is a map over an array
+    of independent units of work.  [map] runs such an array on a fixed
+    set of OCaml 5 domains while preserving three properties its callers
+    depend on:
 
     - {b order}: the result array matches the input array index for
       index, whatever order tasks actually executed in;
@@ -47,37 +49,6 @@ val map : t -> 'a array -> f:(idx:int -> 'a -> 'b) -> 'b array
     concurrently with a [map] on the same pool.  A subsequent [map] on a
     shut-down pool runs serially on the caller. *)
 val shutdown : t -> unit
-
-(** {1 Persistent worker teams}
-
-    A {!Team.t} complements {!map}: instead of stealing tasks from an
-    array, every member runs the {e same} function with its fixed member
-    index — the shape a conservative parallel simulation needs, where
-    member [w] always drives the same partition regions between epoch
-    barriers.  Members are persistent domains parked between sections, so
-    a barrier costs condition-variable round-trips, not domain spawns. *)
-
-module Team : sig
-  type t
-
-  (** [create ~size] spawns [size - 1] member domains; the caller of
-      {!run} acts as member [0].  [size >= 1] (a team of 1 spawns
-      nothing and {!run} degenerates to a plain call). *)
-  val create : size:int -> t
-
-  (** Members in the team, including the calling domain. *)
-  val size : t -> int
-
-  (** [run t f] executes [f 0 .. f (size-1)] concurrently, one call per
-      member, and returns when all have finished.  If any call raised,
-      the first recorded exception is re-raised in the caller after the
-      barrier (the caller's own exception wins ties).  Must not be
-      called re-entrantly or concurrently on the same team. *)
-  val run : t -> (int -> unit) -> unit
-
-  (** Terminates and joins the member domains.  Idempotent. *)
-  val shutdown : t -> unit
-end
 
 (** {1 The shared pool}
 

@@ -50,20 +50,6 @@ let summarize xs =
       max = List.fold_left Stdlib.max neg_infinity xs;
     }
 
-let percentile p xs =
-  if xs = [] then invalid_arg "Stats.percentile: empty";
-  if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
-  let sorted = List.sort Float.compare xs in
-  let arr = Array.of_list sorted in
-  let n = Array.length arr in
-  let rank = p /. 100.0 *. float_of_int (n - 1) in
-  let lo = int_of_float (floor rank) and hi = int_of_float (ceil rank) in
-  if lo = hi then arr.(lo)
-  else begin
-    let frac = rank -. float_of_int lo in
-    (arr.(lo) *. (1.0 -. frac)) +. (arr.(hi) *. frac)
-  end
-
 let percentile_nearest_rank p xs =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.percentile_nearest_rank: empty";
@@ -74,24 +60,3 @@ let percentile_nearest_rank p xs =
   (* nearest rank: the ceil(p/100 * n)-th smallest sample (1-based) *)
   let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
   sorted.(Stdlib.max 0 (Stdlib.min (n - 1) (rank - 1)))
-
-let p50 xs = percentile_nearest_rank 50.0 xs
-let p95 xs = percentile_nearest_rank 95.0 xs
-let p99 xs = percentile_nearest_rank 99.0 xs
-
-let histogram ~bins ~lo ~hi xs =
-  if bins <= 0 then invalid_arg "Stats.histogram: bins must be positive";
-  if hi <= lo then invalid_arg "Stats.histogram: hi must exceed lo";
-  let counts = Array.make bins 0 in
-  let width = (hi -. lo) /. float_of_int bins in
-  List.iter
-    (fun x ->
-      let idx = int_of_float ((x -. lo) /. width) in
-      let idx = Stdlib.max 0 (Stdlib.min (bins - 1) idx) in
-      counts.(idx) <- counts.(idx) + 1)
-    xs;
-  counts
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.2f +/-%.2f (sd %.2f, min %.2f, max %.2f)"
-    s.n s.mean s.ci95 s.stddev s.min s.max

@@ -25,33 +25,16 @@ val summarize : float list -> summary
     [df] degrees of freedom (tabulated; converges to 1.96). *)
 val t_critical_95 : int -> float
 
-(** [percentile p xs] with [0 <= p <= 100], linear interpolation between
-    order statistics.  @raise Invalid_argument on the empty list. *)
-val percentile : float -> float list -> float
-
 (** {2 Nearest-rank percentiles}
 
-    The serving-layer metrics (latency p50/p95/p99) use the {e nearest-rank}
-    definition: the [p]-th percentile of [n] samples is the
-    [ceil (p/100 * n)]-th smallest — always an {e observed} sample, never an
-    interpolated value, so a reported p99 is a latency some request actually
-    saw.  The functions take the raw (unsorted) sample array and sort a
-    private copy, so a metrics sink can accumulate samples in arrival order
-    and summarise once at the end without maintaining sorted state. *)
+    Production code reads percentiles only from the streaming
+    [Kar_obs.Registry] histograms ([h_quantile]).  This is the exact
+    reference those bucketed quantiles are tested against, using the
+    {e nearest-rank} definition: the [p]-th percentile of [n] samples is
+    the [ceil (p/100 * n)]-th smallest — always an {e observed} sample,
+    never an interpolated value.  It takes the raw (unsorted) sample array
+    and sorts a private copy. *)
 
 (** [percentile_nearest_rank p xs] with [0 < p <= 100].
     @raise Invalid_argument on an empty array or [p] out of range. *)
 val percentile_nearest_rank : float -> float array -> float
-
-(** [p50 xs], [p95 xs], [p99 xs] are {!percentile_nearest_rank} at the three
-    ranks every service report quotes. *)
-val p50 : float array -> float
-
-val p95 : float array -> float
-val p99 : float array -> float
-
-(** [histogram ~bins ~lo ~hi xs] counts samples per equal-width bin;
-    out-of-range samples are clamped to the end bins. *)
-val histogram : bins:int -> lo:float -> hi:float -> float list -> int array
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -581,6 +581,37 @@ let test_sharded_determinism_rnp28 =
   check_sharded_matches_serial Topo.Nets.rnp28 ~fail_idx:0 ~seed:7 ~duration:2.0
     [ 2; 4 ]
 
+exception Handler_boom
+
+(* A handler that raises inside a region's epoch must surface from
+   [run_until] as itself, not wrapped by the domain pool, and must leave
+   no per-domain region context behind: a fresh sharded run afterwards
+   still reproduces the serial trace. *)
+let test_sharded_handler_exception () =
+  let sc = Topo.Nets.net15 in
+  let g = sc.Topo.Nets.graph in
+  let net =
+    Net.create_partitioned ~graph:g
+      ~partition:(Topo.Partition.make g ~regions:2)
+      ()
+  in
+  Netsim.Karnet.install_switches net ~policy:Kar.Policy.Not_input_port ~seed:1;
+  let stack = Tcp.Stack.create ~net () in
+  let fwd = Kar.Controller.scenario_plan sc Kar.Controller.Full in
+  let rev = Kar.Controller.scenario_reverse_plan sc Kar.Controller.Full in
+  Tcp.Stack.register stack
+    (Tcp.Flow.start ~net ~id:1 ~src:sc.Topo.Nets.ingress
+       ~dst:sc.Topo.Nets.egress ~fwd_route:fwd.Kar.Route.route_id
+       ~rev_route:rev.Kar.Route.route_id ());
+  Net.set_node_handler net sc.Topo.Nets.egress (fun _ _ _ ~in_port:_ ->
+      raise Handler_boom);
+  (match Net.run_until net 1.0 with
+   | () -> Alcotest.fail "the handler's exception was swallowed"
+   | exception Handler_boom -> ()
+   | exception Util.Pool.Task_failed _ ->
+     Alcotest.fail "run_until leaked the pool's Task_failed wrapper");
+  check_sharded_matches_serial sc ~fail_idx:1 ~seed:42 ~duration:1.0 [ 2 ] ()
+
 let test_sharded_zero_delay_cut_rejected () =
   (* a graph whose every link has zero delay cannot be partitioned into
      2+ regions: the lookahead would be zero *)
@@ -701,6 +732,8 @@ let () =
             test_sharded_determinism_net15;
           Alcotest.test_case "rnp28 trace identical at r=2/4" `Slow
             test_sharded_determinism_rnp28;
+          Alcotest.test_case "handler exception escapes run_until" `Quick
+            test_sharded_handler_exception;
           Alcotest.test_case "zero-delay cut rejected" `Quick
             test_sharded_zero_delay_cut_rejected;
         ] );

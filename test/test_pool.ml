@@ -94,45 +94,6 @@ let test_nested_map () =
         (Array.init 8 (fun i -> 5 * (i + 1)))
         out)
 
-(* --- persistent teams --- *)
-
-let test_team_runs_every_member () =
-  let team = Pool.Team.create ~size:4 in
-  Fun.protect
-    ~finally:(fun () -> Pool.Team.shutdown team)
-    (fun () ->
-      Alcotest.(check int) "size" 4 (Pool.Team.size team);
-      let hits = Array.make 4 0 in
-      (* members write disjoint slots, so no synchronisation is needed *)
-      for _ = 1 to 50 do
-        Pool.Team.run team (fun w -> hits.(w) <- hits.(w) + 1)
-      done;
-      Alcotest.(check (array int)) "every member ran every section"
-        [| 50; 50; 50; 50 |] hits)
-
-let test_team_of_one () =
-  let team = Pool.Team.create ~size:1 in
-  Fun.protect
-    ~finally:(fun () -> Pool.Team.shutdown team)
-    (fun () ->
-      let saw = ref (-1) in
-      Pool.Team.run team (fun w -> saw := w);
-      Alcotest.(check int) "caller is member 0" 0 !saw)
-
-let test_team_exception () =
-  let team = Pool.Team.create ~size:3 in
-  Fun.protect
-    ~finally:(fun () -> Pool.Team.shutdown team)
-    (fun () ->
-      (match Pool.Team.run team (fun w -> if w = 2 then raise (Boom "member 2"))
-       with
-      | () -> Alcotest.fail "expected the member's exception"
-      | exception Boom m -> Alcotest.(check string) "original exn" "member 2" m);
-      (* the team survives a failed section *)
-      let total = Atomic.make 0 in
-      Pool.Team.run team (fun _ -> Atomic.incr total);
-      Alcotest.(check int) "team reusable" 3 (Atomic.get total))
-
 (* --- the shared pool --- *)
 
 let test_shared_pool_resize () =
@@ -230,14 +191,6 @@ let () =
         ] );
       ( "nesting",
         [ Alcotest.test_case "nested map serial fallback" `Quick test_nested_map ] );
-      ( "team",
-        [
-          Alcotest.test_case "every member runs every section" `Quick
-            test_team_runs_every_member;
-          Alcotest.test_case "team of one" `Quick test_team_of_one;
-          Alcotest.test_case "member exception propagates" `Quick
-            test_team_exception;
-        ] );
       ( "shared pool",
         [ Alcotest.test_case "set_jobs resizes" `Quick test_shared_pool_resize ] );
       ( "prng split_n",

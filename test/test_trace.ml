@@ -300,14 +300,6 @@ let test_invariant_sweep () =
    failure on net15 and rnp28 must produce the identical flight-recorder
    trace, byte for byte in JSONL form. *)
 let test_residue_cache_differential () =
-  let core_links g =
-    List.filter
-      (fun id ->
-        let l = Graph.link g id in
-        Graph.is_core g l.Graph.ep0.Graph.node
-        && Graph.is_core g l.Graph.ep1.Graph.node)
-      (List.init (Graph.n_links g) Fun.id)
-  in
   List.iter
     (fun (name, sc) ->
       List.iter
@@ -322,7 +314,7 @@ let test_residue_cache_differential () =
           Alcotest.(check (list string))
             (Printf.sprintf "%s link %d: cache on = cache off" name link)
             (jsonl false) (jsonl true))
-        (core_links sc.Nets.graph))
+        (Graph.core_links sc.Nets.graph))
     [ ("net15", Nets.net15); ("rnp28", Nets.rnp28) ]
 
 (* --- Golden fixtures --- *)
@@ -447,14 +439,6 @@ let test_binary_golden_compat () =
 
 (* --- Differential Walk <-> Netsim property --- *)
 
-let core_links g =
-  List.filter
-    (fun id ->
-      let l = Graph.link g id in
-      Graph.is_core g l.Graph.ep0.Graph.node
-      && Graph.is_core g l.Graph.ep1.Graph.node)
-    (List.init (Graph.n_links g) Fun.id)
-
 (* The switch-hop sequence of the (single) traced packet: every forwarding
    decision plus the delivery, with ports and remaining ttl.  Terminal
    drops are excluded — the two planes name stranding differently (the
@@ -524,7 +508,7 @@ let prop_walk_netsim_identical =
     (fun (sci, linkpick, pi, li, seed, pairpick) ->
       let sc = List.nth scenarios sci in
       let g = sc.Nets.graph in
-      let links = core_links g in
+      let links = Graph.core_links g in
       let link = List.nth links (linkpick mod List.length links) in
       let policy = List.nth Kar.Policy.all pi in
       let level = List.nth Kar.Controller.all_levels li in

@@ -82,17 +82,6 @@ let test_stats_t_table () =
   Alcotest.(check (float 1e-3)) "df=29 (30 reps)" 2.045 (Util.Stats.t_critical_95 29);
   Alcotest.(check (float 1e-3)) "df large" 1.96 (Util.Stats.t_critical_95 1000)
 
-let test_stats_percentile () =
-  let xs = [ 1.0; 2.0; 3.0; 4.0; 5.0 ] in
-  Alcotest.(check (float 1e-9)) "median" 3.0 (Util.Stats.percentile 50.0 xs);
-  Alcotest.(check (float 1e-9)) "min" 1.0 (Util.Stats.percentile 0.0 xs);
-  Alcotest.(check (float 1e-9)) "max" 5.0 (Util.Stats.percentile 100.0 xs);
-  Alcotest.(check (float 1e-9)) "p25" 2.0 (Util.Stats.percentile 25.0 xs)
-
-let test_stats_histogram () =
-  let h = Util.Stats.histogram ~bins:4 ~lo:0.0 ~hi:4.0 [ 0.5; 1.5; 1.6; 3.9; -1.0; 9.0 ] in
-  Alcotest.(check (array int)) "clamped counts" [| 2; 2; 0; 2 |] h
-
 (* --- texttab --- *)
 
 let test_texttab_render () =
@@ -285,8 +274,6 @@ let () =
           Alcotest.test_case "summary on known data" `Quick test_stats_known;
           Alcotest.test_case "single-sample CI" `Quick test_stats_ci_single;
           Alcotest.test_case "t table" `Quick test_stats_t_table;
-          Alcotest.test_case "percentile" `Quick test_stats_percentile;
-          Alcotest.test_case "histogram" `Quick test_stats_histogram;
         ] );
       ( "texttab",
         [
