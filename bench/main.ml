@@ -920,30 +920,16 @@ let measure_all ~quota ~packets =
       ("gc/forward-minor-words-per-packet", words) ]
   @ pool @ sharded @ svc @ verify @ scen @ obs
 
+(* Every experiment in the catalogue, in its run-all order, at the profile
+   the environment selects. *)
 let run_experiments () =
   let profile = Experiments.Profile.from_env () in
-  Printf.printf "=== Paper reproduction (profile: %s) ===\n\n" profile.Experiments.Profile.name;
-  print_endline (Experiments.Fig1.to_string ());
-  print_endline (Experiments.Table1.to_string ());
-  print_endline (Experiments.Fig4.to_string ~profile ());
-  print_endline (Experiments.Fig5.to_string ~profile ());
-  print_endline (Experiments.Fig7.to_string ~profile ());
-  print_endline (Experiments.Fig8.to_string ~profile ());
-  print_endline (Experiments.Table2.to_string ());
-  print_endline "=== Beyond the paper ===";
-  print_endline (Experiments.Reaction.compare_to_string ~profile ());
-  print_endline (Experiments.Reaction.detection_to_string ~profile ());
-  print_endline (Experiments.Congestion.to_string ~profile ());
-  print_endline (Experiments.Scaling.to_string ());
-  print_endline (Experiments.Scaling.multipath_to_string ());
-  print_endline (Experiments.Multifailure.to_string ());
-  print_endline "=== Ablations ===";
-  print_endline (Experiments.Ablations.policy_hops_table ());
-  print_endline (Experiments.Ablations.ids_table ());
-  print_endline (Experiments.Ablations.budget_table ());
-  print_endline (Experiments.Ablations.planner_table ());
-  print_endline (Experiments.Ablations.cc_table ~profile ());
-  print_endline (Experiments.Ablations.delivery_table ~profile ())
+  Printf.printf "=== Experiments (profile: %s) ===\n\n"
+    profile.Experiments.Profile.name;
+  List.iter
+    (fun (en : Experiments.Registry.entry) ->
+      print_endline (en.Experiments.Registry.run profile))
+    Experiments.Registry.all
 
 let () =
   let json_file = ref None

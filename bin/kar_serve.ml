@@ -101,55 +101,33 @@ let run net requests rate skew seed levels cache_cap batch_size batch_delay
     { Server.cache_capacity = cache_cap; batch_size; batch_delay; workers }
   in
   (* Both event sources compile to one Kar_scenario stream: the repeatable
-     --fail-at/--repair-at flags become a degenerate explicit-events
-     scenario, --scenario generates its model over the arrival horizon,
-     and the merged normalized stream is the server's failure schedule. *)
+     --fail-at/--repair-at flags become explicit events, --scenario
+     generates its model over the arrival horizon, and the merged
+     normalized stream is the server's failure schedule. *)
   let horizon =
     let n = Array.length reqs in
     if n = 0 then 1.0 else Stdlib.max 1e-6 reqs.(n - 1).Workload.arrival
   in
-  let gen spec =
-    match Scenario.Gen.generate graph ~horizon spec with
+  let explicit =
+    if fail_ats = [] && repair_ats = [] then []
+    else
+      let link =
+        Scenario.Spec.Id
+          (match (fail_link, failure_cases) with
+           | Some l, _ -> l
+           | None, fc :: _ -> fc.Topo.Nets.link
+           | None, [] -> Experiments.Service.storm_link graph)
+      in
+      List.map (fun t -> (t, Scenario.Event.Fail, link)) fail_ats
+      @ List.map (fun t -> (t, Scenario.Event.Repair, link)) repair_ats
+  in
+  let events =
+    match Scenario.Gen.compile graph ~horizon ~explicit scenario with
     | Ok evs -> evs
     | Error e ->
       Printf.eprintf "scenario: %s\n" e;
       exit 1
   in
-  let explicit_events =
-    match (fail_ats, repair_ats) with
-    | [], [] -> []
-    | _ ->
-      let link =
-        match fail_link with
-        | Some l when l >= 0 && l < Topo.Graph.n_links graph -> l
-        | Some l ->
-          Printf.eprintf "no link %d in this topology\n" l;
-          exit 1
-        | None ->
-          (match failure_cases with
-           | fc :: _ -> fc.Topo.Nets.link
-           | [] -> Experiments.Service.storm_link graph)
-      in
-      gen
-        (Scenario.Spec.Events
-           (List.map
-              (fun t -> (t, Scenario.Event.Fail, Scenario.Spec.Id link))
-              fail_ats
-           @ List.map
-               (fun t -> (t, Scenario.Event.Repair, Scenario.Spec.Id link))
-               repair_ats))
-  in
-  let scenario_events =
-    match scenario with
-    | None -> []
-    | Some s ->
-      (match Scenario.Spec.parse s with
-       | Ok spec -> gen spec
-       | Error e ->
-         Printf.eprintf "scenario: %s\n" e;
-         exit 1)
-  in
-  let events = Scenario.Event.normalize (explicit_events @ scenario_events) in
   if events <> [] then
     Printf.printf "scenario: %d topology events over %.3f s\n"
       (List.length events) horizon;

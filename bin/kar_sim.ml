@@ -8,6 +8,11 @@
              --fail 7:13 --fail-at 3 --fail-for 3 --duration 9 \
              --policy nip --protect-bits 64
 
+   Every timed failure is a scenario event: --fail A:B --fail-at T
+   --fail-for D is the explicit stream events:fail@T=A-B,repair@T+D=A-B,
+   merged with any --scenario schedule and armed once through
+   Kar_scenario.Driver.
+
    Flight records can be written as JSONL or as the compact binary format
    (--trace-format binary); `kar_sim convert` translates losslessly between
    the two. *)
@@ -64,9 +69,34 @@ let run topo src_label dst_label policy fail fail_at fail_for scenario duration
   Option.iter Util.Pool.set_jobs jobs;
   match Topo.Serial.load topo with
   | Error e -> `Error (false, Format.asprintf "%s: %a" topo Topo.Serial.pp_error e)
+  | Ok _ when not (fail_for > 0.0) ->
+    (* a zero-length window would normalize to "fail and stay down" *)
+    `Error (false, "--fail-for must be positive")
   | Ok g ->
     (match (Graph.find_label g src_label, Graph.find_label g dst_label) with
      | Some src, Some dst when not (Graph.is_core g src || Graph.is_core g dst) ->
+       (* --fail and --scenario compile to one normalized event stream; a
+          bad link or spec stops the run before it starts. *)
+       let explicit =
+         match fail with
+         | None -> []
+         | Some (a, b) ->
+           let link = Kar_scenario.Spec.Between (a, b) in
+           [
+             (fail_at, Kar_scenario.Event.Fail, link);
+             (fail_at +. fail_for, Kar_scenario.Event.Repair, link);
+           ]
+       in
+       let events =
+         match
+           Kar_scenario.Gen.compile g ~horizon:duration ~pairs:[ (src, dst) ]
+             ~explicit scenario
+         with
+         | Ok evs -> evs
+         | Error e ->
+           Printf.eprintf "scenario: %s\n" e;
+           exit 1
+       in
        (* plan: shortest route, protection optimized within the budget over
           the route's own links *)
        let base = Kar.Controller.route g ~src ~dst ~protection:[] in
@@ -141,41 +171,16 @@ let run topo src_label dst_label policy fail fail_at fail_for scenario duration
            ~rev_route:rev.Kar.Route.route_id ~sampler ()
        in
        Tcp.Stack.register stack flow;
-       (match fail with
-        | Some (a, b) ->
-          (match
-             (try Some (Graph.link_between_labels g a b) with Not_found -> None)
-           with
-           | Some link ->
-             Netsim.Net.schedule_failure net link ~at:fail_at ~duration:fail_for
-           | None ->
-             Printf.eprintf "warning: SW%d-SW%d is not a link; no failure scheduled\n" a b)
-        | None -> ());
-       (* --scenario: a generated failure schedule rides alongside any
-          --fail link.  The event stream is armed as admin actions, which
-          apply at sharded-region barriers, so solo and --regions R runs
-          see byte-identical topology churn. *)
-       (match scenario with
-        | None -> ()
-        | Some s ->
-          let events =
-            match Kar_scenario.Spec.parse s with
-            | Error e ->
-              Printf.eprintf "scenario: %s\n" e;
-              exit 1
-            | Ok spec ->
-              (match
-                 Kar_scenario.Gen.generate g ~horizon:duration
-                   ~pairs:[ (src, dst) ] spec
-               with
-               | Error e ->
-                 Printf.eprintf "scenario: %s\n" e;
-                 exit 1
-               | Ok evs -> evs)
-          in
-          Kar_scenario.Driver.arm net events;
-          Printf.printf "scenario: %d topology events over %g s\n"
-            (List.length events) duration);
+       (* The stream is armed as admin actions, which apply at
+          sharded-region barriers, so solo and --regions R runs see
+          byte-identical topology churn.  Arming registers the scenario/*
+          metrics, so it happens once, and only when there are events to
+          ask for. *)
+       if fail <> None || scenario <> None then begin
+         Kar_scenario.Driver.arm net events;
+         Printf.printf "scenario: %d topology events over %g s\n"
+           (List.length events) duration
+       end;
        Netsim.Net.run_until net duration;
        (* The recorder may hold a buffered tie group at the cut-off;
           settle it before any sink output is consumed. *)
@@ -316,13 +321,18 @@ let sim_term =
   in
   let fail =
     Arg.(value & opt (some link_conv) None & info [ "fail" ] ~docv:"A:B"
-           ~doc:"Link to fail, by node labels.")
+           ~doc:"Link to fail, by node labels.  Shorthand for the scenario \
+                 events $(b,fail@T=A-B,repair@T+D=A-B) with T = \
+                 $(b,--fail-at) and D = $(b,--fail-for), merged with any \
+                 $(b,--scenario).  A pair that is not a link is an error.")
   in
   let fail_at =
-    Arg.(value & opt float 3.0 & info [ "fail-at" ] ~docv:"S" ~doc:"Failure time.")
+    Arg.(value & opt float 3.0 & info [ "fail-at" ] ~docv:"S"
+           ~doc:"Failure time of $(b,--fail).")
   in
   let fail_for =
-    Arg.(value & opt float 3.0 & info [ "fail-for" ] ~docv:"S" ~doc:"Failure duration.")
+    Arg.(value & opt float 3.0 & info [ "fail-for" ] ~docv:"S"
+           ~doc:"Failure duration of $(b,--fail); must be positive.")
   in
   let scenario =
     Arg.(value & opt (some string) None & info [ "scenario" ] ~docv:"SPEC"

@@ -51,23 +51,25 @@ let install net =
   List.iter
     (fun v ->
       let handler net _node (packet : Packet.t) ~in_port =
-        ignore in_port;
         Packet.set_hops packet (Packet.hops packet + 1);
-        if Packet.hops packet > Net.ttl net then Net.drop net packet Net.Ttl_exceeded
+        if Packet.hops packet > Net.ttl net then
+          Net.drop ~at:v ~in_port net packet Net.Ttl_exceeded
         else begin
           match
             List.find_opt (fun (dst, _, _) -> dst = Packet.dst packet) table.(v)
           with
-          | None -> Net.drop net packet Net.No_route
+          | None -> Net.drop ~at:v ~in_port net packet Net.No_route
           | Some (_, primary, backup) ->
-            let usable p = Net.link_up net (Graph.link_at g v p).Graph.id in
+            (* the port state this switch has observed, which lags a
+               physical change by the detection delay *)
+            let usable p = Net.live_mask net v land (1 lsl p) <> 0 in
             if usable primary then Net.send net ~from_node:v ~port:primary packet
             else begin
               match backup with
               | Some b when usable b ->
                 (* local protection switchover, no controller involved *)
                 Net.send net ~from_node:v ~port:b packet
-              | Some _ | None -> Net.drop net packet Net.No_route
+              | Some _ | None -> Net.drop ~at:v ~in_port net packet Net.No_route
             end
         end
       in

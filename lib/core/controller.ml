@@ -132,9 +132,10 @@ let protected_route g ~src ~dst ~level =
   Route.protect_exn g base hops
 
 (* Edge-disjoint route plans between two edge nodes: greedy shortest-path
-   extraction (Topo.Paths.edge_disjoint_paths) over the core, each path
-   encoded unprotected.  The basis for 1+1 edge failover and for the
-   multipath exploration the paper lists as future work. *)
+   extraction over the core (each found path's links are barred from the
+   next search), each path encoded unprotected.  The basis for 1+1 edge
+   failover and for the multipath exploration the paper lists as future
+   work. *)
 let disjoint_plans g ~src ~dst ~k =
   if k <= 0 then invalid_arg "Controller.disjoint_plans: k must be positive";
   (* Disjointness applies to core-core links only: the single host uplinks

@@ -37,15 +37,15 @@ let events_for sc ~horizon schedule =
   | Ok evs -> evs
   | Error e -> invalid_arg ("Churn.events_for: " ^ e)
 
-type technique = Kar | Fast_failover | Reroute | One_plus_one
+type technique = Kar | Fast_failover | Controller_reroute | One_plus_one
 
 let technique_name = function
   | Kar -> "KAR full+NIP"
   | Fast_failover -> "fast failover"
-  | Reroute -> "ctl reroute"
+  | Controller_reroute -> "ctl reroute"
   | One_plus_one -> "1+1 failover"
 
-let all_techniques = [ Kar; Fast_failover; Reroute; One_plus_one ]
+let all_techniques = [ Kar; Fast_failover; Controller_reroute; One_plus_one ]
 
 type data_result = {
   sent : int;
@@ -93,7 +93,23 @@ let run_data sc ~events ~technique ?(regions = 0) ?recorder ~rate_pps
           | exception Invalid_argument _ -> None
       in
       fun (_ : Packet.t) -> fresh
-    | Fast_failover | Reroute | One_plus_one -> fun _ -> None
+    | Fast_failover | Controller_reroute | One_plus_one -> fun _ -> None
+  in
+  (* The ingress baselines learn of each event [delay] late, track the
+     links they believe down, and re-stamp with [replan]'s route when
+     there is one. *)
+  let replan_after ~delay replan =
+    let failed = Hashtbl.create 8 in
+    List.iter
+      (fun (e : Event.t) ->
+        Net.schedule_admin net ~at:(e.Event.at +. delay) (fun () ->
+            (match e.Event.action with
+             | Event.Fail -> Hashtbl.replace failed e.Event.link ()
+             | Event.Repair -> Hashtbl.remove failed e.Event.link);
+            Option.iter
+              (fun plan -> current := plan.Kar.Route.route_id)
+              (replan (Hashtbl.mem failed))))
+      (Event.normalize events)
   in
   (match technique with
    | Kar ->
@@ -104,49 +120,20 @@ let run_data sc ~events ~technique ?(regions = 0) ?recorder ~rate_pps
    | Fast_failover ->
      current := Z.of_int 1;
      Baselines.Fast_failover.install net
-   | Reroute ->
+   | Controller_reroute ->
      let base = Kar.Controller.route g ~src:ingress ~dst:egress ~protection:[] in
      current := base.Kar.Route.route_id;
      Netsim.Karnet.install_switches net ~policy:Kar.Policy.No_deflection ~seed;
-     let failed = Hashtbl.create 8 in
-     List.iter
-       (fun (e : Event.t) ->
-         Net.schedule_admin net ~at:(e.Event.at +. reroute_notify_s) (fun () ->
-             (match e.Event.action with
-              | Event.Fail -> Hashtbl.replace failed e.Event.link ()
-              | Event.Repair -> Hashtbl.remove failed e.Event.link);
-             let usable (l : Graph.link) = not (Hashtbl.mem failed l.Graph.id) in
-             match Kar.Controller.route ~usable g ~src:ingress ~dst:egress
-                     ~protection:[]
-             with
-             | plan -> current := plan.Kar.Route.route_id
-             | exception Invalid_argument _ -> ()))
-       (Event.normalize events)
+     replan_after ~delay:reroute_notify_s (fun failed ->
+         Baselines.Reaction.reroute g ~src:ingress ~dst:egress ~failed)
    | One_plus_one ->
      let plans = Kar.Controller.disjoint_plans g ~src:ingress ~dst:egress ~k:2 in
      (match plans with
       | [] -> invalid_arg "Churn.run_data: no route between ingress and egress"
       | first :: _ -> current := first.Kar.Route.route_id);
      Netsim.Karnet.install_switches net ~policy:Kar.Policy.No_deflection ~seed;
-     let with_links =
-       List.map (fun p -> (p, Topo.Paths.path_links g p.Kar.Route.core_path)) plans
-     in
-     let failed = Hashtbl.create 8 in
-     List.iter
-       (fun (e : Event.t) ->
-         Net.schedule_admin net ~at:(e.Event.at +. failover_detect_s) (fun () ->
-             (match e.Event.action with
-              | Event.Fail -> Hashtbl.replace failed e.Event.link ()
-              | Event.Repair -> Hashtbl.remove failed e.Event.link);
-             match
-               List.find_opt
-                 (fun (_, links) ->
-                   List.for_all (fun l -> not (Hashtbl.mem failed l)) links)
-                 with_links
-             with
-             | Some (p, _) -> current := p.Kar.Route.route_id
-             | None -> ()))
-       (Event.normalize events));
+     replan_after ~delay:failover_detect_s (fun failed ->
+         Baselines.Reaction.plan_avoiding g plans ~failed));
   List.iter
     (fun v ->
       Netsim.Karnet.install_edge net v ~reencode:(reencode_of v)

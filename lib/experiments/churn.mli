@@ -24,7 +24,7 @@ val spec_for : schedule -> string
 val events_for :
   Topo.Nets.scenario -> horizon:float -> schedule -> Kar_scenario.Event.t list
 
-type technique = Kar | Fast_failover | Reroute | One_plus_one
+type technique = Kar | Fast_failover | Controller_reroute | One_plus_one
 
 val technique_name : technique -> string
 val all_techniques : technique list

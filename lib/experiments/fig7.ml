@@ -41,7 +41,7 @@ let run ?(profile = Profile.from_env ()) () =
     Util.Pool.run units ~f:(fun ~idx:_ (ci, ri) ->
         let cfg = config cases.(ci) in
         Workload.Runner.one_iperf ~plans sc cfg
-          ~seed:(Workload.Runner.rep_seed cfg ri))
+          ~seed:(Workload.Runner.rep_seed ri))
   in
   let goodput ci =
     Util.Stats.summarize (Array.to_list (Array.sub samples (ci * reps) reps))

@@ -84,7 +84,10 @@ let install_switches ?plan net ~policy ~seed =
 
 type receive = Net.t -> Packet.t -> unit
 
-let install_edge net node ?(reencode_delay_s = 1e-3) ~reencode ~receive () =
+(* The edge-to-controller round trip of a stranded-packet re-encode. *)
+let reencode_delay_s = 1e-3
+
+let install_edge net node ~reencode ~receive () =
   let handler net _node (packet : Packet.t) ~in_port =
     if Packet.dst packet = node then begin
       Net.delivered ~in_port net packet;

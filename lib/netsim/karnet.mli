@@ -33,13 +33,11 @@ type receive = Net.t -> Packet.t -> unit
     [receive]; stranded packets (addressed elsewhere) get a new route ID
     from [reencode] — the paper's "controller recalculates the route ID
     based on the best path from the edge node to the destination" — and are
-    re-injected after [reencode_delay_s] (default 1 ms of control-plane
-    latency), with the HP deflected flag cleared; [reencode] returning
-    [None] drops the packet. *)
+    re-injected after 1 ms of control-plane latency, with the HP deflected
+    flag cleared; [reencode] returning [None] drops the packet. *)
 val install_edge :
   Net.t ->
   Topo.Graph.node ->
-  ?reencode_delay_s:float ->
   reencode:(Packet.t -> Bignum.Z.t option) ->
   receive:receive ->
   unit ->

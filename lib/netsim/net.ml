@@ -711,21 +711,6 @@ let repair_link net id =
     Array.iter (fun ch -> schedule_wake net ch) net.channels.(id)
   end
 
-let schedule_failure net id ~at ~duration =
-  let ch0 = net.channels.(id).(0) in
-  if net.solo || not ch0.x_cut then begin
-    let e = net.regions.(ch0.owner_rid).r_engine in
-    ignore (Engine.schedule_at e at (fun () -> fail_link net id));
-    ignore (Engine.schedule_at e (at +. duration) (fun () -> repair_link net id))
-  end
-  else begin
-    let e = (ctx net).r_engine in
-    let sched = Engine.now e and sched2 = Engine.sched_now e in
-    push_admin net ~at ~sched ~sched2 (fun () -> fail_link net id);
-    push_admin net ~at:(at +. duration) ~sched ~sched2 (fun () ->
-        repair_link net id)
-  end
-
 let live_mask net node = net.live.(node)
 
 (* [schedule_at_node] books work onto the region that owns [node] — the

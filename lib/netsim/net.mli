@@ -9,7 +9,12 @@
 
     Node behaviour is pluggable: {!set_node_handler} assigns the callback
     run when a packet arrives at a node.  The KAR switch behaviour lives in
-    {!Karnet}; hosts are assigned by the workload/TCP layers. *)
+    {!Karnet}; hosts are assigned by the workload/TCP layers.
+
+    Link state changes in two ways only: {!fail_link}/{!repair_link} act
+    immediately (static failures before a run), and every timed failure or
+    repair is a {!schedule_admin} barrier action armed from a scenario
+    event stream by [Kar_scenario.Driver.arm]. *)
 
 type t
 
@@ -189,7 +194,9 @@ val count_reencode : t -> unit
     taken at a core switch (used by Karnet). *)
 val count_hop : t -> unit
 
-(** [link_up net id] is the current liveness of link [id]. *)
+(** [link_up net id] is the current physical liveness of link [id];
+    switches observe it through {!live_mask}, after the detection
+    delay. *)
 val link_up : t -> Topo.Graph.link_id -> bool
 
 (** [fail_link net id] takes the link down immediately, discarding both
@@ -198,9 +205,6 @@ val fail_link : t -> Topo.Graph.link_id -> unit
 
 (** [repair_link net id] restores the link. *)
 val repair_link : t -> Topo.Graph.link_id -> unit
-
-(** [schedule_failure net id ~at ~duration] arranges a failure window. *)
-val schedule_failure : t -> Topo.Graph.link_id -> at:float -> duration:float -> unit
 
 (** [fresh_uid net] allocates a packet uid. *)
 val fresh_uid : t -> int

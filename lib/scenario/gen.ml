@@ -270,3 +270,14 @@ let generate g ~horizon ?pairs spec =
     | Spec.Adversarial { k; period; hold; level } ->
       adversarial g ~pairs ~k ~period ~hold ~level ~horizon
     | Spec.Events evs -> resolve_events g evs
+
+let compile g ~horizon ?pairs ~explicit scenario =
+  let* explicit = resolve_events g explicit in
+  let* generated =
+    match scenario with
+    | None -> Ok []
+    | Some s ->
+      let* spec = Spec.parse s in
+      generate g ~horizon ?pairs spec
+  in
+  Ok (Event.normalize (explicit @ generated))

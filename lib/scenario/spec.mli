@@ -17,8 +17,9 @@
       held down for [hold] seconds), never disconnecting a tracked pair.
     - [events:fail@T=A-B,repair@T=A-B,fail@T=#ID] — an explicit event
       list by endpoint labels ([A-B]) or raw link id ([#ID]); the
-      degenerate scenario the repeatable [--fail-at]/[--repair-at] flags
-      compile to. *)
+      degenerate scenario [kar_serve]'s [--fail-at]/[--repair-at] and
+      [kar_sim]'s [--fail]/[--fail-at]/[--fail-for] flags compile to
+      (see {!Gen.compile}). *)
 
 type link_ref = Id of int | Between of int * int
 

@@ -22,7 +22,7 @@ let dispatch stack net (packet : Packet.t) =
      | None -> ())
   | _ -> ()
 
-let create ~net ?(reencode_delay_s = 1e-3) () =
+let create ~net () =
   let stack =
     { flows = Hashtbl.create 16; controller = Kar.Controller.create_cache (Net.graph net) }
   in
@@ -35,7 +35,7 @@ let create ~net ?(reencode_delay_s = 1e-3) () =
   let controller_lock = Mutex.create () in
   List.iter
     (fun v ->
-      Karnet.install_edge net v ~reencode_delay_s
+      Karnet.install_edge net v
         ~reencode:(fun packet ->
           Mutex.lock controller_lock;
           Fun.protect

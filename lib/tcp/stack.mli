@@ -11,9 +11,9 @@ module Karnet = Netsim.Karnet
 type t
 
 (** [create ~net ()] installs handlers on every edge node of the network's
-    graph.  [reencode_delay_s] models the edge-to-controller round trip for
-    stranded packets (default 1 ms). *)
-val create : net:Net.t -> ?reencode_delay_s:float -> unit -> t
+    graph ({!Karnet.install_edge}: stranded packets are re-encoded after a
+    1 ms controller round trip). *)
+val create : net:Net.t -> unit -> t
 
 (** [register stack flow] makes the stack dispatch [Data]/[Ack] payloads of
     this flow id to [flow]'s receiver and sender. *)

@@ -31,115 +31,6 @@ let shortest_path g ?usable src dst =
   let _, parent = bfs g ?usable src in
   reconstruct parent src dst
 
-module Heap = struct
-  (* Minimal binary heap over (priority, payload). *)
-  type 'a t = { mutable data : (float * 'a) array; mutable size : int }
-
-  let create () = { data = [||]; size = 0 }
-
-  let swap h i j =
-    let tmp = h.data.(i) in
-    h.data.(i) <- h.data.(j);
-    h.data.(j) <- tmp
-
-  let push h prio payload =
-    if h.size = Array.length h.data then begin
-      let bigger = Array.make (max 16 (2 * h.size)) (prio, payload) in
-      Array.blit h.data 0 bigger 0 h.size;
-      h.data <- bigger
-    end;
-    h.data.(h.size) <- (prio, payload);
-    let i = ref h.size in
-    h.size <- h.size + 1;
-    while !i > 0 && fst h.data.((!i - 1) / 2) > fst h.data.(!i) do
-      swap h ((!i - 1) / 2) !i;
-      i := (!i - 1) / 2
-    done
-
-  let pop h =
-    if h.size = 0 then None
-    else begin
-      let top = h.data.(0) in
-      h.size <- h.size - 1;
-      h.data.(0) <- h.data.(h.size);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.size && fst h.data.(l) < fst h.data.(!smallest) then smallest := l;
-        if r < h.size && fst h.data.(r) < fst h.data.(!smallest) then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          swap h !i !smallest;
-          i := !smallest
-        end
-      done;
-      Some top
-    end
-end
-
-let dijkstra g ?(usable = always_usable) ?(weight = fun _ -> 1.0) src =
-  let n = Graph.n_nodes g in
-  let dist = Array.make n infinity and parent = Array.make n (-1) in
-  dist.(src) <- 0.0;
-  let heap = Heap.create () in
-  Heap.push heap 0.0 src;
-  let rec drain () =
-    match Heap.pop heap with
-    | None -> ()
-    | Some (d, v) ->
-      if d <= dist.(v) then
-        List.iter
-          (fun (_, l, far) ->
-            if usable l then begin
-              let w = weight l in
-              if w < 0.0 then invalid_arg "Paths.dijkstra: negative weight";
-              let nd = d +. w in
-              if nd < dist.(far) then begin
-                dist.(far) <- nd;
-                parent.(far) <- v;
-                Heap.push heap nd far
-              end
-            end)
-          (Graph.ports g v);
-      drain ()
-  in
-  drain ();
-  (dist, parent)
-
-let widest_path g src dst =
-  (* Dijkstra-like: maximise the minimum rate along the path. *)
-  let n = Graph.n_nodes g in
-  let width = Array.make n 0.0 and parent = Array.make n (-1) in
-  width.(src) <- infinity;
-  let heap = Heap.create () in
-  (* Negate widths so the min-heap pops the widest candidate first. *)
-  Heap.push heap (-.width.(src)) src;
-  let rec drain () =
-    match Heap.pop heap with
-    | None -> ()
-    | Some (nw, v) ->
-      let w = -.nw in
-      if w >= width.(v) then
-        List.iter
-          (fun (_, l, far) ->
-            let cand = Stdlib.min w l.Graph.rate_bps in
-            if cand > width.(far) then begin
-              width.(far) <- cand;
-              parent.(far) <- v;
-              Heap.push heap (-.cand) far
-            end)
-          (Graph.ports g v);
-      drain ()
-  in
-  drain ();
-  if width.(dst) <= 0.0 then None
-  else
-    match reconstruct parent src dst with
-    | None -> None
-    | Some p -> Some (p, width.(dst))
-
 let path_links g = function
   | [] | [ _ ] -> []
   | path ->
@@ -154,131 +45,5 @@ let path_links g = function
     in
     go [] path
 
-let path_ports g = function
-  | [] | [ _ ] -> []
-  | path ->
-    let rec go acc = function
-      | a :: (b :: _ as rest) ->
-        (match Graph.port_towards g a b with
-         | Some p -> go ((a, p) :: acc) rest
-         | None ->
-           invalid_arg
-             (Printf.sprintf "Paths.path_ports: %d and %d are not adjacent" a b))
-      | _ -> List.rev acc
-    in
-    go [] path
-
-(* Yen's algorithm for k loopless shortest paths. *)
-let k_shortest g ~k src dst =
-  if k <= 0 then []
-  else begin
-    match shortest_path g src dst with
-    | None -> []
-    | Some first ->
-      let accepted = ref [ first ] in
-      let candidates : (int * path) list ref = ref [] in
-      let add_candidate p =
-        let len = List.length p in
-        if not (List.exists (fun (_, q) -> q = p) !candidates) then
-          candidates := (len, p) :: !candidates
-      in
-      let rec take_prefix path i =
-        (* first i+1 nodes of path *)
-        match (path, i) with
-        | x :: _, 0 -> [ x ]
-        | x :: rest, n -> x :: take_prefix rest (n - 1)
-        | [], _ -> []
-      in
-      let result = ref [ first ] in
-      (try
-         for _ = 2 to k do
-           let prev = List.hd !accepted in
-           let prev_len = List.length prev in
-           for i = 0 to prev_len - 2 do
-             let spur = List.nth prev i in
-             let root = take_prefix prev i in
-             (* Links to remove: the edge each accepted path with this root
-                takes out of the spur node. *)
-             let banned_links =
-               List.filter_map
-                 (fun p ->
-                   if List.length p > i && take_prefix p i = root then begin
-                     match (List.nth_opt p i, List.nth_opt p (i + 1)) with
-                     | Some a, Some b -> Graph.link_between g a b
-                     | _ -> None
-                   end
-                   else None)
-                 !result
-             in
-             let banned_nodes = List.filteri (fun j _ -> j < i) root in
-             let usable l =
-               (not (List.mem l.Graph.id banned_links))
-               && (not (List.mem l.Graph.ep0.node banned_nodes))
-               && not (List.mem l.Graph.ep1.node banned_nodes)
-             in
-             match shortest_path g ~usable spur dst with
-             | None -> ()
-             | Some tail ->
-               let total = root @ List.tl tail in
-               if not (List.mem total !result) then add_candidate total
-           done;
-           match List.sort Stdlib.compare !candidates with
-           | [] -> raise Exit
-           | (_, best) :: rest ->
-             candidates := rest;
-             accepted := best :: !accepted;
-             result := !result @ [ best ]
-         done
-       with Exit -> ());
-      !result
-  end
-
-let edge_disjoint_paths g src dst =
-  let used = Hashtbl.create 16 in
-  let usable l = not (Hashtbl.mem used l.Graph.id) in
-  let rec go acc =
-    match shortest_path g ~usable src dst with
-    | None -> List.rev acc
-    | Some p ->
-      List.iter (fun id -> Hashtbl.replace used id ()) (path_links g p);
-      go (p :: acc)
-  in
-  go []
-
-let components g ?(usable = always_usable) () =
-  let n = Graph.n_nodes g in
-  let seen = Array.make n false in
-  let comps = ref [] in
-  for v = 0 to n - 1 do
-    if not seen.(v) then begin
-      let comp = ref [] in
-      let q = Queue.create () in
-      Queue.add v q;
-      seen.(v) <- true;
-      while not (Queue.is_empty q) do
-        let u = Queue.pop q in
-        comp := u :: !comp;
-        List.iter
-          (fun (_, l, far) ->
-            if usable l && not seen.(far) then begin
-              seen.(far) <- true;
-              Queue.add far q
-            end)
-          (Graph.ports g u)
-      done;
-      comps := List.rev !comp :: !comps
-    end
-  done;
-  List.rev !comps
-
 let is_connected g =
-  match components g () with
-  | [] | [ _ ] -> true
-  | _ -> false
-
-let diameter g =
-  let worst = ref 0 in
-  Graph.iter_nodes g ~f:(fun v ->
-      let dist, _ = bfs g v in
-      Array.iter (fun d -> if d <> max_int && d > !worst then worst := d) dist);
-  !worst
+  Graph.n_nodes g = 0 || Array.for_all (fun d -> d <> max_int) (fst (bfs g 0))

@@ -1,6 +1,6 @@
 (** Path computation over {!Graph}.
 
-    All functions take an optional [usable] predicate on links so that
+    The searches take an optional [usable] predicate on links so that
     analyses can exclude failed links without mutating the graph.  Paths are
     node lists from source to destination inclusive. *)
 
@@ -17,44 +17,10 @@ val bfs :
 val shortest_path :
   Graph.t -> ?usable:(Graph.link -> bool) -> Graph.node -> Graph.node -> path option
 
-(** [dijkstra g ?usable ?weight src] is [(dist, parent)] with real-valued
-    distances ([infinity] when unreachable).  Default weight is 1.0 per
-    link. *)
-val dijkstra :
-  Graph.t ->
-  ?usable:(Graph.link -> bool) ->
-  ?weight:(Graph.link -> float) ->
-  Graph.node ->
-  float array * int array
-
-(** [widest_path g src dst] maximises the bottleneck link rate; used for
-    traffic-engineering examples.  Returns the path and its bottleneck rate
-    in bits per second. *)
-val widest_path : Graph.t -> Graph.node -> Graph.node -> (path * float) option
-
-(** [k_shortest g ~k src dst] is up to [k] loopless minimum-hop paths in
-    non-decreasing length order (Yen's algorithm). *)
-val k_shortest : Graph.t -> k:int -> Graph.node -> Graph.node -> path list
-
-(** [edge_disjoint_paths g src dst] greedily extracts link-disjoint shortest
-    paths until the nodes disconnect. *)
-val edge_disjoint_paths : Graph.t -> Graph.node -> Graph.node -> path list
-
 (** [is_connected g] considers all links usable. *)
 val is_connected : Graph.t -> bool
-
-(** [components g ?usable ()] lists connected components as node lists. *)
-val components : Graph.t -> ?usable:(Graph.link -> bool) -> unit -> Graph.node list list
-
-(** [diameter g] is the longest shortest-path hop count between any
-    connected pair (0 for a single node). *)
-val diameter : Graph.t -> int
 
 (** [path_links g path] maps consecutive node pairs to the connecting link
     ids. @raise Invalid_argument if two consecutive nodes are not
     adjacent. *)
 val path_links : Graph.t -> path -> Graph.link_id list
-
-(** [path_ports g path] is, for each node except the last, the output port
-    toward its successor (lowest-numbered such port). *)
-val path_ports : Graph.t -> path -> (Graph.node * int) list

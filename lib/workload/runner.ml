@@ -6,11 +6,17 @@ type data_plane =
   | Kar of Kar.Policy.t
   | Fast_failover
 
-(* What reacts to the failure besides the data plane itself. *)
-type reaction =
-  | Deflection (* KAR: the data plane is the reaction *)
-  | Controller_reroute of float (* notification delay, then re-stamp *)
-  | Ingress_failover of float (* 1+1: switch to a disjoint backup plan *)
+type reaction = Baselines.Reaction.t =
+  | Deflection
+  | Controller_reroute of float
+  | Ingress_failover of float
+
+(* Every run samples goodput in 0.5 s bins and seeds the data plane (and,
+   for iperf, the rep seeds) from 42; a rep's first 0.5 s is its
+   slow-start ramp. *)
+let bin_s = 0.5
+let seed = 42
+let warmup_s = 0.5
 
 type timeline_config = {
   policy : data_plane;
@@ -19,8 +25,6 @@ type timeline_config = {
   pre_s : float;
   fail_s : float;
   post_s : float;
-  bin_s : float;
-  seed : int;
   reaction : reaction;
   detection_delay_s : float;
   tcp : Tcp.Flow.config;
@@ -34,8 +38,6 @@ let default_timeline =
     pre_s = 3.0;
     fail_s = 3.0;
     post_s = 3.0;
-    bin_s = 0.5;
-    seed = 42;
     reaction = Deflection;
     detection_delay_s = 0.0;
     tcp = Tcp.Flow.default_config;
@@ -91,10 +93,10 @@ let setup ?plans sc ~policy ~level ~seed ~sampler ?(detection_delay_s = 0.0)
   (engine, net, flow)
 
 let timeline sc config =
-  let sampler = Tcp.Sampler.create ~bin_s:config.bin_s () in
+  let sampler = Tcp.Sampler.create ~bin_s () in
   let engine, net, flow =
-    setup sc ~policy:config.policy ~level:config.level ~seed:config.seed
-      ~sampler ~detection_delay_s:config.detection_delay_s ~tcp:config.tcp ()
+    setup sc ~policy:config.policy ~level:config.level ~seed ~sampler
+      ~detection_delay_s:config.detection_delay_s ~tcp:config.tcp ()
   in
   let fail_at = config.pre_s in
   let repair_at = config.pre_s +. config.fail_s in
@@ -102,19 +104,18 @@ let timeline sc config =
   (match config.failure with
    | None -> ()
    | Some fc ->
-     (match config.reaction with
-      | Controller_reroute delay ->
-        Baselines.Reroute.arm net ~scenario:sc ~flow ~failure:fc ~at:fail_at
-          ~duration:config.fail_s ~notification_delay_s:delay
-      | Ingress_failover reaction_s ->
-        let plans =
-          Kar.Controller.disjoint_plans sc.Nets.graph ~src:sc.Nets.ingress
-            ~dst:sc.Nets.egress ~k:2
-        in
-        Baselines.Edge_failover.arm net ~plans ~flow ~failure:fc ~at:fail_at
-          ~duration:config.fail_s ~reaction_s
-      | Deflection ->
-        Net.schedule_failure net fc.Nets.link ~at:fail_at ~duration:config.fail_s));
+     (* a zero-length window would normalize to "fail and stay down" *)
+     if not (config.fail_s > 0.0) then
+       invalid_arg "Runner.timeline: fail_s must be positive";
+     let link = fc.Nets.link in
+     Kar_scenario.Driver.arm net
+       Kar_scenario.Event.
+         [
+           { at = fail_at; action = Fail; link };
+           { at = repair_at; action = Repair; link };
+         ];
+     Baselines.Reaction.arm net sc ~flow ~link ~at:fail_at ~repair_at
+       config.reaction);
   Engine.run_until engine t_end;
   Tcp.Flow.stop flow;
   let stats = Net.stats net in
@@ -143,8 +144,6 @@ type iperf_config = {
   failure : Nets.failure_case option;
   reps : int;
   rep_duration_s : float;
-  warmup_s : float;
-  seed : int;
   tcp : Tcp.Flow.config;
 }
 
@@ -155,8 +154,6 @@ let default_iperf =
     failure = None;
     reps = 10;
     rep_duration_s = 3.0;
-    warmup_s = 0.5;
-    seed = 42;
     tcp = Tcp.Flow.default_config;
   }
 
@@ -171,9 +168,9 @@ let one_iperf ?plans sc config ~seed =
    | Some fc -> Net.fail_link net fc.Nets.link);
   Engine.run_until engine config.rep_duration_s;
   Tcp.Flow.stop flow;
-  Tcp.Sampler.mean_mbps sampler ~from_s:config.warmup_s ~until:config.rep_duration_s
+  Tcp.Sampler.mean_mbps sampler ~from_s:warmup_s ~until:config.rep_duration_s
 
-let rep_seed config i = config.seed + (1000 * i)
+let rep_seed i = seed + (1000 * i)
 
 (* Reps are independent simulations seeded by rep index, so they run on
    the domain pool; [Pool.map] restores sample order, which keeps the
@@ -181,7 +178,7 @@ let rep_seed config i = config.seed + (1000 * i)
 let iperf_reps sc config =
   if config.reps <= 0 then invalid_arg "Runner.iperf_reps: reps must be positive";
   let plans = scenario_plans sc config.level in
-  let seeds = Array.init config.reps (fun i -> rep_seed config i) in
+  let seeds = Array.init config.reps rep_seed in
   let samples =
     Util.Pool.run seeds ~f:(fun ~idx:_ seed -> one_iperf ~plans sc config ~seed)
   in

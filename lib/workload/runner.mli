@@ -18,16 +18,13 @@ type data_plane =
   | Kar of Kar.Policy.t (** KAR switches with the given deflection policy *)
   | Fast_failover (** the stateful baseline from {!Baselines.Fast_failover} *)
 
-(** What reacts to the failure besides the data plane itself. *)
-type reaction =
-  | Deflection (** KAR: the data plane is the whole reaction *)
+(** What reacts to the failure besides the data plane itself: KAR's
+    deflection alone, a controller reroute or a 1+1 ingress failover,
+    each with its delay ({!Baselines.Reaction.t}). *)
+type reaction = Baselines.Reaction.t =
+  | Deflection
   | Controller_reroute of float
-      (** the classical SDN loop: after this notification delay the
-          controller re-stamps the ingress with a route avoiding the
-          failure (pair with [Kar No_deflection]) *)
   | Ingress_failover of float
-      (** 1+1 protection: after this reaction delay the ingress switches
-          the flow to a precomputed edge-disjoint backup route ID *)
 
 type timeline_config = {
   policy : data_plane;
@@ -36,8 +33,6 @@ type timeline_config = {
   pre_s : float; (** seconds before the failure *)
   fail_s : float; (** failure duration *)
   post_s : float; (** seconds after repair *)
-  bin_s : float; (** goodput sampling bin *)
-  seed : int;
   reaction : reaction;
   detection_delay_s : float;
       (** how long switches keep believing a dead link is alive (0 =
@@ -61,7 +56,13 @@ type timeline_result = {
   net_drops : int; (** all drop reasons summed *)
 }
 
-(** [timeline sc config] runs one long-lived flow ingress->egress. *)
+(** [timeline sc config] runs one long-lived flow ingress->egress, with
+    the data plane seeded from 42 and goodput sampled in 0.5 s bins.  The
+    failure window is armed through [Kar_scenario.Driver.arm] (a fail at
+    [pre_s], a repair [fail_s] later) and [reaction] through
+    {!Baselines.Reaction.arm}.
+    @raise Invalid_argument if a failure is set and [fail_s] is not
+    positive. *)
 val timeline : Topo.Nets.scenario -> timeline_config -> timeline_result
 
 type iperf_config = {
@@ -70,8 +71,6 @@ type iperf_config = {
   failure : Topo.Nets.failure_case option; (** active for the whole run *)
   reps : int;
   rep_duration_s : float;
-  warmup_s : float; (** excluded from the mean (slow-start ramp) *)
-  seed : int;
   tcp : Tcp.Flow.config;
 }
 
@@ -90,14 +89,13 @@ val scenario_plans :
     {!rep_seed}, so the summary is byte-identical at any pool size. *)
 val iperf_reps : Topo.Nets.scenario -> iperf_config -> Util.Stats.summary
 
-(** [rep_seed config i] is the engine seed of repetition [i] — derived
-    from the config seed and the rep index alone, never from execution
-    order. *)
-val rep_seed : iperf_config -> int -> int
+(** [rep_seed i] is the engine seed of repetition [i], [42 + 1000 i] —
+    derived from the rep index alone, never from execution order. *)
+val rep_seed : int -> int
 
 (** [one_iperf sc config ~seed] is a single repetition's mean goodput in
-    Mb/s.  [plans] shares pre-encoded route plans (see
-    {!scenario_plans}). *)
+    Mb/s, excluding its first 0.5 s (the slow-start ramp).  [plans]
+    shares pre-encoded route plans (see {!scenario_plans}). *)
 val one_iperf :
   ?plans:Kar.Route.plan * Kar.Route.plan ->
   Topo.Nets.scenario -> iperf_config -> seed:int -> float

@@ -1,6 +1,6 @@
 (* Tests for the comparison baselines: stateful fast failover (primary +
-   precomputed backup per destination) and controller-notification
-   rerouting. *)
+   precomputed backup per destination) and the ingress reactions —
+   controller-notification rerouting and 1+1 failover. *)
 
 module Engine = Netsim.Engine
 module Net = Netsim.Net
@@ -36,10 +36,12 @@ let test_hops_single_failure () =
         Alcotest.failf "%s: single failure must be survivable" fc.Nets.name)
     sc.Nets.failures
 
-let test_simulated_failover_delivers () =
+(* net15 under fast failover with [link] down from t=0: the ingress and
+   egress edges installed, [delivered] counting arrivals at the egress. *)
+let ff_net ?detection_delay_s link =
   let sc = Nets.net15 in
   let engine = Engine.create () in
-  let net = Net.create ~graph:sc.Nets.graph ~engine () in
+  let net = Net.create ~graph:sc.Nets.graph ~engine ?detection_delay_s () in
   Baselines.Fast_failover.install net;
   let delivered = ref 0 in
   Netsim.Karnet.install_edge net sc.Nets.egress ~reencode:(fun _ -> None)
@@ -48,17 +50,48 @@ let test_simulated_failover_delivers () =
   Netsim.Karnet.install_edge net sc.Nets.ingress ~reencode:(fun _ -> None)
     ~receive:(fun _ _ -> ())
     ();
-  Net.fail_link net (List.nth sc.Nets.failures 1).Nets.link;
+  Net.fail_link net link;
+  let send ~at =
+    ignore
+      (Engine.schedule_at engine at (fun () ->
+           let p =
+             Netsim.Packet.make ~uid:(Net.fresh_uid net) ~src:sc.Nets.ingress
+               ~dst:sc.Nets.egress ~size_bytes:1000 ~route_id:Bignum.Z.zero
+               ~born:at Netsim.Packet.Raw
+           in
+           Net.inject net ~at:sc.Nets.ingress p))
+  in
+  (engine, net, send, delivered)
+
+(* SW37-SW43 carries fast failover's shortest-path route from ingress to
+   egress (none of net15's named failure cases does). *)
+let ff_primary_link () = Graph.link_between_labels Nets.net15.Nets.graph 37 43
+
+let test_simulated_failover_delivers () =
+  let engine, _, send, delivered = ff_net (ff_primary_link ()) in
   for _ = 1 to 10 do
-    let p =
-      Netsim.Packet.make ~uid:(Net.fresh_uid net) ~src:sc.Nets.ingress
-        ~dst:sc.Nets.egress ~size_bytes:1000 ~route_id:Bignum.Z.zero ~born:0.0
-        Netsim.Packet.Raw
-    in
-    Net.inject net ~at:sc.Nets.ingress p
+    send ~at:0.0
   done;
   Engine.run engine;
   Alcotest.(check int) "all delivered around the failure" 10 !delivered
+
+let test_failover_waits_for_detection () =
+  (* The switch keeps its primary until it has observed the failure:
+     packets sent inside the 50 ms detection window black-hole on the dead
+     link, packets sent after it take the backup. *)
+  let engine, net, send, delivered =
+    ff_net ~detection_delay_s:0.05 (ff_primary_link ())
+  in
+  for i = 0 to 9 do
+    send ~at:(float_of_int i *. 0.001)
+  done;
+  for _ = 1 to 10 do
+    send ~at:0.1
+  done;
+  Engine.run engine;
+  Alcotest.(check int) "only post-detection packets delivered" 10 !delivered;
+  Alcotest.(check int) "in-window packets lost on the dead link" 10
+    (Net.stats net).Net.dropped_link_down
 
 let test_failover_is_stateful () =
   (* the scheme cannot forward to a destination absent from its table *)
@@ -149,7 +182,7 @@ let test_edge_failover_plan_selection () =
     let on_primary = Topo.Paths.path_links g primary.Kar.Route.core_path in
     List.iter
       (fun link ->
-        match Baselines.Edge_failover.plan_avoiding g plans link with
+        match Baselines.Reaction.plan_avoiding g plans ~failed:(( = ) link) with
         | Some p ->
           Alcotest.(check bool) "avoids the link" false
             (List.mem link (Topo.Paths.path_links g p.Kar.Route.core_path))
@@ -189,6 +222,8 @@ let () =
           Alcotest.test_case "single-failure detours" `Quick test_hops_single_failure;
           Alcotest.test_case "simulated failover delivers" `Quick
             test_simulated_failover_delivers;
+          Alcotest.test_case "failover waits for detection" `Quick
+            test_failover_waits_for_detection;
           Alcotest.test_case "statefulness bites" `Quick test_failover_is_stateful;
         ] );
       ( "edge failover",

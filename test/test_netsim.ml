@@ -516,8 +516,13 @@ let run_scenario ?regions sc ~fail_idx ~seed ~duration () =
   in
   Tcp.Stack.register stack flow;
   let fc = List.nth sc.Topo.Nets.failures fail_idx in
-  Net.schedule_failure net fc.Topo.Nets.link ~at:(duration /. 3.0)
-    ~duration:(duration /. 3.0);
+  let link = fc.Topo.Nets.link and third = duration /. 3.0 in
+  Kar_scenario.Driver.arm net
+    Kar_scenario.Event.
+      [
+        { at = third; action = Fail; link };
+        { at = third +. third; action = Repair; link };
+      ];
   Net.run_until net duration;
   let trace = List.map Trace.Event.to_jsonl (Trace.Recorder.contents recorder) in
   let in_flight = Net.pool_in_flight net in

@@ -102,7 +102,12 @@ let test_blackout_recovery () =
   let sampler = Tcp.Sampler.create ~bin_s:0.5 () in
   let flow = start_flow ~sampler fx in
   (* total blackout from 1s to 2s *)
-  Net.schedule_failure net l_sb ~at:1.0 ~duration:1.0;
+  Kar_scenario.Driver.arm net
+    Kar_scenario.Event.
+      [
+        { at = 1.0; action = Fail; link = l_sb };
+        { at = 2.0; action = Repair; link = l_sb };
+      ];
   Engine.run_until engine 6.0;
   Tcp.Flow.stop flow;
   let st = Tcp.Flow.stats flow in
@@ -246,7 +251,12 @@ let test_cubic_backoff_gentler () =
       start_flow ~config:{ Tcp.Flow.default_config with Tcp.Flow.cc } fx
     in
     (* a 30 ms blip loses a handful of segments -> one recovery episode *)
-    Net.schedule_failure net l_sb ~at:1.0 ~duration:0.03;
+    Kar_scenario.Driver.arm net
+      Kar_scenario.Event.
+        [
+          { at = 1.0; action = Fail; link = l_sb };
+          { at = 1.03; action = Repair; link = l_sb };
+        ];
     Engine.run_until engine 1.2;
     let d = Tcp.Flow.debug flow in
     Tcp.Flow.stop flow;

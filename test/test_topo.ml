@@ -1,7 +1,6 @@
 (* Tests for the topology substrate: graph builder invariants, path
-   algorithms (cross-checked against each other), generators, and the
-   reconstructed paper topologies (every adjacency the paper's text
-   names). *)
+   search, generators, and the reconstructed paper topologies (every
+   adjacency the paper's text names). *)
 
 module Graph = Topo.Graph
 module Paths = Topo.Paths
@@ -116,57 +115,6 @@ let test_bfs_usable_filter () =
   | Some p -> Alcotest.(check int) "long way" 6 (List.length p)
   | None -> Alcotest.fail "ring should stay connected"
 
-let test_dijkstra_matches_bfs_unit_weights () =
-  let g = Gen.grid ~w:4 ~h:3 in
-  let bfs_dist, _ = Paths.bfs g 0 in
-  let dij_dist, _ = Paths.dijkstra g 0 in
-  Graph.iter_nodes g ~f:(fun v ->
-      Alcotest.(check int)
-        (Printf.sprintf "node %d" v)
-        bfs_dist.(v)
-        (int_of_float dij_dist.(v)))
-
-let test_widest_path () =
-  (* triangle with a fat two-hop route and a thin direct link *)
-  let b = Graph.Builder.create () in
-  let x = Graph.Builder.add_node b 2 in
-  let y = Graph.Builder.add_node b 3 in
-  let z = Graph.Builder.add_node b 5 in
-  ignore (Graph.Builder.add_link b ~rate_bps:10e6 x z);
-  ignore (Graph.Builder.add_link b ~rate_bps:100e6 x y);
-  ignore (Graph.Builder.add_link b ~rate_bps:100e6 y z);
-  let g = Graph.Builder.finish b in
-  match Paths.widest_path g x z with
-  | Some (p, width) ->
-    Alcotest.(check (list int)) "fat route" [ x; y; z ] p;
-    Alcotest.(check (float 0.01)) "width" 100e6 width
-  | None -> Alcotest.fail "connected"
-
-let test_k_shortest () =
-  let g = Gen.ring 6 in
-  let paths = Paths.k_shortest g ~k:2 0 3 in
-  Alcotest.(check int) "two paths" 2 (List.length paths);
-  (match paths with
-   | [ p1; p2 ] ->
-     Alcotest.(check int) "first is shortest" 4 (List.length p1);
-     Alcotest.(check int) "second same length (other way)" 4 (List.length p2);
-     Alcotest.(check bool) "distinct" true (p1 <> p2)
-   | _ -> Alcotest.fail "wrong count");
-  (* loopless *)
-  List.iter
-    (fun p ->
-      let sorted = List.sort_uniq Stdlib.compare p in
-      Alcotest.(check int) "no repeats" (List.length p) (List.length sorted))
-    paths
-
-let test_edge_disjoint () =
-  let g = Gen.ring 8 in
-  let paths = Paths.edge_disjoint_paths g 0 4 in
-  Alcotest.(check int) "a ring gives two disjoint paths" 2 (List.length paths);
-  let all_links = List.concat_map (Paths.path_links g) paths in
-  Alcotest.(check int) "no shared link" (List.length all_links)
-    (List.length (List.sort_uniq Stdlib.compare all_links))
-
 let test_components () =
   let b = Graph.Builder.create () in
   let a = Graph.Builder.add_node b 2 in
@@ -176,24 +124,7 @@ let test_components () =
   ignore (Graph.Builder.add_link b a c);
   ignore (Graph.Builder.add_link b d e);
   let g = Graph.Builder.finish b in
-  Alcotest.(check int) "two components" 2 (List.length (Paths.components g ()));
   Alcotest.(check bool) "not connected" false (Paths.is_connected g)
-
-let test_diameter () =
-  Alcotest.(check int) "line 5" 4 (Paths.diameter (Gen.line 5));
-  Alcotest.(check int) "ring 8" 4 (Paths.diameter (Gen.ring 8));
-  Alcotest.(check int) "complete 5" 1 (Paths.diameter (Gen.complete 5))
-
-let test_path_ports () =
-  let g = Gen.line 4 in
-  let ports = Paths.path_ports g [ 0; 1; 2; 3 ] in
-  Alcotest.(check int) "three hops" 3 (List.length ports);
-  List.iter2
-    (fun (v, p) expect_node ->
-      Alcotest.(check int) "node" expect_node v;
-      let far, _ = Graph.peer g v p in
-      Alcotest.(check int) "port leads forward" (expect_node + 1) far)
-    ports [ 0; 1; 2 ]
 
 (* --- generators --- *)
 
@@ -331,13 +262,6 @@ let test_serial_file_roundtrip () =
         Alcotest.(check int) "nodes survive the disk" 18 (Graph.n_nodes g)
       | Error e -> Alcotest.failf "%a" Topo.Serial.pp_error e)
 
-let test_k_shortest_edges () =
-  let g = Gen.line 4 in
-  Alcotest.(check int) "k=0" 0 (List.length (Paths.k_shortest g ~k:0 0 3));
-  Alcotest.(check int) "k=1" 1 (List.length (Paths.k_shortest g ~k:1 0 3));
-  (* a line has exactly one loopless path *)
-  Alcotest.(check int) "k=5 saturates" 1 (List.length (Paths.k_shortest g ~k:5 0 3))
-
 (* --- region partitioning --- *)
 
 let test_partition_single_region () =
@@ -416,14 +340,7 @@ let () =
         [
           Alcotest.test_case "bfs on a line" `Quick test_bfs_line;
           Alcotest.test_case "bfs with failed link" `Quick test_bfs_usable_filter;
-          Alcotest.test_case "dijkstra = bfs on unit weights" `Quick
-            test_dijkstra_matches_bfs_unit_weights;
-          Alcotest.test_case "widest path" `Quick test_widest_path;
-          Alcotest.test_case "k shortest on a ring" `Quick test_k_shortest;
-          Alcotest.test_case "edge-disjoint paths" `Quick test_edge_disjoint;
           Alcotest.test_case "components" `Quick test_components;
-          Alcotest.test_case "diameter" `Quick test_diameter;
-          Alcotest.test_case "path ports" `Quick test_path_ports;
         ] );
       ( "generators",
         [
@@ -451,6 +368,5 @@ let () =
           Alcotest.test_case "protection residues" `Quick test_protection_residues;
           Alcotest.test_case "dot export" `Quick test_dot_output;
           Alcotest.test_case "serial file round trip" `Quick test_serial_file_roundtrip;
-          Alcotest.test_case "k-shortest edge cases" `Quick test_k_shortest_edges;
         ] );
     ]
