@@ -673,81 +673,23 @@ let obs_entries ~packets =
 
 (* --- machine-readable output (a flat {"key": number} JSON object) --- *)
 
-let json_escape name =
-  String.concat ""
-    (List.map
-       (fun c ->
-         match c with
-         | '"' -> "\\\""
-         | '\\' -> "\\\\"
-         | c -> String.make 1 c)
-       (List.init (String.length name) (String.get name)))
-
+(* One key per line with %.6g values, the layout of the committed
+   BENCH.json. *)
 let write_json file entries =
   let oc = open_out file in
   output_string oc "{\n";
   List.iteri
     (fun i (k, v) ->
-      Printf.fprintf oc "  \"%s\": %.6g%s\n" (json_escape k) v
+      Printf.fprintf oc "  \"%s\": %.6g%s\n" (E2e.Json.escape k) v
         (if i = List.length entries - 1 then "" else ","))
     entries;
   output_string oc "}\n";
   close_out oc
 
-(* Parse the flat {"key": number, ...} files written by [write_json].  Not
-   a general JSON parser: just string keys and numeric values. *)
 let parse_json file =
-  let ic = open_in file in
-  let len = in_channel_length ic in
-  let content = really_input_string ic len in
-  close_in ic;
-  let entries = ref [] in
-  let n = String.length content in
-  let i = ref 0 in
-  while !i < n do
-    match String.index_from_opt content !i '"' with
-    | None -> i := n
-    | Some q0 ->
-      (* the key, unescaping the two escapes write_json produces *)
-      let buf = Buffer.create 32 in
-      let j = ref (q0 + 1) in
-      let stop = ref false in
-      while (not !stop) && !j < n do
-        (match content.[!j] with
-         | '\\' when !j + 1 < n ->
-           Buffer.add_char buf content.[!j + 1];
-           incr j
-         | '"' -> stop := true
-         | c -> Buffer.add_char buf c);
-        incr j
-      done;
-      let key = Buffer.contents buf in
-      (* skip to the value after the colon *)
-      (match String.index_from_opt content !j ':' with
-       | None -> i := n
-       | Some c0 ->
-         let v0 = ref (c0 + 1) in
-         while
-           !v0 < n && (content.[!v0] = ' ' || content.[!v0] = '\t')
-         do
-           incr v0
-         done;
-         let v1 = ref !v0 in
-         while
-           !v1 < n
-           && (match content.[!v1] with
-               | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-               | _ -> false)
-         do
-           incr v1
-         done;
-         (if !v1 > !v0 then
-            match float_of_string_opt (String.sub content !v0 (!v1 - !v0)) with
-            | Some v -> entries := (key, v) :: !entries
-            | None -> ());
-         i := !v1)
-  done;
-  List.rev !entries
+  List.map
+    (fun (k, v) -> (k, E2e.Json.to_float v))
+    (E2e.Json.to_assoc (E2e.Json.read_file file))
 
 let higher_is_better key =
   key = "netsim/packets-per-sec" || key = "verify/failure-sets-per-sec-j1"

@@ -28,6 +28,14 @@ let scenario_plan sc level =
   in
   Route.protect_exn g base (scenario_hops sc level)
 
+(* The core interior of a path between two edge nodes: the path without
+   its two endpoints ([] when it has fewer than three nodes). *)
+let interior path =
+  match path with
+  | [] -> []
+  | _ :: rest ->
+    (match List.rev rest with [] -> [] | _ :: rev_core -> List.rev rev_core)
+
 (* The reverse (ACK) route prefers a path edge-disjoint from the forward
    primary, so that a failure under study disturbs only the direction being
    measured — the standard bidirectional-resilience arrangement, and the
@@ -43,16 +51,11 @@ let scenario_reverse_plan sc level =
   let disjoint l = not (List.mem l.Graph.id forward_links) in
   let reverse_core =
     match Paths.shortest_path g ~usable:disjoint sc.Nets.egress sc.Nets.ingress with
-    | Some (_ :: rest) ->
-      (* strip both edge endpoints, keep the core interior *)
-      let rec interior acc = function
-        | [] | [ _ ] -> List.rev acc
-        | x :: tl -> interior (x :: acc) tl
-      in
-      let core = interior [] rest in
-      if core = [] then List.rev sc.Nets.primary
-      else List.map (Graph.label g) core
-    | Some [] | None -> List.rev sc.Nets.primary
+    | Some path ->
+      (match interior path with
+       | [] -> List.rev sc.Nets.primary
+       | core -> List.map (Graph.label g) core)
+    | None -> List.rev sc.Nets.primary
   in
   let base =
     Route.of_labels_exn g reverse_core
@@ -87,49 +90,39 @@ let core_route ?(usable = fun _ -> true) g ~src ~dst =
   | None ->
     invalid_arg
       (Printf.sprintf "Controller.route: no path between %d and %d" src dst)
-  | Some path ->
-    (match path with
-     | _ :: core_and_dst ->
-       (* strip the src edge; the last element is the dst edge *)
-       let rec split_last acc = function
-         | [ last ] -> (List.rev acc, last)
-         | x :: rest -> split_last (x :: acc) rest
-         | [] -> invalid_arg "Controller.route: degenerate path"
-       in
-       let core, _ = split_last [] core_and_dst in
-       core
-     | [] -> invalid_arg "Controller.route: empty path")
+  | Some ([] | [ _ ]) -> invalid_arg "Controller.route: degenerate path"
+  | Some path -> interior path
+
+let encode_core g core ~dst =
+  Route.of_labels_exn g (List.map (Graph.label g) core)
+    ~egress_label:(Graph.label g dst)
 
 let route ?usable g ~src ~dst ~protection =
-  let core = core_route ?usable g ~src ~dst in
-  let labels = List.map (Graph.label g) core in
-  let base = Route.of_labels_exn g labels ~egress_label:(Graph.label g dst) in
-  Route.protect_exn g base protection
+  Route.protect_exn g (encode_core g (core_route ?usable g ~src ~dst) ~dst)
+    protection
 
 (* Per-pair protection planning for arbitrary (src, dst) pairs — the
    scenario bundles pin their protection hops by hand to match the paper's
-   figures, but the resilience verifier sweeps every edge pair, so it needs
-   the same recipe applied uniformly: a shortest-path tree toward the
-   egress core switch over the off-path members the level selects (radius-1
-   neighbours for partial, the whole component for full). *)
-let protected_route g ~src ~dst ~level =
-  let core = core_route g ~src ~dst in
-  let dest =
-    match List.rev core with
-    | last :: _ -> last
-    | [] ->
-      invalid_arg "Controller.protected_route: route transits no core switch"
-  in
+   figures, but the verifier, the plan server, the adversary and the
+   scaling study plan every pair they meet, so they need one recipe applied
+   uniformly: a shortest-path tree toward the egress core switch over the
+   off-path members the level selects (radius-1 neighbours for partial, the
+   whole component for full).  Only the primary path honours [usable]; the
+   trees are built on the whole graph, since switches check the liveness
+   of a protection hop themselves. *)
+let protected_route ?usable g ~src ~dst ~level =
+  let core = core_route ?usable g ~src ~dst in
+  let base = encode_core g core ~dst in
   let members =
     match level with
     | Unprotected -> []
     | Partial -> Protection.off_path_members g ~path:core ~radius:1
     | Full -> Protection.full_members g ~path:core
   in
-  let hops = Protection.tree_hops g ~dest members in
-  let labels = List.map (Graph.label g) core in
-  let base = Route.of_labels_exn g labels ~egress_label:(Graph.label g dst) in
-  Route.protect_exn g base hops
+  match (members, List.rev core) with
+  | [], _ | _, [] -> base
+  | _, dest :: _ ->
+    Route.protect_skipping g base (Protection.tree_hops g ~dest members)
 
 (* Edge-disjoint route plans between two edge nodes: greedy shortest-path
    extraction over the core (each found path's links are barred from the
@@ -158,39 +151,21 @@ let disjoint_plans g ~src ~dst ~k =
   in
   collect k []
   |> List.filter_map (fun path ->
-         (* strip the edge endpoints *)
-         let rec interior acc = function
-           | [] | [ _ ] -> List.rev acc
-           | x :: rest -> interior (x :: acc) rest
-         in
-         match path with
-         | _ :: rest ->
-           (match interior [] rest with
-            | [] -> None
-            | core ->
-              let labels = List.map (Graph.label g) core in
-              (match
-                 Route.of_labels g labels ~egress_label:(Graph.label g dst)
-               with
-               | Ok plan -> Some plan
-               | Error _ -> None))
-         | [] -> None)
+         match interior path with
+         | [] -> None
+         | core ->
+           let labels = List.map (Graph.label g) core in
+           (match Route.of_labels g labels ~egress_label:(Graph.label g dst) with
+            | Ok plan -> Some plan
+            | Error _ -> None))
 
 type cache = {
   graph : Graph.t;
   plans : (Graph.node * Graph.node, Bignum.Z.t option) Hashtbl.t;
-  computed_c : Kar_obs.Registry.counter;
+  mutable computed : int;
 }
 
-let create_cache ?registry graph =
-  let r =
-    match registry with Some r -> r | None -> Kar_obs.Registry.create ()
-  in
-  {
-    graph;
-    plans = Hashtbl.create 64;
-    computed_c = Kar_obs.Registry.counter r "ctl/plans-computed";
-  }
+let create_cache graph = { graph; plans = Hashtbl.create 64; computed = 0 }
 
 let reencode cache ~at ~dst =
   match Hashtbl.find_opt cache.plans (at, dst) with
@@ -200,8 +175,8 @@ let reencode cache ~at ~dst =
       try Some (route cache.graph ~src:at ~dst ~protection:[]).Route.route_id
       with Invalid_argument _ -> None
     in
-    Kar_obs.Registry.incr cache.computed_c;
+    cache.computed <- cache.computed + 1;
     Hashtbl.replace cache.plans (at, dst) result;
     result
 
-let plans_computed cache = Kar_obs.Registry.value cache.computed_c
+let plans_computed cache = cache.computed

@@ -44,15 +44,23 @@ val route :
   ?usable:(Graph.link -> bool) ->
   Graph.t -> src:Graph.node -> dst:Graph.node -> protection:(int * int) list -> Route.plan
 
-(** [protected_route g ~src ~dst ~level] plans a shortest-path route and
-    folds in protection computed uniformly for the pair (rather than the
-    hand-pinned scenario hops): a shortest-path tree rooted at the egress
-    core switch over the off-path members the level selects — radius-1
-    neighbours of the path for [Partial], every off-path core switch in
-    the component for [Full].  This is the planner the resilience
-    verifier sweeps across all edge pairs.
-    @raise Invalid_argument when no path exists or encoding fails. *)
+(** [protected_route ?usable g ~src ~dst ~level] plans a shortest-path
+    route and folds in protection computed uniformly for the pair (rather
+    than the hand-pinned scenario hops): a shortest-path tree rooted at the
+    egress core switch over the off-path members the level selects —
+    radius-1 neighbours of the path for [Partial], every off-path core
+    switch in the component for [Full].  [usable] (default: everything)
+    restricts the primary path's links as in {!route}; the trees are built
+    on the whole graph.  A tree hop that {!Route.protect} would reject
+    after the hops already kept is skipped ({!Route.protect_skipping}), so
+    a labelling with only advisory issues ([Ids.Port_unencodable]) yields a
+    plan with fewer protected switches instead of an exception.  This is
+    the one planner behind the resilience verifier, the plan server
+    ({!Kar_service}), the adversarial scenario and the scaling study.
+    @raise Invalid_argument only when no path exists or the primary path
+    itself cannot be encoded. *)
 val protected_route :
+  ?usable:(Graph.link -> bool) ->
   Graph.t -> src:Graph.node -> dst:Graph.node -> level:level -> Route.plan
 
 (** [disjoint_plans g ~src ~dst ~k] plans up to [k] mutually edge-disjoint
@@ -71,9 +79,7 @@ val disjoint_plans :
     [(edge, destination)] pair. *)
 type cache
 
-(** [create_cache ?registry g] — the [ctl/plans-computed] counter registers
-    on [registry] (a fresh private registry when omitted). *)
-val create_cache : ?registry:Kar_obs.Registry.t -> Graph.t -> cache
+val create_cache : Graph.t -> cache
 
 (** [reencode cache ~at ~dst] is the fresh route ID from edge [at] to edge
     [dst], or [None] when no path exists or encoding fails. *)

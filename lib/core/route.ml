@@ -101,24 +101,54 @@ let of_labels g labels ~egress_label =
      | None -> Error (Not_adjacent (Graph.label g last, egress_label))
      | Some p -> of_core_path g nodes ~egress_port:p)
 
+let raise_error e = invalid_arg (Format.asprintf "Route: %a" pp_error e)
+
+(* The residue a directed protection hop adds: the switch's port toward
+   its next hop. *)
+let hop_residue g (s_label, next_label) =
+  let s = Graph.node_of_label g s_label in
+  match Graph.port_towards g s (Graph.node_of_label g next_label) with
+  | None -> Error (Not_adjacent (s_label, next_label))
+  | Some p -> residue g s p
+
 let protect g plan hops =
   let rec build acc = function
     | [] -> Ok (List.rev acc)
-    | (s_label, next_label) :: rest ->
-      let s = Graph.node_of_label g s_label in
-      let next = Graph.node_of_label g next_label in
-      (match Graph.port_towards g s next with
-       | None -> Error (Not_adjacent (s_label, next_label))
-       | Some p ->
-         let* r = residue g s p in
-         build (r :: acc) rest)
+    | hop :: rest ->
+      let* r = hop_residue g hop in
+      build (r :: acc) rest
   in
   let* extra = build [] hops in
   let residues = plan.residues @ extra in
   let* () = check_no_duplicates residues in
   encode_plan ~core_path:plan.core_path ~protection:(plan.protection @ hops) residues
 
-let raise_error e = invalid_arg (Format.asprintf "Route: %a" pp_error e)
+(* [protect] applied one hop at a time, without re-encoding per hop: a hop
+   is kept when its residue is valid and its switch ID is > 1 and coprime
+   with every modulus already in the plan (a repeated switch included),
+   which is everything [protect] checks; the kept residues are encoded
+   once. *)
+let protect_skipping g plan hops =
+  let rec select moduli kept extra = function
+    | [] -> (List.rev kept, List.rev extra)
+    | hop :: rest ->
+      (match hop_residue g hop with
+       | Ok r
+         when r.Rns.modulus > 1 && List.for_all (Rns.coprime r.Rns.modulus) moduli
+         ->
+         select (r.Rns.modulus :: moduli) (hop :: kept) (r :: extra) rest
+       | Ok _ | Error _ -> select moduli kept extra rest)
+  in
+  let moduli = List.map (fun r -> r.Rns.modulus) plan.residues in
+  match select moduli [] [] hops with
+  | [], _ -> plan
+  | kept, extra ->
+    (match
+       encode_plan ~core_path:plan.core_path ~protection:(plan.protection @ kept)
+         (plan.residues @ extra)
+     with
+     | Ok p -> p
+     | Error e -> raise_error e)
 
 let of_labels_exn g labels ~egress_label =
   match of_labels g labels ~egress_label with

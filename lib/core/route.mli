@@ -53,6 +53,15 @@ val of_labels : Topo.Graph.t -> int list -> egress_label:int -> (plan, error) re
     commutativity). *)
 val protect : Topo.Graph.t -> plan -> (int * int) list -> (plan, error) result
 
+(** [protect_skipping g plan hops] folds in each hop that {!protect} would
+    accept after the hops already kept, skips the others, and encodes the
+    route ID once.  A hop is skipped when its switch and next hop are not
+    adjacent, its switch is not a core switch, its port is [>=] the switch
+    ID, or the switch ID is [<= 1] or shares a factor with a switch already
+    in the plan (a repeated switch included).  Returns [plan] itself when
+    every hop is skipped. *)
+val protect_skipping : Topo.Graph.t -> plan -> (int * int) list -> plan
+
 (** [protect_exn], [of_labels_exn]: raising variants for scenario code
     where failure is a programming error. *)
 val of_labels_exn : Topo.Graph.t -> int list -> egress_label:int -> plan

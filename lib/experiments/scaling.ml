@@ -29,49 +29,20 @@ let scenario_for n =
   | [ src; dst ] -> (g, src, dst, diameter)
   | _ -> assert false
 
-let plan_bits g ~src ~dst ~members =
-  let plan =
-    Kar.Controller.route g ~src ~dst ~protection:[]
-  in
-  let dest_core =
-    match List.rev plan.Kar.Route.core_path with
-    | last :: _ -> last
-    | [] -> invalid_arg "Scaling: empty route"
-  in
-  let hops =
-    Kar.Protection.tree_hops g ~dest:dest_core (members plan.Kar.Route.core_path)
-  in
-  let hops =
-    List.filter
-      (fun (s, _) ->
-        not (List.mem s (List.map (Graph.label g) plan.Kar.Route.core_path)))
-      hops
-  in
-  (* fold hops one at a time, skipping any that conflict *)
-  let protected_plan =
-    List.fold_left
-      (fun acc hop ->
-        match Kar.Route.protect g acc [ hop ] with
-        | Ok plan -> plan
-        | Error _ -> acc)
-      plan hops
-  in
-  (plan.Kar.Route.bit_length, protected_plan.Kar.Route.bit_length)
+let plan_bits g ~src ~dst level =
+  (Kar.Controller.protected_route g ~src ~dst ~level).Kar.Route.bit_length
 
 (* Each network size is an independent unit (its own generated graph,
    seeded by [n]), so the sizes sweep in parallel on the domain pool. *)
 let run () =
   Util.Pool.run [| 16; 32; 64; 128; 256 |] ~f:(fun ~idx:_ n ->
       let g, src, dst, diameter = scenario_for n in
-      let radius1 path = Kar.Protection.off_path_members g ~path ~radius:1 in
-      let full path = Kar.Protection.full_members g ~path in
-      let unprotected, bits_radius1 = plan_bits g ~src ~dst ~members:radius1 in
-      let _, bits_full = plan_bits g ~src ~dst ~members:full in
+      let bits_full = plan_bits g ~src ~dst Kar.Controller.Full in
       {
         nodes = n;
         diameter;
-        bits_unprotected = unprotected;
-        bits_radius1;
+        bits_unprotected = plan_bits g ~src ~dst Kar.Controller.Unprotected;
+        bits_radius1 = plan_bits g ~src ~dst Kar.Controller.Partial;
         bits_full;
         fits_header = bits_full <= Wire.Header.max_route_bits;
       })
@@ -108,8 +79,7 @@ let multipath_to_string () =
         let g, src, dst, _ = scenario_for n in
         let plans = Kar.Controller.disjoint_plans g ~src ~dst ~k:3 in
         let bits = List.map (fun p -> p.Kar.Route.bit_length) plans in
-        let radius1 path = Kar.Protection.off_path_members g ~path ~radius:1 in
-        let _, protected_bits = plan_bits g ~src ~dst ~members:radius1 in
+        let protected_bits = plan_bits g ~src ~dst Kar.Controller.Partial in
         [
           string_of_int n;
           string_of_int (List.length plans);

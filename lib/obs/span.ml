@@ -4,7 +4,6 @@ type kind =
   | Epoch_invalidate
   | Verify_sweep
   | Snapshot
-  | Epoch
   | Scenario_event
 
 let kind_to_string = function
@@ -13,7 +12,6 @@ let kind_to_string = function
   | Epoch_invalidate -> "epoch-invalidate"
   | Verify_sweep -> "verify-sweep"
   | Snapshot -> "snapshot"
-  | Epoch -> "epoch"
   | Scenario_event -> "scenario-event"
 
 let tag_of_kind = function
@@ -22,8 +20,7 @@ let tag_of_kind = function
   | Epoch_invalidate -> 2
   | Verify_sweep -> 3
   | Snapshot -> 4
-  | Epoch -> 5
-  | Scenario_event -> 6
+  | Scenario_event -> 5
 
 let kind_of_tag = function
   | 0 -> Plan_compile
@@ -31,8 +28,7 @@ let kind_of_tag = function
   | 2 -> Epoch_invalidate
   | 3 -> Verify_sweep
   | 4 -> Snapshot
-  | 5 -> Epoch
-  | 6 -> Scenario_event
+  | 5 -> Scenario_event
   | t -> invalid_arg (Printf.sprintf "Span: bad tag %d" t)
 
 (* record layout: [0] kind u8 | [1..8] detail i64 LE | [9..16] t0 bits LE
@@ -84,7 +80,7 @@ let span_to_jsonl s =
 let summary t =
   let kinds =
     [ Plan_compile; Batch_dispatch; Epoch_invalidate; Verify_sweep; Snapshot;
-      Epoch; Scenario_event ]
+      Scenario_event ]
   in
   let spans = contents t in
   let rows =

@@ -15,9 +15,6 @@ type kind =
   | Epoch_invalidate  (** a cache epoch bump (instantaneous) *)
   | Verify_sweep  (** one verifier sweep unit *)
   | Snapshot  (** a metrics snapshot emission (instantaneous) *)
-  | Epoch
-      (** one conservative-simulation epoch: virtual interval a sharded
-          net ran between two region barriers; detail = epoch index *)
   | Scenario_event
       (** one scenario fail/repair event applied to a net
           ({!Kar_scenario}); detail = link id *)
@@ -31,7 +28,7 @@ type t
 val create : ?capacity:int -> unit -> t
 
 (** [record t kind ~t0 ~t1 ~detail] appends a span.  [detail] is a
-    kind-specific integer (batch size, epoch number, unit index, ...). *)
+    kind-specific integer (batch size, unit index, link id, ...). *)
 val record : t -> kind -> t0:float -> t1:float -> detail:int -> unit
 
 (** Total spans ever recorded (including overwritten ones). *)

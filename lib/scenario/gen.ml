@@ -112,41 +112,6 @@ let plan_links g (plan : Kar.Route.plan) =
          | l -> Some l.Graph.id))
     plan.Kar.Route.residues
 
-(* A protected plan on the surviving topology: shortest path over usable
-   links, then the level's protection members folded in one hop at a time
-   — the same construction the serving control plane uses, so the
-   adversary attacks exactly the dependency set a live replan would
-   install. *)
-let plan_under g ~usable ~src ~dst ~level =
-  match Kar.Controller.route ~usable g ~src ~dst ~protection:[] with
-  | exception Invalid_argument _ -> None
-  | base ->
-    (match level with
-     | Kar.Controller.Unprotected -> Some base
-     | Kar.Controller.Partial | Kar.Controller.Full ->
-       let path = base.Kar.Route.core_path in
-       let members =
-         match level with
-         | Kar.Controller.Partial ->
-           Kar.Protection.off_path_members g ~path ~radius:1
-         | _ -> Kar.Protection.full_members g ~path
-       in
-       (match List.rev path with
-        | [] -> Some base
-        | dest_core :: _ ->
-          let path_labels = List.map (Graph.label g) path in
-          let hops =
-            Kar.Protection.tree_hops g ~dest:dest_core members
-            |> List.filter (fun (s, _) -> not (List.mem s path_labels))
-          in
-          Some
-            (List.fold_left
-               (fun acc hop ->
-                 match Kar.Route.protect g acc [ hop ] with
-                 | Ok plan -> plan
-                 | Error _ -> acc)
-               base hops)))
-
 let default_pairs g =
   let edges =
     List.sort
@@ -186,9 +151,11 @@ let adversarial g ~pairs ~k ~period ~hold ~level ~horizon =
       in
       List.iter
         (fun (src, dst) ->
-          match plan_under g ~usable ~src ~dst ~level with
-          | None -> ()
-          | Some plan ->
+          (* the plan the serving control plane would install on the
+             surviving topology: the same [protected_route] call *)
+          match Kar.Controller.protected_route ~usable g ~src ~dst ~level with
+          | exception Invalid_argument _ -> ()
+          | plan ->
             (* every residue is a dependency (protection tree membership);
                links carrying the primary path weigh heavier — they are
                what the flow rides right now *)

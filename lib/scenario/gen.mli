@@ -15,7 +15,8 @@
     The adversarial model tracks [pairs] (default: every ordered
     edge-node pair by ascending labels, capped at 8): each decision
     round it replans every tracked pair on the surviving topology at the
-    spec's protection level, counts how many plan residues (primary path
+    spec's protection level with {!Kar.Controller.protected_route}, the
+    plan server's planner, counts how many plan residues (primary path
     and protection tree alike) cross each link, and greedily fails the
     highest-scoring links — ties broken by link id — subject to two
     invariants: at most [k] links down at once, and every tracked pair

@@ -109,43 +109,16 @@ let repair_link t l =
   Hashtbl.remove t.failed l;
   Cache.bump_epoch t.cache
 
-(* Plan for a key on the current topology view: shortest path avoiding
-   failed links, then the level's protection members folded in one hop at a
-   time (conflicting hops skipped), exactly as the offline experiments
-   build protected plans.  Protection trees are computed on the failure-
-   free graph — protection is a data-plane safety net whose liveness the
-   switches check themselves. *)
+(* Plan for a key on the current topology view: the controller's protected
+   route with the primary path over the surviving links. *)
 let plan_for t key =
-  let g = t.graph in
   let usable l = not (Hashtbl.mem t.failed l.Graph.id) in
-  match Kar.Controller.route ~usable g ~src:key.src ~dst:key.dst ~protection:[] with
+  match
+    Kar.Controller.protected_route ~usable t.graph ~src:key.src ~dst:key.dst
+      ~level:key.level
+  with
+  | plan -> Some plan
   | exception Invalid_argument _ -> None
-  | base ->
-    (match key.level with
-     | Kar.Controller.Unprotected -> Some base
-     | Kar.Controller.Partial | Kar.Controller.Full ->
-       let path = base.Kar.Route.core_path in
-       let members =
-         match key.level with
-         | Kar.Controller.Partial ->
-           Kar.Protection.off_path_members g ~path ~radius:1
-         | _ -> Kar.Protection.full_members g ~path
-       in
-       (match List.rev path with
-        | [] -> Some base
-        | dest_core :: _ ->
-          let path_labels = List.map (Graph.label g) path in
-          let hops =
-            Kar.Protection.tree_hops g ~dest:dest_core members
-            |> List.filter (fun (s, _) -> not (List.mem s path_labels))
-          in
-          Some
-            (List.fold_left
-               (fun acc hop ->
-                 match Kar.Route.protect g acc [ hop ] with
-                 | Ok plan -> plan
-                 | Error _ -> acc)
-               base hops)))
 
 let link_cause t action l =
   let link = Graph.link t.graph l in

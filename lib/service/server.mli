@@ -12,10 +12,10 @@
     storm and the hit ratio recovers as the cache refills against the new
     epoch.
 
-    Plans are computed with {!Kar.Controller.route} restricted to the
-    currently-failed link set, so post-failure plans route around known
-    failures; protection members and their tree hops are recomputed per plan
-    exactly as the offline experiments do.
+    Plans are computed with {!Kar.Controller.protected_route}, its primary
+    path restricted to the links not currently failed, so post-failure
+    plans route around known failures; the adversarial scenario and the
+    verifier plan with the same function.
 
     Every virtual timestamp in the run (arrivals, dispatches, completions)
     is independent of the real pool width, so reports and event streams are

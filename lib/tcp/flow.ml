@@ -15,30 +15,21 @@ type cc_algorithm =
 
 type config = {
   cc : cc_algorithm;
-  mss : int;
-  header_bytes : int;
-  initial_cwnd_segments : int;
-  initial_ssthresh_segments : int;
   max_window_segments : int;
-  rto_initial_s : float;
-  rto_min_s : float;
-  rto_max_s : float;
-  ack_bytes : int;
 }
 
-let default_config =
-  {
-    cc = Reno;
-    mss = 1460;
-    header_bytes = 40;
-    initial_cwnd_segments = 10;
-    initial_ssthresh_segments = 64;
-    max_window_segments = 256;
-    rto_initial_s = 1.0;
-    rto_min_s = 0.2;
-    rto_max_s = 60.0;
-    ack_bytes = 40;
-  }
+let default_config = { cc = Reno; max_window_segments = 256 }
+
+(* Fixed segment sizes and timer bounds. *)
+let mss = 1460 (* data bytes per segment *)
+let mssf = float_of_int mss
+let header_bytes = 40 (* L3/L4 header overhead per data packet *)
+let ack_bytes = 40 (* ACK packet size on the wire *)
+let initial_cwnd_segments = 10 (* RFC 6928-style initial window *)
+let initial_ssthresh_segments = 64
+let rto_initial_s = 1.0 (* before the first RTT sample *)
+let rto_min_s = 0.2
+let rto_max_s = 60.0 (* backoff ceiling *)
 
 type stats = {
   segments_sent : int;
@@ -152,14 +143,13 @@ let stats t =
   }
 
 let now t = Engine.now (Net.engine t.net)
-let mssf t = float_of_int t.config.mss
 
 let flight t = t.snd_nxt - t.snd_una
 
-let effective_rto t = Stdlib.min t.config.rto_max_s (t.rto_base *. t.backoff)
+let effective_rto t = Stdlib.min rto_max_s (t.rto_base *. t.backoff)
 
 let window_bytes t =
-  let rwnd = t.config.max_window_segments * t.config.mss in
+  let rwnd = t.config.max_window_segments * mss in
   min (int_of_float t.cwnd) rwnd
 
 (* --- wire --- *)
@@ -167,7 +157,7 @@ let window_bytes t =
 let emit_segment t ~seq ~retransmission =
   let packet =
     Net.alloc t.net ~src:t.src ~dst:t.dst
-      ~size_bytes:(t.config.mss + t.config.header_bytes)
+      ~size_bytes:(mss + header_bytes)
       ~route_id:t.fwd_route
       (Data { flow = t.flow_id; seq })
   in
@@ -175,7 +165,7 @@ let emit_segment t ~seq ~retransmission =
   if retransmission then begin
     t.retransmissions <- t.retransmissions + 1;
     t.undo_retrans <- t.undo_retrans + 1;
-    let gap = Stdlib.max 0 ((t.highest_sacked - seq) / t.config.mss) in
+    let gap = Stdlib.max 0 ((t.highest_sacked - seq) / mss) in
     Hashtbl.replace t.rexmit_log seq gap;
     (* Karn: a retransmitted segment yields no RTT sample. *)
     if t.timed_seq = Some seq then t.timed_seq <- None
@@ -201,10 +191,10 @@ let sack_blocks t =
       | [] -> (match current with None -> acc | Some b -> b :: acc)
       | seq :: rest ->
         (match current with
-         | None -> blocks acc (Some (seq, seq + t.config.mss)) rest
+         | None -> blocks acc (Some (seq, seq + mss)) rest
          | Some (lo, hi) ->
-           if seq + t.config.mss = lo then blocks acc (Some (seq, hi)) rest
-           else blocks ((lo, hi) :: acc) (Some (seq, seq + t.config.mss)) rest)
+           if seq + mss = lo then blocks acc (Some (seq, hi)) rest
+           else blocks ((lo, hi) :: acc) (Some (seq, seq + mss)) rest)
     in
     let all = List.rev (blocks [] None seqs) in
     let rec take n = function
@@ -215,7 +205,7 @@ let sack_blocks t =
 
 let emit_ack t ~ackno ~dsack =
   let packet =
-    Net.alloc t.net ~src:t.dst ~dst:t.src ~size_bytes:t.config.ack_bytes
+    Net.alloc t.net ~src:t.dst ~dst:t.src ~size_bytes:ack_bytes
       ~route_id:t.rev_route
       (Ack { flow = t.flow_id; ackno; sacks = sack_blocks t; dsack })
   in
@@ -229,16 +219,16 @@ let cubic_c = 0.4
 
 let on_window_reduction t =
   match t.config.cc with
-  | Reno -> Stdlib.max (float_of_int (flight t) /. 2.0) (2.0 *. mssf t)
+  | Reno -> Stdlib.max (float_of_int (flight t) /. 2.0) (2.0 *. mssf)
   | Cubic ->
-    t.cubic_wmax <- Stdlib.max t.cwnd (2.0 *. mssf t);
+    t.cubic_wmax <- Stdlib.max t.cwnd (2.0 *. mssf);
     t.cubic_epoch <- now t;
-    Stdlib.max (t.cwnd *. cubic_beta) (2.0 *. mssf t)
+    Stdlib.max (t.cwnd *. cubic_beta) (2.0 *. mssf)
 
 (* Congestion-avoidance growth for one ACK covering [newly_acked] bytes. *)
 let congestion_avoidance_growth t newly_acked =
   match t.config.cc with
-  | Reno -> mssf t *. float_of_int newly_acked /. t.cwnd
+  | Reno -> mssf *. float_of_int newly_acked /. t.cwnd
   | Cubic ->
     (* The cubic clock counts from the last window reduction; a flow that
        reaches congestion avoidance without any loss starts the clock at
@@ -248,19 +238,19 @@ let congestion_avoidance_growth t newly_acked =
       t.cubic_wmax <- t.cwnd
     end;
     (* W(t) = C (t - K)^3 + Wmax, windows in MSS units, t in seconds *)
-    let wmax = Stdlib.max t.cubic_wmax t.cwnd /. mssf t in
+    let wmax = Stdlib.max t.cubic_wmax t.cwnd /. mssf in
     let k = Float.cbrt (wmax *. (1.0 -. cubic_beta) /. cubic_c) in
     let elapsed = now t -. t.cubic_epoch in
     let target = (cubic_c *. ((elapsed -. k) ** 3.0)) +. wmax in
-    let cwnd_mss = t.cwnd /. mssf t in
+    let cwnd_mss = t.cwnd /. mssf in
     if target > cwnd_mss then
       (* close a fraction of the gap per acked window's worth of data *)
-      mssf t *. (target -. cwnd_mss) /. cwnd_mss
-        *. (float_of_int newly_acked /. mssf t)
+      mssf *. (target -. cwnd_mss) /. cwnd_mss
+        *. (float_of_int newly_acked /. mssf)
     else
       (* plateau: grow slowly (TCP-friendly region simplified to
          Reno-rate growth) *)
-      mssf t *. float_of_int newly_acked /. t.cwnd /. 8.0
+      mssf *. float_of_int newly_acked /. t.cwnd /. 8.0
 
 (* --- sender timer --- *)
 
@@ -284,7 +274,7 @@ and on_timeout t =
   if t.running && flight t > 0 then begin
     t.timeouts <- t.timeouts + 1;
     t.ssthresh <- on_window_reduction t;
-    t.cwnd <- mssf t;
+    t.cwnd <- mssf;
     t.dupacks <- 0;
     (* enter timeout recovery: everything outstanding is presumed lost and
        will be retransmitted cwnd-paced as ACKs return *)
@@ -303,9 +293,9 @@ and on_timeout t =
 let send_available t =
   if t.running then begin
     let budget = window_bytes t in
-    while flight t + t.config.mss <= budget do
+    while flight t + mss <= budget do
       emit_segment t ~seq:t.snd_nxt ~retransmission:false;
-      t.snd_nxt <- t.snd_nxt + t.config.mss
+      t.snd_nxt <- t.snd_nxt + mss
     done;
     if t.timer = None then arm_timer t
   end
@@ -323,8 +313,8 @@ let rtt_sample t sample =
     t.srtt <- (0.875 *. t.srtt) +. (0.125 *. sample)
   end;
   t.rto_base <-
-    Stdlib.min t.config.rto_max_s
-      (Stdlib.max t.config.rto_min_s (t.srtt +. (4.0 *. t.rttvar)))
+    Stdlib.min rto_max_s
+      (Stdlib.max rto_min_s (t.srtt +. (4.0 *. t.rttvar)))
 
 let take_rtt_sample t ~upto =
   match t.timed_seq with
@@ -346,7 +336,7 @@ let register_sacks t sacks =
           Hashtbl.replace t.sacked !seq ();
           if !seq > t.highest_sacked then t.highest_sacked <- !seq
         end;
-        seq := !seq + t.config.mss
+        seq := !seq + mss
       done)
     sacks
 
@@ -362,11 +352,11 @@ let learn_reordering_from_advance t upto =
          && (not (Hashtbl.mem t.rexmit_log !seq))
          && t.highest_sacked > !seq
       then begin
-        let extent = ((t.highest_sacked - !seq) / t.config.mss) + 1 in
+        let extent = ((t.highest_sacked - !seq) / mss) + 1 in
         if extent > t.dupthresh_dyn then
           t.dupthresh_dyn <- Stdlib.min dupthresh_cap extent
       end;
-      seq := !seq + t.config.mss
+      seq := !seq + mss
     done
   end
 
@@ -376,14 +366,14 @@ let clear_sacked_below t upto =
   while !seq < upto do
     Hashtbl.remove t.sacked !seq;
     Hashtbl.remove t.rexmitted_in_recovery !seq;
-    seq := !seq + t.config.mss
+    seq := !seq + mss
   done
 
 (* RFC 6675-style loss inference: a hole is lost once dupthresh segments
    above it have been SACKed. *)
 let snd_una_lost t =
   (not (Hashtbl.mem t.sacked t.snd_una))
-  && t.highest_sacked >= t.snd_una + (t.dupthresh_dyn * t.config.mss)
+  && t.highest_sacked >= t.snd_una + (t.dupthresh_dyn * mss)
 
 (* Retransmit the lowest hole in [snd_una, recover) not yet retransmitted
    during this recovery episode. *)
@@ -398,7 +388,7 @@ let retransmit_next_hole t =
       Hashtbl.replace t.rexmitted_in_recovery !seq ();
       emit_segment t ~seq:!seq ~retransmission:true
     end
-    else seq := !seq + t.config.mss
+    else seq := !seq + mss
   done;
   !found
 
@@ -418,7 +408,7 @@ let process_dsack t = function
        (* A confirmed spurious retransmission means tolerance must exceed
           the whole window in flight at that moment (Linux jumps its
           reordering metric to fackets_out on DSACK, not by one). *)
-       let window_extent = (flight t / t.config.mss) + 1 in
+       let window_extent = (flight t / mss) + 1 in
        t.dupthresh_dyn <-
          Stdlib.min dupthresh_cap
            (Stdlib.max t.dupthresh_dyn (Stdlib.max (gap + 1) window_extent));
@@ -461,7 +451,7 @@ let handle_ack t net ~ackno ~sacks ~dsack =
           t.snd_una <- ackno;
           t.cwnd <- Stdlib.min t.ssthresh (t.cwnd +. float_of_int newly_acked);
           let budget =
-            Stdlib.max 1 (int_of_float (t.cwnd /. mssf t) / 2)
+            Stdlib.max 1 (int_of_float (t.cwnd /. mssf) / 2)
           in
           let repaired = ref 0 in
           while !repaired < budget && retransmit_next_hole t do
@@ -474,8 +464,8 @@ let handle_ack t net ~ackno ~sacks ~dsack =
           t.snd_una <- ackno;
           ignore (retransmit_next_hole t);
           t.cwnd <-
-            Stdlib.max (mssf t)
-              (t.cwnd -. float_of_int newly_acked +. mssf t)
+            Stdlib.max (mssf)
+              (t.cwnd -. float_of_int newly_acked +. mssf)
         end
       end
       else begin
@@ -499,7 +489,7 @@ let handle_ack t net ~ackno ~sacks ~dsack =
       (* duplicate ACK *)
       t.dupacks_total <- t.dupacks_total + 1;
       if t.in_recovery then begin
-        t.cwnd <- t.cwnd +. mssf t;
+        t.cwnd <- t.cwnd +. mssf;
         ignore (retransmit_next_hole t);
         send_available t
       end
@@ -520,7 +510,7 @@ let handle_ack t net ~ackno ~sacks ~dsack =
           t.undo <- Some (prior_cwnd, prior_ssthresh);
           t.undo_retrans <- 0;
           emit_segment t ~seq:t.snd_una ~retransmission:true;
-          t.cwnd <- t.ssthresh +. (3.0 *. mssf t);
+          t.cwnd <- t.ssthresh +. (3.0 *. mssf);
           send_available t
         end
       end
@@ -532,20 +522,20 @@ let handle_ack t net ~ackno ~sacks ~dsack =
 
 let handle_data t net ~seq =
   let duplicate = seq < t.rcv_nxt || Hashtbl.mem t.ooo seq in
-  if duplicate then emit_ack t ~ackno:t.rcv_nxt ~dsack:(Some (seq, seq + t.config.mss))
+  if duplicate then emit_ack t ~ackno:t.rcv_nxt ~dsack:(Some (seq, seq + mss))
   else if seq > t.rcv_nxt then begin
     t.reorder_events <- t.reorder_events + 1;
-    let gap = (seq - t.rcv_nxt) / t.config.mss in
+    let gap = (seq - t.rcv_nxt) / mss in
     if gap > t.max_reorder_gap then t.max_reorder_gap <- gap;
     Hashtbl.replace t.ooo seq ()
   end
   else begin
     (* seq = rcv_nxt: in-order delivery *)
     let before = t.rcv_nxt in
-    t.rcv_nxt <- t.rcv_nxt + t.config.mss;
+    t.rcv_nxt <- t.rcv_nxt + mss;
     while Hashtbl.mem t.ooo t.rcv_nxt do
       Hashtbl.remove t.ooo t.rcv_nxt;
-      t.rcv_nxt <- t.rcv_nxt + t.config.mss
+      t.rcv_nxt <- t.rcv_nxt + mss
     done;
     let delivered = t.rcv_nxt - before in
     t.bytes_delivered <- t.bytes_delivered + delivered;
@@ -570,15 +560,15 @@ let start ~net ~id ~src ~dst ~fwd_route ~rev_route ?(config = default_config)
       running = true;
       snd_una = 0;
       snd_nxt = 0;
-      cwnd = float_of_int (config.initial_cwnd_segments * config.mss);
-      ssthresh = float_of_int (config.initial_ssthresh_segments * config.mss);
+      cwnd = float_of_int (initial_cwnd_segments * mss);
+      ssthresh = float_of_int (initial_ssthresh_segments * mss);
       dupacks = 0;
       in_recovery = false;
       recovery_via_rto = false;
       recover = 0;
       srtt = 0.0;
       rttvar = 0.0;
-      rto_base = config.rto_initial_s;
+      rto_base = rto_initial_s;
       backoff = 1.0;
       have_rtt_sample = false;
       timer = None;

@@ -29,17 +29,13 @@ type cc_algorithm =
   | Reno
   | Cubic
 
+(** Segments carry 1460 data bytes plus 40 header bytes and ACKs are 40
+    bytes; a flow starts with a 10-segment window and a 64-segment
+    slow-start threshold; the RTO starts at 1 s and stays within
+    [0.2, 60] s. *)
 type config = {
   cc : cc_algorithm; (** default [Reno] *)
-  mss : int; (** data bytes per segment (default 1460) *)
-  header_bytes : int; (** L3/L4 header overhead per packet (default 40) *)
-  initial_cwnd_segments : int; (** RFC 6928-style initial window (10) *)
-  initial_ssthresh_segments : int; (** slow-start threshold at start (64) *)
   max_window_segments : int; (** receiver window cap (256) *)
-  rto_initial_s : float; (** before the first RTT sample (1.0) *)
-  rto_min_s : float; (** lower bound on the RTO (0.2) *)
-  rto_max_s : float; (** backoff ceiling (60.0) *)
-  ack_bytes : int; (** ACK packet size on the wire (40) *)
 }
 
 val default_config : config

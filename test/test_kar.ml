@@ -377,6 +377,63 @@ let test_next_hop_matches_residues () =
         (Kar.Route.port_at plan ~switch_id:r.Rns.modulus))
     plan.Kar.Route.residues
 
+(* The reference for [Route.protect_skipping]: one [Route.protect] call per
+   hop, a hop skipped when that call rejects it. *)
+let fold_protect g base hops =
+  List.fold_left
+    (fun acc hop ->
+      match Kar.Route.protect g acc [ hop ] with Ok p -> p | Error _ -> acc)
+    base hops
+
+(* A core SW5-SW7 between hosts 1001 and 1002, with neighbours whose hops
+   [Route.protect] rejects for every reason it has: SW15 shares a factor
+   with SW5 and SW9, SW1's ID is too small, SW2's third port (to SW7) is
+   unencodable, and SW4 shares a factor with SW2. *)
+let awkward_graph () =
+  let b = Graph.Builder.create () in
+  let node ?(kind = Graph.Core) l = Graph.Builder.add_node b ~kind l in
+  let h1 = node ~kind:Graph.Edge 1001 in
+  let h2 = node ~kind:Graph.Edge 1002 in
+  let sw = Array.map node [| 5; 7; 9; 15; 1; 2; 4 |] in
+  let link a c = ignore (Graph.Builder.add_link b a c) in
+  link h1 sw.(0);
+  link sw.(0) sw.(1);
+  link sw.(1) h2;
+  List.iter
+    (fun (i, j) -> link sw.(i) sw.(j))
+    [ (2, 0); (2, 1); (3, 0); (3, 1); (4, 1); (5, 0); (5, 2); (5, 1); (6, 2); (6, 3) ];
+  (Graph.Builder.finish b, h1, h2)
+
+(* Random hop lists over every label pair, adjacent or not, edge nodes and
+   path switches included. *)
+let prop_protect_skipping_matches_fold =
+  let g, src, dst = awkward_graph () in
+  let base = Kar.Controller.route g ~src ~dst ~protection:[] in
+  let labels = Array.init (Graph.n_nodes g) (Graph.label g) in
+  let n = Array.length labels in
+  let hop =
+    QCheck2.Gen.(
+      map3
+        (fun adjacent a k ->
+          let v = Graph.node_of_label g labels.(a) in
+          let next =
+            if adjacent then
+              List.nth (Graph.neighbors g v) (k mod Graph.degree g v)
+            else Graph.node_of_label g labels.(k mod n)
+          in
+          (labels.(a), Graph.label g next))
+        bool (int_bound (n - 1)) (int_bound 16))
+  in
+  qtest ~count:500 "protect_skipping = per-hop protect fold"
+    QCheck2.Gen.(list_size (int_bound 10) hop)
+    (fun hops ->
+      let got = Kar.Route.protect_skipping g base hops in
+      let want = fold_protect g base hops in
+      Z.equal got.Kar.Route.route_id want.Kar.Route.route_id
+      && got.Kar.Route.residues = want.Kar.Route.residues
+      && got.Kar.Route.protection = want.Kar.Route.protection
+      && Kar.Route.verify got = [])
+
 (* --- Protection --- *)
 
 let test_tree_hops_reach_dest () =
@@ -684,6 +741,140 @@ let test_controller_route_follows_shortest () =
   (* shortest AS1 -> AS3 is via the primary 10-7-13-29 (4 core hops) *)
   Alcotest.(check int) "4 switches" 4 (List.length plan.Kar.Route.residues)
 
+(* --- One protection recipe --- *)
+
+(* The reference for [Controller.protected_route]: the level's tree hops
+   through [fold_protect]. *)
+let reference_protected ?usable g ~src ~dst ~level =
+  let base = Kar.Controller.route ?usable g ~src ~dst ~protection:[] in
+  let path = base.Kar.Route.core_path in
+  let members =
+    match level with
+    | Kar.Controller.Unprotected -> []
+    | Kar.Controller.Partial -> Kar.Protection.off_path_members g ~path ~radius:1
+    | Kar.Controller.Full -> Kar.Protection.full_members g ~path
+  in
+  let dest = List.nth path (List.length path - 1) in
+  fold_protect g base (Kar.Protection.tree_hops g ~dest members)
+
+(* What the recipes must agree on, or None when planning raised. *)
+let plan_outcome f =
+  match f () with
+  | exception Invalid_argument _ -> None
+  | p ->
+    Some
+      ( Z.to_string p.Kar.Route.route_id,
+        List.map (fun r -> (r.Rns.modulus, r.Rns.value)) p.Kar.Route.residues,
+        p.Kar.Route.protection )
+
+let test_protected_route_matches_fold () =
+  List.iter
+    (fun (name, g) ->
+      let edges = Graph.edge_nodes g in
+      let pairs =
+        List.concat_map
+          (fun src ->
+            List.filter_map
+              (fun dst -> if src = dst then None else Some (src, dst))
+              edges)
+          edges
+      in
+      (* a core link on some pair's primary path *)
+      let dropped =
+        List.find_map
+          (fun (src, dst) ->
+            let plan = Kar.Controller.route g ~src ~dst ~protection:[] in
+            List.nth_opt (Topo.Paths.path_links g plan.Kar.Route.core_path) 0)
+          pairs
+        |> Option.get
+      in
+      let sweep view usable =
+        let outcomes =
+          List.concat_map
+            (fun (src, dst) ->
+              List.map
+                (fun level ->
+                  let got =
+                    plan_outcome (fun () ->
+                        Kar.Controller.protected_route ?usable g ~src ~dst ~level)
+                  in
+                  let want =
+                    plan_outcome (fun () ->
+                        reference_protected ?usable g ~src ~dst ~level)
+                  in
+                  let case =
+                    Printf.sprintf "%d->%d %s" (Graph.label g src)
+                      (Graph.label g dst) (Kar.Controller.level_to_string level)
+                  in
+                  (case, got, want))
+                Kar.Controller.all_levels)
+            pairs
+        in
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s, %s: protected_route = per-hop fold" name view)
+          []
+          (List.filter_map
+             (fun (case, got, want) -> if got = want then None else Some case)
+             outcomes);
+        Alcotest.(check bool) (name ^ ", " ^ view ^ ": pairs planned") true
+          (List.exists (fun (_, got, _) -> got <> None) outcomes);
+        List.map (fun (_, got, _) -> got) outcomes
+      in
+      let all = sweep "all links" None in
+      let degraded =
+        sweep "one core link down" (Some (fun l -> l.Graph.id <> dropped))
+      in
+      (* the dropped link moves some primary path, so ~usable is exercised *)
+      Alcotest.(check bool) (name ^ ": dropping a link changes a plan") true
+        (all <> degraded))
+    [ ("net15", Nets.net15.Nets.graph);
+      ("rnp28", Nets.rnp28.Nets.graph);
+      ("gen:16", Experiments.Service.testbed ~n_core:16 ()) ]
+
+(* A labelling whose only problem is advisory: SW2 (ID 2) has a third
+   port, which no residue modulo 2 can name.  Core line SW7-SW11-SW13
+   between hosts 1001 and 1002; SW2 links to SW7, SW11 and SW13 in that
+   order (its hop to SW13 is port 2); SW3 links to SW7 and SW13. *)
+let advisory_graph () =
+  let b = Graph.Builder.create () in
+  let node ?(kind = Graph.Core) l = Graph.Builder.add_node b ~kind l in
+  let h1 = node ~kind:Graph.Edge 1001 in
+  let h2 = node ~kind:Graph.Edge 1002 in
+  let sw7 = node 7 in
+  let sw11 = node 11 in
+  let sw13 = node 13 in
+  let sw2 = node 2 in
+  let sw3 = node 3 in
+  List.iter
+    (fun (a, c) -> ignore (Graph.Builder.add_link b a c))
+    [ (h1, sw7); (sw7, sw11); (sw11, sw13); (sw13, h2);
+      (sw2, sw7); (sw2, sw11); (sw2, sw13);
+      (sw3, sw7); (sw3, sw13) ];
+  (Graph.Builder.finish b, h1, h2)
+
+let test_protected_route_advisory_labels () =
+  let g, src, dst = advisory_graph () in
+  Alcotest.(check bool) "only the advisory port issue" true
+    (Kar.Ids.validate_issues g = [ Kar.Ids.Port_unencodable { id = 2; degree = 3 } ]);
+  let plan =
+    Kar.Controller.protected_route g ~src ~dst ~level:Kar.Controller.Partial
+  in
+  Alcotest.(check (list int)) "primary SW7-SW11-SW13" [ 7; 11; 13 ]
+    (List.map (Graph.label g) plan.Kar.Route.core_path);
+  (* SW2's hop to SW13 is skipped, SW3's is kept *)
+  Alcotest.(check (list (pair int int))) "protection" [ (3, 13) ]
+    plan.Kar.Route.protection;
+  Alcotest.(check int) "residues recovered" 0
+    (List.length (Kar.Route.verify plan));
+  let server = Kar_service.Server.create ~graph:g () in
+  let report =
+    Kar_service.Server.run server
+      [| { Kar_service.Workload.seq = 0; arrival = 0.0; src; dst;
+           level = Kar.Controller.Partial; policy = Kar.Policy.Not_input_port } |]
+  in
+  Alcotest.(check int) "server planned it" 1 report.Kar_service.Server.planned;
+  Alcotest.(check int) "server routed it" 0 report.Kar_service.Server.unroutable
+
 (* --- Walk vs Markov agreement --- *)
 
 let walk_matches_markov sc level policy fidx =
@@ -915,6 +1106,7 @@ let () =
           Alcotest.test_case "error paths" `Quick test_route_errors;
           Alcotest.test_case "verify catches corruption" `Quick test_route_verify_catches_mismatch;
           Alcotest.test_case "next_hop matches residues" `Quick test_next_hop_matches_residues;
+          prop_protect_skipping_matches_fold;
         ] );
       ( "protection",
         [
@@ -944,6 +1136,10 @@ let () =
           Alcotest.test_case "disjoint plans" `Quick test_disjoint_plans;
           Alcotest.test_case "disjoint plans survive each other" `Quick
             test_disjoint_plans_survive_each_other;
+          Alcotest.test_case "protected route = per-hop fold" `Quick
+            test_protected_route_matches_fold;
+          Alcotest.test_case "protected route skips advisory-label hops" `Quick
+            test_protected_route_advisory_labels;
         ] );
       ( "analysis",
         [
