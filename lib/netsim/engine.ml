@@ -1,123 +1,278 @@
+type arrival = Packet.t -> int -> unit
+
+(* An event handle is one immediate int: the slot in the low [slot_bits],
+   the slot's generation above it, and the engine's id on top. *)
+type event = int
+
+let slot_bits = 24
+let gen_bits = 26
+let id_bits = 12
+let slot_mask = (1 lsl slot_bits) - 1
+let gen_mask = (1 lsl gen_bits) - 1
+let id_mask = (1 lsl id_bits) - 1
+
+(* What a queued slot holds. *)
+let k_thunk = 0
+let k_arrival = 1
+let k_cancelled = 2
+
 type t = {
-  mutable heap : event array;
+  (* The heap: entry [i]'s ordering keys and slot, in heap order.  All
+     five arrays share one capacity. *)
+  mutable time : float array;
+  mutable sched : float array; (* clock at scheduling time *)
+  mutable sched2 : float array; (* the scheduling event's own [sched] *)
+  mutable seq : int array;
+  mutable slot : int array;
   mutable size : int;
-  mutable clock : float;
+  (* Slots.  A queued event owns one slot, so the free list is empty
+     exactly when the heap is full.  [kind], [gen] and [next_free] share
+     the heap's capacity; the payload arrays grow on first use, filled
+     with the value at hand, so no dummy packet or closure is needed.  A
+     freed slot keeps its last arrival (a per-channel handler and a
+     packet) until reused. *)
+  mutable kind : int array;
+  mutable gen : int array;
+  mutable next_free : int array;
+  mutable free : int; (* free-list head, -1 when empty *)
+  mutable thunk : (unit -> unit) array;
+  mutable arrival : arrival array;
+  mutable packet : Packet.t array;
+  mutable tag : int array; (* the int handed to the arrival *)
+  id : int;
+  mutable clock : float; (* boxed: [now] hands out this box *)
+  cur : float array; (* [| sched; sched2 |] of the executing event *)
   mutable next_seq : int;
   mutable stopped : bool;
   mutable done_count : int;
   mutable cancelled_in_heap : int;
   mutable heap_peak : int;
-  mutable cur_sched : float;
-  mutable cur_sched2 : float;
 }
 
-and event = {
-  time : float;
-  sched : float; (* clock at scheduling time: the determinism key *)
-  sched2 : float; (* the scheduling event's own [sched] — one causal level
-                     deeper, for ties where [sched] alone is ambiguous *)
-  seq : int;
-  fn : unit -> unit;
-  mutable cancelled : bool;
-  mutable queued : bool;
-  owner : t;
-}
+let next_id = Atomic.make 0
 
 let create () =
   {
-    heap = [||];
+    time = [||];
+    sched = [||];
+    sched2 = [||];
+    seq = [||];
+    slot = [||];
     size = 0;
+    kind = [||];
+    gen = [||];
+    next_free = [||];
+    free = -1;
+    thunk = [||];
+    arrival = [||];
+    packet = [||];
+    tag = [||];
+    id = Atomic.fetch_and_add next_id 1 land id_mask;
     clock = 0.0;
+    cur = [| 0.0; 0.0 |];
     next_seq = 0;
     stopped = false;
     done_count = 0;
     cancelled_in_heap = 0;
     heap_peak = 0;
-    cur_sched = 0.0;
-    cur_sched2 = 0.0;
   }
 
 let now e = e.clock
 
-(* Events fire in (time, sched, seq) order.  Within one engine the clock
-   never regresses and everything is scheduled at the current clock, so
-   [sched] is monotone in [seq] and this order equals the classic
-   (time, seq) FIFO.  The extra key matters when several region engines
-   are merged: ties between a locally-scheduled event and a
-   cross-region arrival then resolve by *scheduling time* — the same
-   order the serial engine's global seq would have produced. *)
-let before a b =
-  a.time < b.time
-  || (a.time = b.time
-      && (a.sched < b.sched
-          || (a.sched = b.sched
-              && (a.sched2 < b.sched2
-                  || (a.sched2 = b.sched2 && a.seq < b.seq)))))
+(* Events fire in (time, sched, sched2, seq) order.  Within one engine the
+   clock never regresses and everything is scheduled at the current clock,
+   so [sched] is monotone in [seq] and this order equals the classic
+   (time, seq) FIFO.  The extra keys matter when several region engines
+   are merged: ties between a locally-scheduled event and a cross-region
+   arrival then resolve by *scheduling time* — the same order the serial
+   engine's global seq would have produced.  [seq] is unique, so the
+   order is total and any valid heap fires the same sequence. *)
+let[@inline] key_before e t s s2 q j =
+  let tj = Array.unsafe_get e.time j in
+  t < tj
+  || t = tj
+     &&
+     let sj = Array.unsafe_get e.sched j in
+     s < sj
+     || s = sj
+        &&
+        let s2j = Array.unsafe_get e.sched2 j in
+        s2 < s2j || (s2 = s2j && q < Array.unsafe_get e.seq j)
 
-let swap e i j =
-  let tmp = e.heap.(i) in
-  e.heap.(i) <- e.heap.(j);
-  e.heap.(j) <- tmp
+let[@inline] entry_before e i j =
+  key_before e (Array.unsafe_get e.time i) (Array.unsafe_get e.sched i)
+    (Array.unsafe_get e.sched2 i) (Array.unsafe_get e.seq i) j
 
+let[@inline] move e ~src ~dst =
+  Array.unsafe_set e.time dst (Array.unsafe_get e.time src);
+  Array.unsafe_set e.sched dst (Array.unsafe_get e.sched src);
+  Array.unsafe_set e.sched2 dst (Array.unsafe_get e.sched2 src);
+  Array.unsafe_set e.seq dst (Array.unsafe_get e.seq src);
+  Array.unsafe_set e.slot dst (Array.unsafe_get e.slot src)
+
+(* Sift the entry at [start] down to its place, moving the hole instead
+   of swapping. *)
 let sift_down e start =
+  let t = Array.unsafe_get e.time start
+  and s = Array.unsafe_get e.sched start
+  and s2 = Array.unsafe_get e.sched2 start
+  and q = Array.unsafe_get e.seq start
+  and sl = Array.unsafe_get e.slot start in
   let i = ref start and continue = ref true in
   while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let first = ref !i in
-    if l < e.size && before e.heap.(l) e.heap.(!first) then first := l;
-    if r < e.size && before e.heap.(r) e.heap.(!first) then first := r;
-    if !first = !i then continue := false
+    let l = (2 * !i) + 1 in
+    if l >= e.size then continue := false
     else begin
-      swap e !i !first;
-      i := !first
+      let r = l + 1 in
+      let c = if r < e.size && entry_before e r l then r else l in
+      if key_before e t s s2 q c then continue := false
+      else begin
+        move e ~src:c ~dst:!i;
+        i := c
+      end
     end
-  done
+  done;
+  let i = !i in
+  Array.unsafe_set e.time i t;
+  Array.unsafe_set e.sched i s;
+  Array.unsafe_set e.sched2 i s2;
+  Array.unsafe_set e.seq i q;
+  Array.unsafe_set e.slot i sl
 
-let push e ev =
-  if e.size = Array.length e.heap then begin
-    let bigger = Array.make (max 64 (2 * e.size)) ev in
-    Array.blit e.heap 0 bigger 0 e.size;
-    e.heap <- bigger
+let grow a cap x =
+  let b = Array.make cap x in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Hand out a free slot, doubling the capacity when the heap is full. *)
+let claim e =
+  if e.free < 0 then begin
+    let old = Array.length e.seq in
+    if old > slot_mask then
+      failwith
+        (Printf.sprintf "Engine: more than %d events queued" (slot_mask + 1));
+    let cap = min (max 64 (2 * old)) (slot_mask + 1) in
+    e.time <- grow e.time cap 0.0;
+    e.sched <- grow e.sched cap 0.0;
+    e.sched2 <- grow e.sched2 cap 0.0;
+    e.seq <- grow e.seq cap 0;
+    e.slot <- grow e.slot cap 0;
+    e.kind <- grow e.kind cap 0;
+    e.gen <- grow e.gen cap 0;
+    e.next_free <- grow e.next_free cap 0;
+    for s = cap - 1 downto old do
+      Array.unsafe_set e.next_free s e.free;
+      e.free <- s
+    done
   end;
-  e.heap.(e.size) <- ev;
+  let s = e.free in
+  e.free <- Array.unsafe_get e.next_free s;
+  s
+
+(* A slot leaves the heap: bump its generation so outstanding handles go
+   stale, and push it on the free list. *)
+let release e s =
+  Array.unsafe_set e.gen s ((Array.unsafe_get e.gen s + 1) land gen_mask);
+  Array.unsafe_set e.next_free s e.free;
+  e.free <- s
+
+let nop () = ()
+
+let set_thunk e s f =
+  if s >= Array.length e.thunk then
+    e.thunk <- grow e.thunk (Array.length e.seq) f;
+  Array.unsafe_set e.kind s k_thunk;
+  Array.unsafe_set e.thunk s f
+
+let set_arrival e s h p tag =
+  if s >= Array.length e.packet then begin
+    let cap = Array.length e.seq in
+    e.arrival <- grow e.arrival cap h;
+    e.packet <- grow e.packet cap p;
+    e.tag <- grow e.tag cap 0
+  end;
+  Array.unsafe_set e.kind s k_arrival;
+  Array.unsafe_set e.arrival s h;
+  Array.unsafe_set e.packet s p;
+  Array.unsafe_set e.tag s tag
+
+(* Insert slot [sl] under key (time, sched, sched2, next seq), sifting the
+   hole up.  Inlined into every entry point so the float keys stay
+   unboxed. *)
+let[@inline] enqueue e time sched sched2 sl =
+  let q = e.next_seq in
+  e.next_seq <- q + 1;
   let i = ref e.size in
   e.size <- e.size + 1;
   if e.size > e.heap_peak then e.heap_peak <- e.size;
-  while !i > 0 && before e.heap.(!i) e.heap.((!i - 1) / 2) do
-    swap e ((!i - 1) / 2) !i;
-    i := (!i - 1) / 2
-  done
+  let continue = ref true in
+  while !continue && !i > 0 do
+    let p = (!i - 1) / 2 in
+    if key_before e time sched sched2 q p then begin
+      move e ~src:p ~dst:!i;
+      i := p
+    end
+    else continue := false
+  done;
+  let i = !i in
+  Array.unsafe_set e.time i time;
+  Array.unsafe_set e.sched i sched;
+  Array.unsafe_set e.sched2 i sched2;
+  Array.unsafe_set e.seq i q;
+  Array.unsafe_set e.slot i sl
 
-let pop e =
-  if e.size = 0 then None
-  else begin
-    let top = e.heap.(0) in
-    e.size <- e.size - 1;
-    e.heap.(0) <- e.heap.(e.size);
-    sift_down e 0;
-    top.queued <- false;
-    if top.cancelled then e.cancelled_in_heap <- e.cancelled_in_heap - 1;
-    Some top
-  end
+let handle e s =
+  (e.id lsl (slot_bits + gen_bits))
+  lor (Array.unsafe_get e.gen s lsl slot_bits)
+  lor s
 
-let schedule_keyed e ~time ~sched ~sched2 f =
-  let ev =
-    { time; sched; sched2; seq = e.next_seq; fn = f; cancelled = false;
-      queued = true; owner = e }
-  in
-  e.next_seq <- e.next_seq + 1;
-  push e ev;
-  ev
+(* The two keyed entry points are inlined into the others, so their float
+   arguments are never boxed inside this module. *)
+let[@inline] schedule_keyed e ~time ~sched ~sched2 f =
+  if Float.is_nan time then invalid_arg "Engine: event time is NaN";
+  let s = claim e in
+  set_thunk e s f;
+  enqueue e time sched sched2 s;
+  handle e s
+
+let[@inline] schedule_arrival_keyed e ~time ~sched ~sched2 h p tag =
+  if Float.is_nan time then invalid_arg "Engine: event time is NaN";
+  let s = claim e in
+  set_arrival e s h p tag;
+  enqueue e time sched sched2 s
 
 let schedule_at e t f =
   if t < e.clock then
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: time %g is before now (%g)" t e.clock);
-  schedule_keyed e ~time:t ~sched:e.clock ~sched2:e.cur_sched f
+  schedule_keyed e ~time:t ~sched:e.clock ~sched2:(Array.unsafe_get e.cur 0) f
+
+let check_delay fn dt =
+  if not (dt >= 0.0) then
+    invalid_arg
+      (if Float.is_nan dt then fn ^ ": delay is NaN" else fn ^ ": negative delay")
 
 let schedule_in e dt f =
-  if dt < 0.0 then invalid_arg "Engine.schedule_in: negative delay";
-  schedule_at e (e.clock +. dt) f
+  check_delay "Engine.schedule_in" dt;
+  schedule_keyed e ~time:(e.clock +. dt) ~sched:e.clock
+    ~sched2:(Array.unsafe_get e.cur 0) f
+
+let schedule_arrival e dt h p tag =
+  check_delay "Engine.schedule_arrival" dt;
+  schedule_arrival_keyed e ~time:(e.clock +. dt) ~sched:e.clock
+    ~sched2:(Array.unsafe_get e.cur 0) h p tag
+
+(* Remove the heap top and return its slot (the caller reads its keys
+   first). *)
+let pop_top e =
+  let s = Array.unsafe_get e.slot 0 in
+  let n = e.size - 1 in
+  e.size <- n;
+  if n > 0 then begin
+    move e ~src:n ~dst:0;
+    sift_down e 0
+  end;
+  s
 
 (* Only purge heaps worth the O(n) rebuild; tiny heaps just pop the
    cancellations out. *)
@@ -128,9 +283,10 @@ let purge_min_size = 64
 let purge e =
   let live = ref 0 in
   for i = 0 to e.size - 1 do
-    let ev = e.heap.(i) in
-    if not ev.cancelled then begin
-      e.heap.(!live) <- ev;
+    let s = Array.unsafe_get e.slot i in
+    if Array.unsafe_get e.kind s = k_cancelled then release e s
+    else begin
+      if !live <> i then move e ~src:i ~dst:!live;
       incr live
     end
   done;
@@ -140,32 +296,61 @@ let purge e =
     sift_down e i
   done
 
-let cancel ev =
-  if not ev.cancelled then begin
-    ev.cancelled <- true;
-    if ev.queued then begin
-      let e = ev.owner in
-      e.cancelled_in_heap <- e.cancelled_in_heap + 1;
-      (* Long runs accumulate cancelled retransmit timers that bloat the
-         heap and slow every sift; drop them all once they outnumber the
-         live events. *)
-      if e.size >= purge_min_size && e.cancelled_in_heap > e.size / 2 then
-        purge e
-    end
+let cancel e ev =
+  if ev lsr (slot_bits + gen_bits) <> e.id then
+    invalid_arg "Engine.cancel: the event belongs to another engine";
+  let s = ev land slot_mask in
+  (* ids wrap after 2^12 engines, so bound the slot before reading it *)
+  if
+    s < Array.length e.gen
+    && Array.unsafe_get e.gen s = (ev lsr slot_bits) land gen_mask
+    && Array.unsafe_get e.kind s = k_thunk
+  then begin
+    Array.unsafe_set e.kind s k_cancelled;
+    Array.unsafe_set e.thunk s nop;
+    e.cancelled_in_heap <- e.cancelled_in_heap + 1;
+    (* Long runs accumulate cancelled retransmit timers that bloat the
+       heap and slow every sift; drop them all once they outnumber the
+       live events. *)
+    if e.size >= purge_min_size && e.cancelled_in_heap > e.size / 2 then
+      purge e
   end
 
 let step e =
-  match pop e with
-  | None -> false
-  | Some ev ->
-    if not ev.cancelled then begin
-      e.clock <- ev.time;
-      e.cur_sched <- ev.sched;
-      e.cur_sched2 <- ev.sched2;
+  if e.size = 0 then false
+  else begin
+    let time = Array.unsafe_get e.time 0
+    and sched = Array.unsafe_get e.sched 0
+    and sched2 = Array.unsafe_get e.sched2 0 in
+    let s = pop_top e in
+    let kind = Array.unsafe_get e.kind s in
+    if kind = k_cancelled then begin
+      e.cancelled_in_heap <- e.cancelled_in_heap - 1;
+      release e s
+    end
+    else begin
+      e.clock <- time;
+      Array.unsafe_set e.cur 0 sched;
+      Array.unsafe_set e.cur 1 sched2;
       e.done_count <- e.done_count + 1;
-      ev.fn ()
+      (* The slot is free before the payload runs, so the events it
+         schedules can reuse it. *)
+      if kind = k_thunk then begin
+        let f = Array.unsafe_get e.thunk s in
+        Array.unsafe_set e.thunk s nop;
+        release e s;
+        f ()
+      end
+      else begin
+        let h = Array.unsafe_get e.arrival s
+        and p = Array.unsafe_get e.packet s
+        and a = Array.unsafe_get e.tag s in
+        release e s;
+        h p a
+      end
     end;
     true
+  end
 
 let run e =
   e.stopped <- false;
@@ -174,44 +359,42 @@ let run e =
   done
 
 let run_until e t =
+  if Float.is_nan t then invalid_arg "Engine.run_until: time is NaN";
   e.stopped <- false;
-  let continue = ref true in
-  while !continue && not e.stopped do
-    match e.size with
-    | 0 -> continue := false
-    | _ ->
-      if e.heap.(0).time > t then continue := false
-      else ignore (step e)
+  while (not e.stopped) && e.size > 0 && Array.unsafe_get e.time 0 <= t do
+    ignore (step e)
   done;
-  if not e.stopped then e.clock <- max e.clock t
+  if (not e.stopped) && not (e.clock >= t) then e.clock <- t
 
 (* Epoch half of [run_until]: strictly-before the horizon, and the clock
    is left on the last event run — the caller advances it explicitly
    with [advance_clock] once the whole barrier has committed. *)
 let run_before e t =
-  let continue = ref true in
-  while !continue do
-    match e.size with
-    | 0 -> continue := false
-    | _ ->
-      if e.heap.(0).time >= t then continue := false
-      else ignore (step e)
+  if Float.is_nan t then invalid_arg "Engine.run_before: time is NaN";
+  while e.size > 0 && Array.unsafe_get e.time 0 < t do
+    ignore (step e)
   done
 
 let next_time e =
   (* Skim cancelled tops so an all-cancelled heap reads as idle. *)
-  while e.size > 0 && e.heap.(0).cancelled do
-    ignore (pop e)
+  while
+    e.size > 0
+    && Array.unsafe_get e.kind (Array.unsafe_get e.slot 0) = k_cancelled
+  do
+    let s = pop_top e in
+    e.cancelled_in_heap <- e.cancelled_in_heap - 1;
+    release e s
   done;
-  if e.size = 0 then None else Some e.heap.(0).time
+  if e.size = 0 then None else Some e.time.(0)
 
 let advance_clock e t = if t > e.clock then e.clock <- t
 
-let sched_now e = e.cur_sched
-let sched2_now e = e.cur_sched2
+let sched_now e = e.cur.(0)
+let sched2_now e = e.cur.(1)
+
 let set_context_sched e ~sched ~sched2 =
-  e.cur_sched <- sched;
-  e.cur_sched2 <- sched2
+  e.cur.(0) <- sched;
+  e.cur.(1) <- sched2
 
 let stop e = e.stopped <- true
 

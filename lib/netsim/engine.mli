@@ -1,11 +1,25 @@
 (** Discrete-event simulation engine: a monotone virtual clock and a binary
-    heap of timestamped callbacks.  Replaces the wall-clock of the paper's
-    Mininet emulation with a deterministic, reproducible timeline. *)
+    heap of timestamped events.  Replaces the wall-clock of the paper's
+    Mininet emulation with a deterministic, reproducible timeline.
+
+    The heap is flat.  Each queued event's ordering keys sit in heap order
+    in unboxed arrays (three float arrays for [time], [sched] and [sched2],
+    int arrays for [seq] and a slot index), so a sift step moves floats and
+    ints and never passes the write barrier.  The payload lives in a slot,
+    recycled through a free list: either a thunk, or a packet arrival — a
+    per-channel {!arrival} handler, the packet and an int tag — which the
+    network schedules without allocating a closure.  An {!event} handle is
+    an immediate int naming (slot, slot generation, engine). *)
 
 type t
 
 (** A handle for cancelling a scheduled event. *)
-type event
+type event [@@immediate]
+
+(** A packet-arrival handler, called as [h packet tag] with the packet and
+    the int tag it was scheduled with.  The network builds one per channel
+    and tags each arrival with the channel's epoch. *)
+type arrival = Packet.t -> int -> unit
 
 (** [create ()] makes an engine with the clock at [0.0]. *)
 val create : unit -> t
@@ -14,10 +28,11 @@ val create : unit -> t
 val now : t -> float
 
 (** [schedule_at e t f] runs [f] at absolute time [t].
-    @raise Invalid_argument if [t] is in the past. *)
+    @raise Invalid_argument if [t] is NaN or in the past. *)
 val schedule_at : t -> float -> (unit -> unit) -> event
 
-(** [schedule_in e dt f] runs [f] after [dt >= 0] seconds. *)
+(** [schedule_in e dt f] runs [f] after [dt >= 0] seconds.
+    @raise Invalid_argument if [dt] is NaN or negative. *)
 val schedule_in : t -> float -> (unit -> unit) -> event
 
 (** [schedule_keyed e ~time ~sched ~sched2 f] schedules [f] at [time]
@@ -32,29 +47,58 @@ val schedule_in : t -> float -> (unit -> unit) -> event
     cross-region arrival sorts against local events exactly where the
     serial engine would have fired it.  No past-time check — the caller
     (the barrier loop) guarantees [time] is beyond every region's
-    committed horizon. *)
+    committed horizon.
+    @raise Invalid_argument if [time] is NaN. *)
 val schedule_keyed :
   t -> time:float -> sched:float -> sched2:float -> (unit -> unit) -> event
 
-(** [cancel ev] prevents a pending event from firing (idempotent; events
-    that already ran are unaffected).  Cancelled events are purged from the
-    heap in bulk once they outnumber the live ones, so long runs that
-    cancel many timers (e.g. TCP retransmits) do not bloat the heap. *)
-val cancel : event -> unit
+(** [schedule_arrival e dt h packet tag] calls [h packet tag] after
+    [dt >= 0] seconds, keyed like {!schedule_in}.  It stores the three
+    values in a slot instead of a closure, so scheduling an arrival
+    allocates nothing beyond the boxed [dt].  Arrivals cannot be
+    cancelled: the handler checks the tag instead.
+    @raise Invalid_argument if [dt] is NaN or negative. *)
+val schedule_arrival : t -> float -> arrival -> Packet.t -> int -> unit
+
+(** [schedule_arrival_keyed e ~time ~sched ~sched2 h packet tag] is
+    {!schedule_arrival} with an explicit key, as {!schedule_keyed}.
+    @raise Invalid_argument if [time] is NaN. *)
+val schedule_arrival_keyed :
+  t ->
+  time:float ->
+  sched:float ->
+  sched2:float ->
+  arrival ->
+  Packet.t ->
+  int ->
+  unit
+
+(** [cancel e ev] prevents the pending event [ev] of [e] from firing.
+    A no-op on an event that already ran or was cancelled: the handle's
+    slot generation no longer matches, so a handle whose slot a later
+    event reuses cancels nothing (generations wrap after 2{^26} reuses of
+    one slot).  Cancelled events are purged from the heap in bulk once
+    they outnumber the live ones, so long runs that cancel many timers
+    (e.g. TCP retransmits) do not bloat the heap.
+    @raise Invalid_argument if [ev] was scheduled on another engine
+    (engine ids repeat every 4096 engines, so this check can miss). *)
+val cancel : t -> event -> unit
 
 (** [run e] processes events in timestamp order (FIFO among equal
     timestamps) until the queue empties or {!stop} is called. *)
 val run : t -> unit
 
 (** [run_until e t] processes events with timestamp [<= t], then sets the
-    clock to [t]. *)
+    clock to [t].
+    @raise Invalid_argument if [t] is NaN. *)
 val run_until : t -> float -> unit
 
 (** [run_before e t] processes events with timestamp strictly [< t] and
     leaves the clock on the last event run: the epoch half of
     {!run_until}, letting a barrier inject time-[t] events before the
     epoch containing [t] executes.  Use {!advance_clock} to commit the
-    horizon afterwards. *)
+    horizon afterwards.
+    @raise Invalid_argument if [t] is NaN. *)
 val run_before : t -> float -> unit
 
 (** Timestamp of the next live event, if any (cancelled events are

@@ -61,6 +61,9 @@ type channel = {
   mutable epoch : int; (* bumped on failure: invalidates in-flight events *)
   mutable owner_rid : int; (* region of the transmitting endpoint *)
   mutable x_cut : bool; (* receiving endpoint lives in another region *)
+  mutable arrive : Engine.arrival;
+      (* built once by [build] (it closes over the net), so scheduling an
+         arrival allocates no closure *)
 }
 
 (* A packet crossing a region boundary: the flat buffer itself changes
@@ -215,6 +218,7 @@ let build_channels graph =
       epoch = 0;
       owner_rid = 0;
       x_cut = false;
+      arrive = (fun _ _ -> ());
     }
   in
   let channels =
@@ -240,130 +244,6 @@ let build_live ~who graph =
         (1 lsl Graph.degree graph v) - 1
       end
       else 0)
-
-(* The one constructor body.  One engine makes the solo structure: region
-   0 is the net itself (its registry, counters and pool), so the serial
-   hot path pays no indirection.  More engines make a sharded net: each
-   region gets a private metrics shard and packet pool, and the
-   [engine/*] probes aggregate over every region's engine. *)
-let build ~who ~graph ~engines ~region_of_node ~lookahead ?registry
-    ?(queue_capacity_bytes = 1_048_576) ?(ttl = 128) ?(detection_delay_s = 0.0)
-    () =
-  let live = build_live ~who graph in
-  let n_links = Graph.n_links graph in
-  let n_nodes = Graph.n_nodes graph in
-  let n_regions = Array.length engines in
-  let solo = n_regions = 1 in
-  let channels, out_channel = build_channels graph in
-  (* channel ownership and cut marking *)
-  Array.iter
-    (fun chans ->
-      let link = Graph.link graph chans.(0).link_id in
-      let r0 = region_of_node.(link.Graph.ep0.Graph.node) in
-      let r1 = region_of_node.(link.Graph.ep1.Graph.node) in
-      chans.(0).owner_rid <- r0;
-      chans.(1).owner_rid <- r1;
-      chans.(0).x_cut <- r0 <> r1;
-      chans.(1).x_cut <- r0 <> r1)
-    channels;
-  let registry =
-    match registry with Some r -> r | None -> Registry.create ()
-  in
-  let sum f () = Array.fold_left (fun acc e -> acc + f e) 0 engines in
-  Registry.probe registry "engine/events" (sum Engine.processed);
-  Registry.probe registry "engine/pending" (sum Engine.pending);
-  Registry.probe registry "engine/heap-peak" (fun () ->
-      Array.fold_left (fun acc e -> max acc (Engine.heap_peak e)) 0 engines);
-  let counters = make_counters registry in
-  let pool = Packet.Pool.create ~registry () in
-  let c_epochs, c_boundary, c_stalls, g_cut_ppm = make_shard_metrics registry in
-  let region rid r_engine =
-    let r_registry = if solo then registry else Registry.create () in
-    {
-      rid;
-      r_engine;
-      r_registry;
-      r_counters = (if solo then counters else make_counters r_registry);
-      r_pool =
-        (if solo then pool else Packet.Pool.create ~registry:r_registry ());
-      r_tbuf = [];
-      r_tctr = 0;
-      r_octr = 0;
-      outboxes = Array.make n_regions [];
-      r_mark = 0;
-    }
-  in
-  {
-    graph;
-    queue_capacity_bytes;
-    ttl;
-    detection_delay_s;
-    up = Array.make n_links true;
-    busy_until = Array.make (2 * n_links) 0.0;
-    channels;
-    out_channel;
-    handlers = Array.make n_nodes None;
-    live;
-    registry;
-    counters;
-    pool;
-    next_uid = 0;
-    uid_ctr = Array.make n_nodes 0;
-    recorder = None;
-    switch_deflections = Array.make n_nodes 0;
-    switch_drives = Array.make n_nodes 0;
-    link_queue_drops = Array.make (2 * n_links) 0;
-    regions = Array.mapi region engines;
-    region_of_node;
-    solo;
-    lookahead;
-    in_admin = false;
-    admin = [];
-    admin_seq = 0;
-    c_epochs;
-    c_boundary;
-    c_stalls;
-    g_cut_ppm;
-  }
-
-let create ~graph ~engine ?registry ?queue_capacity_bytes ?ttl
-    ?detection_delay_s () =
-  build ~who:"Net.create" ~graph ~engines:[| engine |]
-    ~region_of_node:(Array.make (Graph.n_nodes graph) 0)
-    ~lookahead:infinity ?registry ?queue_capacity_bytes ?ttl ?detection_delay_s
-    ()
-
-let create_partitioned ~graph ~partition ?registry ?queue_capacity_bytes ?ttl
-    ?detection_delay_s () =
-  let p : Topo.Partition.t = partition in
-  if Array.length p.Topo.Partition.region_of <> Graph.n_nodes graph then
-    invalid_arg "Net.create_partitioned: partition does not match the graph";
-  (* Conservative simulation needs strictly positive lookahead: a cut
-     through a zero-delay link would force zero-width epochs and the
-     barrier would never advance.  Reject it up front.  One region has no
-     cut and degenerates to the solo structure on a private engine (its
-     lookahead is [infinity]). *)
-  if not (p.Topo.Partition.lookahead > 0.0) then
-    invalid_arg
-      (Printf.sprintf
-         "Net.create_partitioned: region cut crosses %d zero-delay link(s); \
-          lookahead would be %g — repartition or give cut links a positive \
-          delay"
-         (List.length
-            (List.filter
-               (fun id -> (Graph.link graph id).Graph.delay_s <= 0.0)
-               p.Topo.Partition.cut_links))
-         p.Topo.Partition.lookahead);
-  let net =
-    build ~who:"Net.create_partitioned" ~graph
-      ~engines:
-        (Array.init p.Topo.Partition.n_regions (fun _ -> Engine.create ()))
-      ~region_of_node:(Array.copy p.Topo.Partition.region_of)
-      ~lookahead:p.Topo.Partition.lookahead ?registry ?queue_capacity_bytes
-      ?ttl ?detection_delay_s ()
-  in
-  Registry.set net.g_cut_ppm (int_of_float (p.Topo.Partition.cut_ratio *. 1e6));
-  net
 
 let graph net = net.graph
 let engine net = (ctx net).r_engine
@@ -525,10 +405,12 @@ let deliver net node packet ~in_port =
 
 (* Put a packet on the wire of an idle channel: one merged event covers
    serialisation and propagation (the transmitter frees at [busy_until];
-   the packet arrives [delay_s] later).  A failure during either phase is
-   caught by the epoch check when the event fires.  On a cut channel the
-   event becomes a handoff in the peer region's outbox instead, carrying
-   the (time, sched) key the serial engine would have used. *)
+   the packet arrives [delay_s] later).  The event is an engine arrival:
+   the channel's [arrive] handler, the packet and the epoch at send time,
+   so a failure during either phase is caught by the epoch check when it
+   fires.  On a cut channel the arrival becomes a handoff in the peer
+   region's outbox instead, carrying the (time, sched) key the serial
+   engine would have used. *)
 let transmit net ch packet =
   let rg = ctx net in
   let e = rg.r_engine in
@@ -541,7 +423,7 @@ let transmit net ch packet =
     rg.outboxes.(dst_rid) <-
       {
         (* Associated exactly as the engine path below computes it
-           ([now + (tx + delay)], via [schedule_in]) — a cut crossing must
+           ([now + (tx + delay)], via [schedule_arrival]) — a cut crossing must
            produce the bit-identical arrival time the serial run gets, or
            exact-tie groups desynchronise downstream. *)
         h_time = now +. (tx_time +. ch.delay_s);
@@ -556,11 +438,14 @@ let transmit net ch packet =
       :: rg.outboxes.(dst_rid);
     rg.r_octr <- rg.r_octr + 1
   end
-  else
-    ignore
-      (Engine.schedule_in e (tx_time +. ch.delay_s) (fun () ->
-           if ch.epoch = epoch then deliver net ch.dst packet ~in_port:ch.dst_port
-           else drop net packet Link_down))
+  else Engine.schedule_arrival e (tx_time +. ch.delay_s) ch.arrive packet epoch
+
+(* Where every arrival lands, local or from a cut link: the packet is
+   delivered if the channel's epoch is still the one it was sent under,
+   and dropped as link-down if a failure came in between. *)
+let arrive net ch packet epoch =
+  if ch.epoch = epoch then deliver net ch.dst packet ~in_port:ch.dst_port
+  else drop net packet Link_down
 
 (* Backlogged channels drain via wake events at the transmitter's free
    time.  [wake_scheduled] dedups the common case; stray extra wakes (after
@@ -615,6 +500,137 @@ let inject net ~at packet =
   record_event net ~switch:(Graph.label net.graph at) ~in_port:(-1)
     ~out_port:(-1) packet Trace.Event.Inject;
   deliver net at packet ~in_port:(-1)
+
+(* The one constructor body.  One engine makes the solo structure: region
+   0 is the net itself (its registry, counters and pool), so the serial
+   hot path pays no indirection.  More engines make a sharded net: each
+   region gets a private metrics shard and packet pool, and the
+   [engine/*] probes aggregate over every region's engine. *)
+let build ~who ~graph ~engines ~region_of_node ~lookahead ?registry
+    ?(queue_capacity_bytes = 1_048_576) ?(ttl = 128) ?(detection_delay_s = 0.0)
+    () =
+  let live = build_live ~who graph in
+  let n_links = Graph.n_links graph in
+  let n_nodes = Graph.n_nodes graph in
+  let n_regions = Array.length engines in
+  let solo = n_regions = 1 in
+  let channels, out_channel = build_channels graph in
+  (* channel ownership and cut marking *)
+  Array.iter
+    (fun chans ->
+      let link = Graph.link graph chans.(0).link_id in
+      let r0 = region_of_node.(link.Graph.ep0.Graph.node) in
+      let r1 = region_of_node.(link.Graph.ep1.Graph.node) in
+      chans.(0).owner_rid <- r0;
+      chans.(1).owner_rid <- r1;
+      chans.(0).x_cut <- r0 <> r1;
+      chans.(1).x_cut <- r0 <> r1)
+    channels;
+  let registry =
+    match registry with Some r -> r | None -> Registry.create ()
+  in
+  let sum f () = Array.fold_left (fun acc e -> acc + f e) 0 engines in
+  Registry.probe registry "engine/events" (sum Engine.processed);
+  Registry.probe registry "engine/pending" (sum Engine.pending);
+  Registry.probe registry "engine/heap-peak" (fun () ->
+      Array.fold_left (fun acc e -> max acc (Engine.heap_peak e)) 0 engines);
+  let counters = make_counters registry in
+  let pool = Packet.Pool.create ~registry () in
+  let c_epochs, c_boundary, c_stalls, g_cut_ppm = make_shard_metrics registry in
+  let region rid r_engine =
+    let r_registry = if solo then registry else Registry.create () in
+    {
+      rid;
+      r_engine;
+      r_registry;
+      r_counters = (if solo then counters else make_counters r_registry);
+      r_pool =
+        (if solo then pool else Packet.Pool.create ~registry:r_registry ());
+      r_tbuf = [];
+      r_tctr = 0;
+      r_octr = 0;
+      outboxes = Array.make n_regions [];
+      r_mark = 0;
+    }
+  in
+  let net =
+    {
+      graph;
+      queue_capacity_bytes;
+      ttl;
+      detection_delay_s;
+      up = Array.make n_links true;
+      busy_until = Array.make (2 * n_links) 0.0;
+      channels;
+      out_channel;
+      handlers = Array.make n_nodes None;
+      live;
+      registry;
+      counters;
+      pool;
+      next_uid = 0;
+      uid_ctr = Array.make n_nodes 0;
+      recorder = None;
+      switch_deflections = Array.make n_nodes 0;
+      switch_drives = Array.make n_nodes 0;
+      link_queue_drops = Array.make (2 * n_links) 0;
+      regions = Array.mapi region engines;
+      region_of_node;
+      solo;
+      lookahead;
+      in_admin = false;
+      admin = [];
+      admin_seq = 0;
+      c_epochs;
+      c_boundary;
+      c_stalls;
+      g_cut_ppm;
+    }
+  in
+  Array.iter
+    (Array.iter (fun ch ->
+         ch.arrive <- (fun packet epoch -> arrive net ch packet epoch)))
+    channels;
+  net
+
+let create ~graph ~engine ?registry ?queue_capacity_bytes ?ttl
+    ?detection_delay_s () =
+  build ~who:"Net.create" ~graph ~engines:[| engine |]
+    ~region_of_node:(Array.make (Graph.n_nodes graph) 0)
+    ~lookahead:infinity ?registry ?queue_capacity_bytes ?ttl ?detection_delay_s
+    ()
+
+let create_partitioned ~graph ~partition ?registry ?queue_capacity_bytes ?ttl
+    ?detection_delay_s () =
+  let p : Topo.Partition.t = partition in
+  if Array.length p.Topo.Partition.region_of <> Graph.n_nodes graph then
+    invalid_arg "Net.create_partitioned: partition does not match the graph";
+  (* Conservative simulation needs strictly positive lookahead: a cut
+     through a zero-delay link would force zero-width epochs and the
+     barrier would never advance.  Reject it up front.  One region has no
+     cut and degenerates to the solo structure on a private engine (its
+     lookahead is [infinity]). *)
+  if not (p.Topo.Partition.lookahead > 0.0) then
+    invalid_arg
+      (Printf.sprintf
+         "Net.create_partitioned: region cut crosses %d zero-delay link(s); \
+          lookahead would be %g — repartition or give cut links a positive \
+          delay"
+         (List.length
+            (List.filter
+               (fun id -> (Graph.link graph id).Graph.delay_s <= 0.0)
+               p.Topo.Partition.cut_links))
+         p.Topo.Partition.lookahead);
+  let net =
+    build ~who:"Net.create_partitioned" ~graph
+      ~engines:
+        (Array.init p.Topo.Partition.n_regions (fun _ -> Engine.create ()))
+      ~region_of_node:(Array.copy p.Topo.Partition.region_of)
+      ~lookahead:p.Topo.Partition.lookahead ?registry ?queue_capacity_bytes
+      ?ttl ?detection_delay_s ()
+  in
+  Registry.set net.g_cut_ppm (int_of_float (p.Topo.Partition.cut_ratio *. 1e6));
+  net
 
 (* --- global administration: failures, repairs, detection ------------- *)
 
@@ -799,12 +815,9 @@ let drain_outboxes net =
     (fun h ->
       Registry.incr net.c_boundary;
       let dst_rid = net.region_of_node.(h.h_ch.dst) in
-      ignore
-        (Engine.schedule_keyed net.regions.(dst_rid).r_engine ~time:h.h_time
-           ~sched:h.h_sched ~sched2:h.h_sched2 (fun () ->
-             if h.h_ch.epoch = h.h_epoch then
-               deliver net h.h_ch.dst h.h_packet ~in_port:h.h_ch.dst_port
-             else drop net h.h_packet Link_down)))
+      Engine.schedule_arrival_keyed net.regions.(dst_rid).r_engine
+        ~time:h.h_time ~sched:h.h_sched ~sched2:h.h_sched2 h.h_ch.arrive
+        h.h_packet h.h_epoch)
     (List.sort handoff_compare all)
 
 let run_sharded net t_stop =

@@ -3,26 +3,26 @@ let hist_quantiles = [ ("p50", 50.0); ("p95", 95.0); ("p99", 99.0) ]
 let snapshot_line ~t r =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf {|{"t":%.9g|} t);
+  (* Snapshots run inside a simulation, between events, so each field is
+     appended directly instead of formatted through Printf. *)
+  let field name v =
+    Buffer.add_string buf {|,"|};
+    Buffer.add_string buf name;
+    Buffer.add_string buf {|":|};
+    Buffer.add_string buf (string_of_int v)
+  in
   List.iter
     (fun (name, m) ->
       match m with
-      | Registry.Counter c ->
-        Buffer.add_string buf
-          (Printf.sprintf {|,"%s":%d|} name (Registry.value c))
-      | Registry.Gauge g ->
-        Buffer.add_string buf
-          (Printf.sprintf {|,"%s":%d|} name (Registry.gauge_value g))
-      | Registry.Probe f ->
-        Buffer.add_string buf (Printf.sprintf {|,"%s":%d|} name (f ()))
+      | Registry.Counter c -> field name (Registry.value c)
+      | Registry.Gauge g -> field name (Registry.gauge_value g)
+      | Registry.Probe f -> field name (f ())
       | Registry.Histogram h ->
-        Buffer.add_string buf
-          (Printf.sprintf {|,"%s/count":%d,"%s/sum":%d|} name
-             (Registry.h_count h) name (Registry.h_sum h));
+        field (name ^ "/count") (Registry.h_count h);
+        field (name ^ "/sum") (Registry.h_sum h);
         List.iter
           (fun (label, q) ->
-            Buffer.add_string buf
-              (Printf.sprintf {|,"%s/%s":%d|} name label
-                 (Registry.h_quantile h q)))
+            field (name ^ "/" ^ label) (Registry.h_quantile h q))
           hist_quantiles)
     (Registry.metrics r);
   Buffer.add_char buf '}';

@@ -82,7 +82,7 @@ let complete t ~batch key result =
 let dispatch t =
   (match t.timer with
    | Some ev ->
-     Engine.cancel ev;
+     Engine.cancel t.engine ev;
      t.timer <- None
    | None -> ());
   let keys = Array.of_list (List.rev t.queue) in

@@ -83,7 +83,9 @@ type t = {
   mutable rto_base : float; (* estimator output, before backoff *)
   mutable backoff : float; (* multiplier, doubled per timeout *)
   mutable have_rtt_sample : bool;
-  mutable timer : Engine.event option;
+  mutable timer : (Engine.t * Engine.event) option;
+      (* the engine it was armed on: on a sharded net, [stop] may run from
+         another region's context *)
   (* Single-segment RTT timing with Karn's algorithm: one segment is timed
      at a time; retransmitting it aborts the measurement. *)
   mutable timed_seq : int option;
@@ -256,18 +258,20 @@ let congestion_avoidance_growth t newly_acked =
 
 let cancel_timer t =
   match t.timer with
-  | Some ev ->
-    Engine.cancel ev;
+  | Some (engine, ev) ->
+    Engine.cancel engine ev;
     t.timer <- None
   | None -> ()
 
 let rec arm_timer t =
   cancel_timer t;
-  if t.running && flight t > 0 then
+  if t.running && flight t > 0 then begin
+    let engine = Net.engine t.net in
     t.timer <-
       Some
-        (Engine.schedule_in (Net.engine t.net) (effective_rto t) (fun () ->
-             on_timeout t))
+        ( engine,
+          Engine.schedule_in engine (effective_rto t) (fun () -> on_timeout t) )
+  end
 
 and on_timeout t =
   t.timer <- None;

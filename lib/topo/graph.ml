@@ -73,6 +73,18 @@ module Builder = struct
       (u, pu) (v, pv) =
     if u = v then invalid_arg "Graph.Builder.add_link_at: self-loop";
     let bu = node b u and bv = node b v in
+    (* A rate of 0 or a non-finite delay would strand packets in flight,
+       and a negative one reaches the engine as a negative delay.  Zero
+       delay is legal. *)
+    let bad what value want =
+      invalid_arg
+        (Printf.sprintf "Graph.Builder.add_link_at: link %d:%d-%d:%d has %s %g (%s)"
+           bu.blabel pu bv.blabel pv what value want)
+    in
+    if not (Float.is_finite rate_bps && rate_bps > 0.0) then
+      bad "rate" rate_bps "want a finite rate > 0 b/s";
+    if not (Float.is_finite delay_s && delay_s >= 0.0) then
+      bad "delay" delay_s "want a finite delay >= 0 s";
     let id = b.nl in
     attach bu pu id;
     attach bv pv id;

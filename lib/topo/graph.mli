@@ -56,7 +56,9 @@ module Builder : sig
   val add_link : t -> ?rate_bps:float -> ?delay_s:float -> node -> node -> link_id
 
   (** [add_link_at b (u, pu) (v, pv)] connects with explicit port numbers.
-      @raise Invalid_argument if a port is already occupied. *)
+      @raise Invalid_argument if a port is already occupied, or, naming
+      the link, if [rate_bps] is not a finite number [> 0] or [delay_s]
+      not a finite number [>= 0]. *)
   val add_link_at :
     t -> ?rate_bps:float -> ?delay_s:float -> node * int -> node * int -> link_id
 

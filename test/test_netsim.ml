@@ -33,7 +33,7 @@ let test_engine_cancel () =
   let e = Engine.create () in
   let fired = ref false in
   let ev = Engine.schedule_at e 1.0 (fun () -> fired := true) in
-  Engine.cancel ev;
+  Engine.cancel e ev;
   Engine.run e;
   Alcotest.(check bool) "cancelled" false !fired
 
@@ -52,9 +52,36 @@ let test_engine_past_rejected () =
   let e = Engine.create () in
   ignore (Engine.schedule_at e 5.0 (fun () -> ()));
   Engine.run e;
-  match Engine.schedule_at e 1.0 (fun () -> ()) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected rejection of past event"
+  (match Engine.schedule_at e 1.0 (fun () -> ()) with
+   | exception Invalid_argument _ -> ()
+   | _ -> Alcotest.fail "expected rejection of past event");
+  (* NaN compares false against everything, so it would pass a
+     past-time test and then poison every heap comparison *)
+  let rejects what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s was accepted" what
+  in
+  let p =
+    Packet.make ~uid:0 ~src:0 ~dst:1 ~size_bytes:64 ~route_id:Bignum.Z.one
+      ~born:0.0 Packet.Raw
+  in
+  let arrive _ _ = () in
+  rejects "schedule_at NaN" (fun () -> ignore (Engine.schedule_at e nan ignore));
+  rejects "schedule_in NaN" (fun () -> ignore (Engine.schedule_in e nan ignore));
+  rejects "schedule_keyed NaN" (fun () ->
+      ignore (Engine.schedule_keyed e ~time:nan ~sched:0.0 ~sched2:0.0 ignore));
+  rejects "schedule_arrival NaN" (fun () ->
+      Engine.schedule_arrival e nan arrive p 0);
+  rejects "schedule_arrival negative" (fun () ->
+      Engine.schedule_arrival e (-1e-3) arrive p 0);
+  rejects "schedule_arrival_keyed NaN" (fun () ->
+      Engine.schedule_arrival_keyed e ~time:nan ~sched:0.0 ~sched2:0.0 arrive p
+        0);
+  rejects "run_until NaN" (fun () -> Engine.run_until e nan);
+  rejects "run_before NaN" (fun () -> Engine.run_before e nan);
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending e);
+  Alcotest.(check (float 0.0)) "clock untouched" 5.0 (Engine.now e)
 
 let test_engine_run_until () =
   let e = Engine.create () in
@@ -82,7 +109,7 @@ let test_engine_purge_keeps_order () =
   in
   (* cancel everything not divisible by 10: 450 of 500, well past the
      purge threshold *)
-  List.iter (fun (i, ev) -> if i mod 10 <> 0 then Engine.cancel ev) events;
+  List.iter (fun (i, ev) -> if i mod 10 <> 0 then Engine.cancel e ev) events;
   Alcotest.(check int) "pending counts survivors only" 50 (Engine.pending e);
   Engine.run e;
   Alcotest.(check (list int))
@@ -95,15 +122,252 @@ let test_engine_cancel_idempotent_and_late () =
   let fired = ref 0 in
   let ev = Engine.schedule_at e 1.0 (fun () -> incr fired) in
   (* double cancel must not unbalance the cancellation counter *)
-  Engine.cancel ev;
-  Engine.cancel ev;
+  Engine.cancel e ev;
+  Engine.cancel e ev;
   Alcotest.(check int) "pending after double cancel" 0 (Engine.pending e);
   let ev2 = Engine.schedule_at e 2.0 (fun () -> incr fired) in
   Engine.run e;
   Alcotest.(check int) "only the live event fired" 1 !fired;
   (* cancelling after the event ran is a no-op *)
-  Engine.cancel ev2;
+  Engine.cancel e ev2;
   Alcotest.(check int) "pending after late cancel" 0 (Engine.pending e)
+
+(* A handle names (slot, generation): once its event has fired, the
+   slot's next tenant has a new generation, so the old handle is inert. *)
+let test_engine_stale_handle () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let first = Engine.schedule_at e 1.0 (fun () -> log := 1 :: !log) in
+  Engine.run e;
+  (* the only slot is free again, so this event takes it over *)
+  ignore (Engine.schedule_at e 2.0 (fun () -> log := 2 :: !log));
+  Engine.cancel e first;
+  Alcotest.(check int) "reused slot still pending" 1 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check (list int)) "both fired" [ 1; 2 ] (List.rev !log)
+
+let test_engine_foreign_handle () =
+  let a = Engine.create () and b = Engine.create () in
+  let ev = Engine.schedule_at a 1.0 ignore in
+  ignore (Engine.schedule_at b 1.0 ignore);
+  (match Engine.cancel b ev with
+   | exception Invalid_argument _ -> ()
+   | () -> Alcotest.fail "cancelled another engine's event");
+  Alcotest.(check int) "owner keeps it" 1 (Engine.pending a);
+  Alcotest.(check int) "other engine untouched" 1 (Engine.pending b)
+
+(* The heap against a list-based reference that keeps every queued event
+   (cancelled ones too, until popped or purged) and always pops the least
+   (time, sched, sched2, seq).  Delays and keys come from small sets, so
+   equal times and equal keys are common and only [seq] separates them. *)
+module Model = struct
+  type ev = {
+    time : float;
+    sched : float;
+    sched2 : float;
+    seq : int;
+    id : int;
+    mutable cancelled : bool;
+    mutable queued : bool;
+  }
+
+  type t = {
+    mutable heap : ev list;
+    mutable clock : float;
+    mutable cur : float * float;
+    mutable next_seq : int;
+    mutable processed : int;
+    mutable cancelled_in_heap : int;
+    mutable peak : int;
+    mutable purges : int;
+    mutable log : int list; (* newest first *)
+  }
+
+  let create () =
+    {
+      heap = [];
+      clock = 0.0;
+      cur = (0.0, 0.0);
+      next_seq = 0;
+      processed = 0;
+      cancelled_in_heap = 0;
+      peak = 0;
+      purges = 0;
+      log = [];
+    }
+
+  let push m ~time ~sched ~sched2 id =
+    let ev =
+      { time; sched; sched2; seq = m.next_seq; id; cancelled = false; queued = true }
+    in
+    m.next_seq <- m.next_seq + 1;
+    m.heap <- ev :: m.heap;
+    m.peak <- max m.peak (List.length m.heap);
+    ev
+
+  let schedule m d id = push m ~time:(m.clock +. d) ~sched:m.clock ~sched2:(fst m.cur) id
+
+  let cancel m ev =
+    if ev.queued && not ev.cancelled then begin
+      ev.cancelled <- true;
+      m.cancelled_in_heap <- m.cancelled_in_heap + 1;
+      let size = List.length m.heap in
+      if size >= 64 && m.cancelled_in_heap > size / 2 then begin
+        List.iter (fun ev -> if ev.cancelled then ev.queued <- false) m.heap;
+        m.heap <- List.filter (fun ev -> not ev.cancelled) m.heap;
+        m.cancelled_in_heap <- 0;
+        m.purges <- m.purges + 1
+      end
+    end
+
+  let key ev = (ev.time, ev.sched, ev.sched2, ev.seq)
+
+  let run_until m t =
+    let rec go () =
+      match m.heap with
+      | [] -> ()
+      | first :: rest ->
+        let top =
+          List.fold_left (fun a b -> if compare (key b) (key a) < 0 then b else a) first rest
+        in
+        if top.time <= t then begin
+          m.heap <- List.filter (fun ev -> ev != top) m.heap;
+          top.queued <- false;
+          if top.cancelled then m.cancelled_in_heap <- m.cancelled_in_heap - 1
+          else begin
+            m.clock <- top.time;
+            m.cur <- (top.sched, top.sched2);
+            m.processed <- m.processed + 1;
+            m.log <- top.id :: m.log
+          end;
+          go ()
+        end
+    in
+    go ();
+    m.clock <- max m.clock t
+
+  let pending m = List.length m.heap - m.cancelled_in_heap
+end
+
+type op =
+  | At of float (* schedule_at, now + delay *)
+  | Keyed of float * float * float (* schedule_keyed, now + delay *)
+  | Arrive of float (* schedule_arrival *)
+  | Cancel of int (* a handle, by index modulo the handles so far *)
+  | Run_until of float (* now + delay *)
+  | Burst of int (* that many schedule_at at now + 0, 0.5, 1, 0, ... *)
+  | Cancel_pattern of int (* cancel handle k unless k mod m = 0 *)
+
+let pp_op = function
+  | At d -> Printf.sprintf "At %g" d
+  | Keyed (d, s, s2) -> Printf.sprintf "Keyed (%g, %g, %g)" d s s2
+  | Arrive d -> Printf.sprintf "Arrive %g" d
+  | Cancel i -> Printf.sprintf "Cancel %d" i
+  | Run_until d -> Printf.sprintf "Run_until %g" d
+  | Burst n -> Printf.sprintf "Burst %d" n
+  | Cancel_pattern m -> Printf.sprintf "Cancel_pattern %d" m
+
+let gen_program =
+  let open QCheck2.Gen in
+  let delay = oneofl [ 0.0; 0.5; 1.0; 2.0 ] in
+  let key = oneofl [ 0.0; 0.5; 1.0 ] in
+  let op =
+    frequency
+      [
+        (4, map (fun d -> At d) delay);
+        (3, map3 (fun d s s2 -> Keyed (d, s, s2)) delay key key);
+        (1, map (fun d -> Arrive d) delay);
+        (3, map (fun i -> Cancel i) nat);
+        (1, map (fun d -> Run_until d) delay);
+        (* refills past an earlier peak make the purge's timing visible
+           in [heap_peak] *)
+        (1, map (fun n -> Burst n) (0 -- 200));
+      ]
+  in
+  (* The middle burst and pattern guarantee a purge: at least 3/4 of 100+
+     fresh events get cancelled, against at most 40 earlier ones queued. *)
+  let* prefix = list_size (0 -- 40) op in
+  let* burst = 100 -- 160 in
+  let* m = 4 -- 8 in
+  let* suffix = list_size (0 -- 80) op in
+  return (prefix @ [ Burst burst; Cancel_pattern m ] @ suffix @ [ Run_until 10.0 ])
+
+let prop_engine_matches_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"heap = list model"
+       ~print:(fun prog -> String.concat "; " (List.map pp_op prog))
+       gen_program
+       (fun prog ->
+         let e = Engine.create () and m = Model.create () in
+         let log = ref [] in
+         let handles = Hashtbl.create 256 and n = ref 0 in
+         let add h =
+           Hashtbl.replace handles !n h;
+           incr n
+         in
+         let next_id = ref 0 in
+         let fresh () =
+           let id = !next_id in
+           incr next_id;
+           id
+         in
+         let p =
+           Packet.make ~uid:0 ~src:0 ~dst:1 ~size_bytes:64 ~route_id:Bignum.Z.one
+             ~born:0.0 Packet.Raw
+         in
+         let arrive _ id = log := id :: !log in
+         let at d =
+           let id = fresh () in
+           let h = Engine.schedule_at e (Engine.now e +. d) (fun () -> log := id :: !log) in
+           add (h, Model.schedule m d id)
+         in
+         let cancel k =
+           let h, ev = Hashtbl.find handles k in
+           Engine.cancel e h;
+           Model.cancel m ev
+         in
+         let agree what =
+           if
+             List.rev !log <> List.rev m.Model.log
+             || Engine.pending e <> Model.pending m
+             || Engine.processed e <> m.Model.processed
+             || Engine.heap_peak e <> m.Model.peak
+             || Engine.now e <> m.Model.clock
+           then
+             QCheck2.Test.fail_reportf
+               "after %s: fired %d/%d, pending %d/%d, processed %d/%d, peak %d/%d, now %g/%g"
+               what (List.length !log) (List.length m.Model.log) (Engine.pending e)
+               (Model.pending m) (Engine.processed e) m.Model.processed
+               (Engine.heap_peak e) m.Model.peak (Engine.now e) m.Model.clock
+         in
+         List.iter
+           (fun op ->
+             (match op with
+              | At d -> at d
+              | Keyed (d, sched, sched2) ->
+                let id = fresh () in
+                let time = Engine.now e +. d in
+                let h =
+                  Engine.schedule_keyed e ~time ~sched ~sched2 (fun () ->
+                      log := id :: !log)
+                in
+                add (h, Model.push m ~time ~sched ~sched2 id)
+              | Arrive d ->
+                let id = fresh () in
+                Engine.schedule_arrival e d arrive p id;
+                ignore (Model.schedule m d id)
+              | Cancel i -> if !n > 0 then cancel (i mod !n)
+              | Run_until d ->
+                let t = Engine.now e +. d in
+                Engine.run_until e t;
+                Model.run_until m t
+              | Burst k -> for i = 0 to k - 1 do at (float_of_int (i mod 3) *. 0.5) done
+              | Cancel_pattern md ->
+                for k = 0 to !n - 1 do if k mod md <> 0 then cancel k done);
+             agree (pp_op op))
+           prog;
+         if m.Model.purges = 0 then QCheck2.Test.fail_report "no purge happened";
+         true))
 
 let test_engine_pending_after_purge_mixed () =
   let e = Engine.create () in
@@ -118,7 +382,7 @@ let test_engine_pending_after_purge_mixed () =
             (float_of_int ((round * 100) + i + 1))
             (fun () -> incr count))
     in
-    List.iteri (fun i ev -> if i mod 4 <> 0 then Engine.cancel ev else incr pending_expected) evs;
+    List.iteri (fun i ev -> if i mod 4 <> 0 then Engine.cancel e ev else incr pending_expected) evs;
     Alcotest.(check int)
       (Printf.sprintf "pending after round %d" round)
       !pending_expected (Engine.pending e)
@@ -455,6 +719,51 @@ let test_pool_drains_after_run () =
     (Packet.Pool.grows pool);
   Alcotest.(check int) "warm run fully drained" 0 (Packet.Pool.in_flight pool)
 
+(* The serial forwarding loop's allocation budget, per switch hop: one
+   fully protected NIP flow on rnp28, pooled 64 B packets, no recorder.
+   What is left is the boxed delay handed to [Engine.schedule_arrival]
+   and the clock box each fired event stores (a float crossing a module
+   boundary is boxed); the event queue itself allocates nothing per
+   event. *)
+let test_forwarding_minor_words_per_hop () =
+  let sc = Topo.Nets.rnp28 in
+  let g = sc.Topo.Nets.graph in
+  let engine = Engine.create () in
+  let net = Net.create ~graph:g ~engine () in
+  let plan = Kar.Controller.scenario_plan sc Kar.Controller.Full in
+  Netsim.Karnet.install_switches ~plan net ~policy:Kar.Policy.Not_input_port
+    ~seed:1;
+  List.iter
+    (fun v ->
+      Netsim.Karnet.install_edge net v ~reencode:(fun _ -> None)
+        ~receive:(fun _ _ -> ())
+        ())
+    [ sc.Topo.Nets.ingress; sc.Topo.Nets.egress ];
+  let route_id = plan.Kar.Route.route_id in
+  let rec tick () =
+    let p =
+      Net.alloc net ~src:sc.Topo.Nets.ingress ~dst:sc.Topo.Nets.egress
+        ~size_bytes:64 ~route_id Packet.Raw
+    in
+    Net.inject net ~at:sc.Topo.Nets.ingress p;
+    ignore (Engine.schedule_in engine 20e-6 tick)
+  in
+  ignore (Engine.schedule_at engine 0.0 tick);
+  (* warm-up: the pool and the heap's arrays reach their steady size *)
+  Engine.run_until engine 0.01;
+  let hops0 = (Net.stats net).Net.total_switch_hops in
+  let w0 = Gc.minor_words () in
+  Engine.run_until engine 0.11;
+  let words = Gc.minor_words () -. w0 in
+  let s = Net.stats net in
+  let hops = s.Net.total_switch_hops - hops0 in
+  Alcotest.(check int) "no deflections" 0 s.Net.deflections;
+  Alcotest.(check bool) "hops counted" true (hops > 10_000);
+  let per_hop = words /. float_of_int hops in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per switch hop (at most 12)" per_hop)
+    true (per_hop <= 12.0)
+
 let test_reorder_in_order () =
   let m = feed [ 0; 1; 2; 3; 4; 5 ] in
   Alcotest.(check int) "none reordered" 0 m.Netsim.Reorder.reordered;
@@ -690,6 +999,11 @@ let () =
             test_engine_cancel_idempotent_and_late;
           Alcotest.test_case "pending across purges" `Quick
             test_engine_pending_after_purge_mixed;
+          Alcotest.test_case "stale handle cancels nothing" `Quick
+            test_engine_stale_handle;
+          Alcotest.test_case "foreign handle rejected" `Quick
+            test_engine_foreign_handle;
+          prop_engine_matches_model;
         ] );
       ( "links",
         [
@@ -714,6 +1028,8 @@ let () =
           Alcotest.test_case "live bit" `Quick test_pool_live_bit;
           Alcotest.test_case "simulation drains the pool" `Quick
             test_pool_drains_after_run;
+          Alcotest.test_case "forwarding loop: minor words per hop" `Quick
+            test_forwarding_minor_words_per_hop;
         ] );
       ( "reorder",
         [

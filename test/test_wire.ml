@@ -218,6 +218,29 @@ let test_serial_errors () =
   expect_error "node 3 core\nlink 3:0 9:0\n" "unknown node";
   expect_error "node 3 blue\n" "unknown node kind";
   expect_error "node 3 core\nnode 5 core\nlink 3:zero 5:0\n" "bad endpoint";
+  (* link parameters that would crash the engine or strand packets *)
+  let two = "node 3 core\nnode 5 core\n" in
+  List.iter
+    (fun (fields, what) ->
+      let text = two ^ "link 3:0 5:0 " ^ fields ^ "\n" in
+      expect_error text ("link 3:0-5:0 has " ^ what);
+      match Topo.Serial.of_string text with
+      | Error e -> Alcotest.(check int) ("line of " ^ fields) 3 e.Topo.Serial.line
+      | Ok _ -> ())
+    [
+      ("1e9 -1e-3", "delay");
+      ("1e9 nan", "delay");
+      ("1e9 inf", "delay");
+      ("-1e9 1e-3", "rate");
+      ("0 1e-3", "rate");
+      ("nan", "rate");
+      ("inf 1e-3", "rate");
+    ];
+  (match Topo.Serial.of_string (two ^ "link 3:0 5:0 1e9 0\n") with
+   | Ok g ->
+     Alcotest.(check (float 0.0)) "zero delay is legal" 0.0
+       (Topo.Graph.link g 0).Topo.Graph.delay_s
+   | Error e -> Alcotest.failf "zero delay rejected: %s" e.Topo.Serial.message);
   (* sparse ports are a finish-time error reported at line 0 *)
   match Topo.Serial.of_string "node 3 core\nnode 5 core\nlink 3:4 5:0\n" with
   | Error _ -> ()
