@@ -2,7 +2,7 @@
 
    Three modes:
    - no arguments: bechamel micro-benchmarks of the compute kernels
-     (bignum arithmetic, CRT vs Garner encoding, the per-packet forwarding
+     (bignum arithmetic, route-ID encoding, the per-packet forwarding
      decision, the exact Markov analysis, the event engine) as a text
      table, then regeneration of every table and figure of the paper
      (quick profile by default; KAR_PROFILE=paper for the published
@@ -45,9 +45,12 @@ let sw13_degree =
 
 let sw13_live = (1 lsl sw13_degree) - 1
 
+(* SW13's reader, built once as Karnet builds it at install. *)
+let sw13_port = Kar.Route.cached_port_flat plan_full ~switch_id:13
+
 (* One NIP decision at SW13 with every port live, as Karnet makes it. *)
 let forward_nip rng buf =
-  let c = Kar.Route.cached_port_flat plan_full buf ~switch_id:13 in
+  let c = sw13_port buf in
   let choice =
     Kar.Policy.choose Kar.Policy.Not_input_port ~computed:c ~in_port:0
       ~deflected:false ~degree:sw13_degree ~live:sw13_live
@@ -63,7 +66,6 @@ let tests =
     (* bignum kernels *)
     Test.make ~name:"bignum/mul-200bit" (Staged.stage (fun () -> Z.mul big_a big_b));
     Test.make ~name:"bignum/divmod-200bit" (Staged.stage (fun () -> Z.divmod big_a big_b));
-    Test.make ~name:"bignum/egcd-200bit" (Staged.stage (fun () -> Z.egcd big_a big_b));
     Test.make ~name:"bignum/to_string" (Staged.stage (fun () -> Z.to_string big_a));
     (* the remainder-only small-modulus kernel vs the full division it
        replaced on the data plane *)
@@ -73,22 +75,16 @@ let tests =
       (Staged.stage
          (let m = Z.of_int 1009 in
           fun () -> Z.to_int_exn (Z.erem big_a m)));
-    (* RNS encoding: direct CRT vs Garner (ablation: reconstruction cost) *)
+    (* RNS encoding: the route-ID fold over net15's 10 full-protection
+       residues *)
     Test.make ~name:"rns/encode-crt-10sw"
       (Staged.stage (fun () -> Rns.encode residues_full));
-    Test.make ~name:"rns/encode-garner-10sw"
-      (Staged.stage (fun () -> Rns.encode_garner residues_full));
     Test.make ~name:"rns/port (data plane op)"
       (Staged.stage (fun () -> Rns.port plan_full.Kar.Route.route_id 13));
     (* exactly the seed implementation of Rns.port, [Z.of_int] included *)
     Test.make ~name:"rns/port-erem-reference"
       (Staged.stage (fun () ->
            Z.to_int_exn (Z.erem plan_full.Kar.Route.route_id (Z.of_int 13))));
-    Test.make ~name:"rns/extend-1-residue"
-      (Staged.stage (fun () ->
-           Rns.extend ~route_id:plan_full.Kar.Route.route_id
-             ~modulus:plan_full.Kar.Route.modulus
-             [ { Rns.modulus = 59; value = 1 } ]));
     (* forwarding decision (per-packet cost of a KAR switch): the
        zero-allocation fast path Karnet actually runs — residue-cache
        lookup on the flat packet image + packed-int choice *)
@@ -118,7 +114,7 @@ let tests =
          (let buf = Wire.Flat.create () in
           Wire.Flat.stamp buf ~uid:7 ~src:1 ~dst:5 ~size_bytes:512
             ~route_id:plan_full.Kar.Route.route_id;
-          fun () -> Kar.Route.cached_port_flat plan_full buf ~switch_id:13));
+          fun () -> sw13_port buf));
     (* flight recorder: per-event cost while tracing is on (the off case
        records nothing at all) *)
     Test.make ~name:"trace/record"

@@ -89,7 +89,7 @@ let sub a b =
   assert (!borrow = 0);
   normalize r
 
-let mul_schoolbook a b =
+let mul a b =
   let la = Array.length a and lb = Array.length b in
   if la = 0 || lb = 0 then zero
   else begin
@@ -107,31 +107,6 @@ let mul_schoolbook a b =
       r.(i + lb) <- r.(i + lb) + !carry
     done;
     normalize r
-  end
-
-let karatsuba_threshold = 32
-
-(* Split [a] at limb index [k] into (low, high), both canonical. *)
-let split_at a k =
-  let n = Array.length a in
-  if n <= k then (a, zero)
-  else (normalize (Array.sub a 0 k), Array.sub a k (n - k))
-
-let rec mul a b =
-  let la = Array.length a and lb = Array.length b in
-  if la < karatsuba_threshold || lb < karatsuba_threshold then
-    mul_schoolbook a b
-  else begin
-    let k = (max la lb + 1) / 2 in
-    let a0, a1 = split_at a k and b0, b1 = split_at b k in
-    let z0 = mul a0 b0 in
-    let z2 = mul a1 b1 in
-    let z1 = sub (mul (add a0 a1) (add b0 b1)) (add z0 z2) in
-    let shift_limbs x n =
-      if is_zero x then zero
-      else Array.append (Array.make n 0) x
-    in
-    add z0 (add (shift_limbs z1 k) (shift_limbs z2 (2 * k)))
   end
 
 let shift_left a k =
@@ -179,11 +154,6 @@ let bit_length a =
     let rec width v acc = if v = 0 then acc else width (v lsr 1) (acc + 1) in
     ((n - 1) * limb_bits) + width top 0
   end
-
-let testbit a i =
-  if i < 0 then invalid_arg "Nat.testbit";
-  let limb = i / limb_bits and bit = i mod limb_bits in
-  limb < Array.length a && (a.(limb) lsr bit) land 1 = 1
 
 (* Remainder-only reduction by a machine-int modulus: fold the limbs from
    most to least significant with a precomputed [base mod s].  No quotient

@@ -48,12 +48,9 @@ val add : int array -> int array -> int array
     @raise Invalid_argument if [a < b]. *)
 val sub : int array -> int array -> int array
 
-(** [mul a b] is [a * b] (schoolbook below {!karatsuba_threshold},
-    Karatsuba above it). *)
+(** [mul a b] is [a * b] (schoolbook: route IDs stay far below the
+    operand sizes where a subquadratic product would pay). *)
 val mul : int array -> int array -> int array
-
-(** Limb-count threshold above which {!mul} switches to Karatsuba. *)
-val karatsuba_threshold : int
 
 (** [divmod a b] is [(q, r)] with [a = q*b + r] and [0 <= r < b]
     (Knuth Algorithm D).
@@ -63,7 +60,7 @@ val divmod : int array -> int array -> int array * int array
 (** [rem_int a s] is [a mod s] for a machine-int modulus [1 <= s < base],
     folding the limbs high-to-low with a precomputed [base mod s].  Unlike
     {!divmod} it builds no quotient and allocates nothing — this is the
-    data-plane kernel behind [Rns.port_fast].
+    data-plane kernel behind [Rns.port].
     @raise Invalid_argument when [s] is outside [\[1, base)]. *)
 val rem_int : int array -> int -> int
 
@@ -102,6 +99,3 @@ val shift_right : int array -> int -> int array
 (** [bit_length a] is the position of the highest set bit plus one;
     [bit_length zero = 0]. *)
 val bit_length : int array -> int
-
-(** [testbit a i] is bit [i] of [a] (false beyond {!bit_length}). *)
-val testbit : int array -> int -> bool

@@ -114,43 +114,6 @@ let shift_right a k =
   mk a.sign (Nat.shift_right a.mag k)
 
 let bit_length a = Nat.bit_length a.mag
-let testbit a i = Nat.testbit a.mag i
-
-let rec gcd_mag a b = if Nat.is_zero b then a else gcd_mag b (snd (Nat.divmod a b))
-
-let gcd a b =
-  if Nat.compare a.mag b.mag >= 0 then mk 1 (gcd_mag a.mag b.mag)
-  else mk 1 (gcd_mag b.mag a.mag)
-
-let egcd a b =
-  (* Iterative extended Euclid on signed values; maintains
-     r = a*u + b*v for both tracked rows. *)
-  let rec go r0 u0 v0 r1 u1 v1 =
-    if is_zero r1 then (r0, u0, v0)
-    else begin
-      let q, r2 = divmod r0 r1 in
-      go r1 u1 v1 r2 (sub u0 (mul q u1)) (sub v0 (mul q v1))
-    end
-  in
-  let g, u, v = go a one zero b zero one in
-  if g.sign < 0 then (neg g, neg u, neg v) else (g, u, v)
-
-let invmod a m =
-  if compare m zero <= 0 then invalid_arg "Z.invmod: modulus must be positive";
-  let g, u, _ = egcd (erem a m) m in
-  if equal g one then Some (erem u m) else None
-
-let powmod b e m =
-  if compare m zero <= 0 then invalid_arg "Z.powmod: modulus must be positive";
-  if e.sign < 0 then invalid_arg "Z.powmod: negative exponent";
-  let rec go acc b e =
-    if is_zero e then acc
-    else begin
-      let acc = if testbit e 0 then erem (mul acc b) m else acc in
-      go acc (erem (mul b b) m) (shift_right e 1)
-    end
-  in
-  go (erem one m) (erem b m) e
 
 let pow b k =
   if k < 0 then invalid_arg "Z.pow: negative exponent";

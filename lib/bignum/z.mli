@@ -53,7 +53,8 @@ val erem : t -> t -> t
 (** [rem_int a s] is [to_int_exn (erem a (of_int s))] computed without the
     quotient: for [s < 2^31] it folds the limbs of [a] with a precomputed
     [2^31 mod s] in machine-int arithmetic and allocates nothing.  This is
-    the per-packet forwarding kernel ([<R>_s], Eq. 1).  Requires [s > 0]. *)
+    the per-packet forwarding kernel ([<R>_s], Eq. 1) and the reduction in
+    each step of the route-ID fold ([Rns.encode]).  Requires [s > 0]. *)
 val rem_int : t -> int -> int
 
 (** {2 Byte-backed limb views}
@@ -97,26 +98,6 @@ val shift_right : t -> int -> t
 
 (** [bit_length a] is the bit length of [|a|]; [bit_length zero = 0]. *)
 val bit_length : t -> int
-
-(** [testbit a i] is bit [i] of [|a|]. *)
-val testbit : t -> int -> bool
-
-(** [gcd a b] is the non-negative greatest common divisor;
-    [gcd zero zero = zero]. *)
-val gcd : t -> t -> t
-
-(** [egcd a b] is [(g, u, v)] with [g = gcd a b >= 0] and
-    [a*u + b*v = g] (extended Euclid, Bezout coefficients). *)
-val egcd : t -> t -> t * t * t
-
-(** [invmod a m] is the modular multiplicative inverse of [a] modulo [m]
-    (Eq. 7/8 of the paper), in [\[0, m)], or [None] when
-    [gcd a m <> 1].  Requires [m > 0]. *)
-val invmod : t -> t -> t option
-
-(** [powmod b e m] is [b^e mod m] by square-and-multiply.
-    Requires [e >= 0] and [m > 0]; result in [\[0, m)]. *)
-val powmod : t -> t -> t -> t
 
 (** [pow b k] is [b^k] for [k >= 0]. *)
 val pow : t -> int -> t

@@ -8,7 +8,6 @@ type plan = {
   core_path : Graph.node list;
   protection : (int * int) list;
   bit_length : int;
-  residue_ports : int array;
 }
 
 type error =
@@ -37,16 +36,6 @@ let residue g v port =
   else if port >= id then Error (Port_not_encodable (id, port))
   else Ok { Rns.modulus = id; value = port }
 
-(* The per-plan residue cache: a switch_id-indexed port table (-1 = switch
-   not in the plan), built once per encode/extend.  The data plane then
-   answers <R>_s for every switch in the plan with one array read instead
-   of a bignum reduction. *)
-let residue_ports_of residues =
-  let max_id = List.fold_left (fun m r -> max m r.Rns.modulus) 0 residues in
-  let ports = Array.make (max_id + 1) (-1) in
-  List.iter (fun r -> ports.(r.Rns.modulus) <- r.Rns.value) residues;
-  ports
-
 let encode_plan ~core_path ~protection residues =
   match Rns.encode residues with
   | Error e -> Error (Rns_error e)
@@ -59,7 +48,6 @@ let encode_plan ~core_path ~protection residues =
         core_path;
         protection;
         bit_length = Rns.bit_length_bound modulus;
-        residue_ports = residue_ports_of residues;
       }
 
 let check_no_duplicates residues =
@@ -160,26 +148,30 @@ let protect_exn g plan hops =
   | Ok p -> p
   | Error e -> raise_error e
 
-let is_protected plan switch_id =
-  switch_id >= 0
-  && switch_id < Array.length plan.residue_ports
-  && plan.residue_ports.(switch_id) >= 0
+let residue_at plan switch_id =
+  List.find_opt (fun r -> r.Rns.modulus = switch_id) plan.residues
 
-(* Data-plane lookup with the cache guard: the table only answers for the
-   route ID it was built from, so packets re-encoded at an edge (fresh
-   route ID) automatically miss and fall back to the modulo kernel — the
-   cache never needs explicit invalidation beyond plan re-encode.  The
-   guard compares the buffer's limb words against the plan's route ID:
-   O(limbs) machine-int equality, allocation-free and a cheap win over the
-   fold for multi-limb IDs. *)
-let cached_port_flat plan buf ~switch_id =
-  if is_protected plan switch_id && Wire.Flat.route_id_equal buf plan.route_id
-  then plan.residue_ports.(switch_id)
-  else Policy.computed_port_flat ~switch_id buf
+let is_protected plan switch_id =
+  List.exists (fun r -> r.Rns.modulus = switch_id) plan.residues
+
+(* The per-switch reader Karnet installs: the residue is looked up once
+   here, so a packet costs one limb comparison against the plan's route
+   ID.  The cached port only answers for that route ID; a packet
+   re-encoded at an edge (fresh route ID) misses and takes the remainder
+   fold, so the cache needs no invalidation beyond plan re-encode. *)
+let cached_port_flat plan ~switch_id =
+  match residue_at plan switch_id with
+  | None -> Policy.computed_port_flat ~switch_id
+  | Some { Rns.value = port; _ } ->
+    let route_id = plan.route_id in
+    fun buf ->
+      if Wire.Flat.route_id_equal buf route_id then port
+      else Policy.computed_port_flat ~switch_id buf
 
 let port_at plan ~switch_id =
-  if is_protected plan switch_id then plan.residue_ports.(switch_id)
-  else Policy.computed_port ~switch_id ~route_id:plan.route_id
+  match residue_at plan switch_id with
+  | Some r -> r.Rns.value
+  | None -> Policy.computed_port ~switch_id ~route_id:plan.route_id
 
 let verify plan =
   List.filter_map

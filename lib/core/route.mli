@@ -15,12 +15,6 @@ type plan = {
   core_path : Topo.Graph.node list; (** primary path, core nodes only *)
   protection : (int * int) list; (** directed hops (switch, next) included *)
   bit_length : int; (** Eq. 9 bound for this plan's modulus *)
-  residue_ports : int array;
-      (** the per-plan residue cache, built once at encode/extend time:
-          [residue_ports.(switch_id)] is the plan's port at that switch, or
-          [-1] when the switch carries no residue.  Rebuilt whenever the
-          plan is re-encoded ({!protect}, [Rns.extend]); read through
-          {!cached_port_flat} on the data plane. *)
 }
 
 type error =
@@ -68,18 +62,20 @@ val of_labels_exn : Topo.Graph.t -> int list -> egress_label:int -> plan
 
 val protect_exn : Topo.Graph.t -> plan -> (int * int) list -> plan
 
-(** [cached_port_flat plan buf ~switch_id] is the data-plane forwarding
-    answer [<R>_s] for the route ID in a {!Wire.Flat} packet image, with
-    the residue cache in front of the modulo kernel: when the buffer
-    carries the plan's own route ID (limb comparison) and [switch_id]
-    carries a residue, one int-array read; otherwise (stray switch, or a
-    packet re-encoded at an edge with a fresh route ID) the in-place
-    remainder fold.  Allocation-free either way. *)
-val cached_port_flat : plan -> Bytes.t -> switch_id:int -> int
+(** [cached_port_flat plan ~switch_id] is switch [switch_id]'s data-plane
+    reader: applied to a {!Wire.Flat} packet image it gives the forwarding
+    answer [<R>_s] for the image's route ID.  The switch's residue is
+    looked up in [plan.residues] once, when the reader is built (Karnet
+    builds one per switch at install time).  When the switch carries a
+    residue and the buffer carries the plan's own route ID (limb
+    comparison), the reader returns the residue; otherwise (stray switch,
+    or a packet re-encoded at an edge with a fresh route ID) it runs the
+    in-place remainder fold.  Applying the reader allocates nothing. *)
+val cached_port_flat : plan -> switch_id:int -> Bytes.t -> int
 
 (** [port_at plan ~switch_id] is the port switch [switch_id] computes for
-    this plan's route ID ([<R>_s]): the cached residue for switches in the
-    plan, the modulo answer otherwise — useful for predicting where stray
+    this plan's route ID ([<R>_s]): the residue for switches in the plan,
+    the modulo answer otherwise — useful for predicting where stray
     packets go. *)
 val port_at : plan -> switch_id:int -> int
 

@@ -6,8 +6,6 @@
       cases;
     - protection-level delivery probability on synthetic topologies;
     - switch-ID assignment strategies versus route-ID bit growth;
-    - CRT versus Garner reconstruction agreement (timings live in the
-      bechamel benches);
     - partial-protection bit budgets versus coverage (the section 2.3
       loose-source-routing trade-off);
     - UDP delivery ratio and hop inflation per policy (loss-avoidance

@@ -12,15 +12,15 @@ let install_switches ?plan net ~policy ~seed =
       let rng = Util.Prng.split master in
       let switch_id = Graph.label (Net.graph net) v in
       (* The modulo answer for this switch, read straight off the packet's
-         flat buffer: a residue-table read when a plan is threaded through
-         (missing automatically for packets whose route ID the table was
+         flat buffer: the switch's residue when a plan is threaded through
+         (missing automatically for packets whose route ID the plan was
          not built from, e.g. after an edge re-encode), the in-place
          remainder kernel otherwise.  Resolved once per switch at install
          time, not per packet. *)
       let computed_for =
         match plan with
-        | Some p -> fun buf -> Kar.Route.cached_port_flat p buf ~switch_id
-        | None -> fun buf -> Kar.Policy.computed_port_flat ~switch_id buf
+        | Some p -> Kar.Route.cached_port_flat p ~switch_id
+        | None -> Kar.Policy.computed_port_flat ~switch_id
       in
       let degree = Graph.degree (Net.graph net) v in
       let handler net _node (packet : Packet.t) ~in_port =

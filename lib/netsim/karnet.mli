@@ -16,10 +16,11 @@ val log_src : Logs.src
     stats.
 
     With [?plan], each switch answers the modulo computation through the
-    plan's residue cache ([Kar.Route.cached_port_flat]): an int-array read for
-    packets carrying the plan's route ID, the remainder kernel for any
-    other route ID (e.g. after an edge re-encode) — behaviour is identical
-    either way, byte-for-byte in the flight-recorder trace.  The
+    reader [Kar.Route.cached_port_flat] builds for it once, at install
+    time: the switch's residue for packets carrying the plan's route ID,
+    the remainder kernel for any other route ID (e.g. after an edge
+    re-encode) — behaviour is identical either way, byte-for-byte in the
+    flight-recorder trace.  The
     steady-state forward path (computed port healthy, no recorder
     attached) performs no minor-heap allocation. *)
 val install_switches :

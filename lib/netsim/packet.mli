@@ -2,9 +2,9 @@
 
     A packet handle wraps one fixed-size [Bytes.t] holding every header
     field (uid, src, dst, size, hops, reencoded, deflected, route-ID limbs);
-    core switches read the route ID straight off the limb words via
-    {!Kar.Route.cached_port_flat} — no record, no [Z.t], no allocation on
-    the forwarding path.  [payload] is an extensible variant so higher
+    core switches read the route ID straight off the limb words through
+    the per-switch reader {!Kar.Route.cached_port_flat} builds — no record,
+    no [Z.t], no allocation on the forwarding path.  [payload] is an extensible variant so higher
     layers (TCP, probe workloads) attach their own data without the
     simulator depending on them; [born] stays an exact float for latency
     stats.
@@ -25,7 +25,8 @@ type payload += Raw (** contentless filler traffic *)
 type t
 
 (** The underlying flat image, for direct kernel access
-    ({!Kar.Policy.computed_port_flat}, {!Kar.Route.cached_port_flat}). *)
+    ({!Kar.Policy.computed_port_flat}, the readers of
+    {!Kar.Route.cached_port_flat}). *)
 val bytes : t -> Bytes.t
 
 val uid : t -> int

@@ -6,8 +6,8 @@ type error =
   | Not_pairwise_coprime of int * int
   | Residue_out_of_range of residue
   | Nonpositive_modulus of int
+  | Modulus_too_large of int
   | Empty_system
-  | Modulus_conflict of int
 
 let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
 
@@ -19,10 +19,9 @@ let pp_error ppf = function
     Format.fprintf ppf "port %d is not representable at switch ID %d (need 0 <= port < id)"
       value modulus
   | Nonpositive_modulus m -> Format.fprintf ppf "switch ID %d is not positive" m
+  | Modulus_too_large m ->
+    Format.fprintf ppf "switch ID %d is too large (need id < 2^31)" m
   | Empty_system -> Format.fprintf ppf "empty residue system"
-  | Modulus_conflict id ->
-    Format.fprintf ppf
-      "switch ID %d shares a factor with the existing route modulus" id
 
 let error_to_string e = Format.asprintf "%a" pp_error e
 
@@ -47,6 +46,10 @@ let pairwise_coprime ids =
 
 let modulus_product ids = Z.product (List.map Z.of_int ids)
 
+(* Moduli below 2^31 keep every product in the fold step below inside a
+   63-bit int, and keep [Z.rem_int] on its machine-int limb fold. *)
+let max_modulus = 1 lsl 31
+
 let validate residues =
   if residues = [] then Error Empty_system
   else begin
@@ -54,110 +57,53 @@ let validate residues =
       | [] -> pairwise_coprime (List.map (fun r -> r.modulus) residues)
       | r :: rest ->
         if r.modulus <= 1 then Error (Nonpositive_modulus r.modulus)
+        else if r.modulus >= max_modulus then Error (Modulus_too_large r.modulus)
         else if r.value < 0 || r.value >= r.modulus then Error (Residue_out_of_range r)
         else check rest
     in
     check residues
   end
 
-(* Direct CRT summation (paper Eq. 4): R = < sum p_i * M_i * L_i >_M with
-   M_i = M / s_i and L_i = <M_i^{-1}>_{s_i}. *)
-let crt_sum residues =
-  let m = modulus_product (List.map (fun r -> r.modulus) residues) in
-  let term acc r =
-    let s = Z.of_int r.modulus in
-    let mi = Z.div m s in
-    let li =
-      match Z.invmod mi s with
-      | Some inv -> inv
-      | None -> assert false (* validated pairwise coprime *)
-    in
-    Z.add acc (Z.mul (Z.of_int r.value) (Z.mul mi li))
+(* [inverse a s] is a^-1 mod s for gcd a s = 1 and 0 <= a < s < 2^31:
+   extended Euclid tracking only a's coefficient (r_i = a*u_i mod s). *)
+let inverse a s =
+  let rec go r0 u0 r1 u1 =
+    if r1 = 0 then u0
+    else begin
+      let q = r0 / r1 in
+      go r1 u1 (r0 - (q * r1)) (u0 - (q * u1))
+    end
   in
-  let total = List.fold_left term Z.zero residues in
-  (Z.erem total m, m)
+  let u = go a 1 s 0 in
+  if u < 0 then u + s else u
 
+(* One incremental CRT step (paper Eq. 4-8 folded one residue at a time):
+   given R < M solving the residues so far, R' = R + M*t with
+   t = (p - R mod s) * (M mod s)^-1 mod s solves them and R' = p mod s,
+   and R' < M*s.  Both factors of the product are below s < 2^31, so it
+   fits a 63-bit int. *)
+let step (r, m) { modulus = s; value = p } =
+  let d = (p - Z.rem_int r s + s) mod s in
+  let t = (d * inverse (Z.rem_int m s) s) mod s in
+  (Z.add r (Z.mul m (Z.of_int t)), Z.mul m (Z.of_int s))
+
+(* R is unique below M, so folding the residues in any order gives the
+   same (R, M). *)
 let encode residues =
   match validate residues with
   | Error _ as e -> e
-  | Ok () -> Ok (crt_sum residues)
+  | Ok () -> Ok (List.fold_left step (Z.zero, Z.one) residues)
 
 let encode_exn residues =
   match encode residues with
   | Ok v -> v
   | Error e -> invalid_arg ("Rns.encode: " ^ error_to_string e)
 
-(* Garner's algorithm: build the value as a mixed-radix expansion
-   R = d_1 + d_2*s_1 + d_3*s_1*s_2 + ...; each digit needs only one modular
-   inverse modulo a single small s_i. *)
-let garner_digits residues =
-  let rec go acc prefix_product digits = function
-    | [] -> List.rev digits
-    | r :: rest ->
-      let s = Z.of_int r.modulus in
-      (* digit = (p_i - acc) * prefix_product^{-1} mod s_i *)
-      let inv =
-        match Z.invmod prefix_product s with
-        | Some inv -> inv
-        | None -> assert false
-      in
-      let d = Z.erem (Z.mul (Z.sub (Z.of_int r.value) acc) inv) s in
-      let acc = Z.add acc (Z.mul d prefix_product) in
-      go acc (Z.mul prefix_product s) (d :: digits) rest
-  in
-  go Z.zero Z.one [] residues
-
-let encode_garner residues =
-  match validate residues with
-  | Error _ as e -> e
-  | Ok () ->
-    let digits = garner_digits residues in
-    let value, modulus =
-      List.fold_left2
-        (fun (acc, prod) d r ->
-          (Z.add acc (Z.mul d prod), Z.mul prod (Z.of_int r.modulus)))
-        (Z.zero, Z.one) digits residues
-    in
-    Ok (value, modulus)
-
-let mixed_radix residues =
-  match validate residues with
-  | Error _ as e -> e
-  | Ok () -> Ok (garner_digits residues)
-
-(* The single validated entry point for the data-plane operation: the
-   [switch_id > 0] check lives in [Z.rem_int] (which every caller funnels
-   through), not in a second guard here. *)
-let port_fast route_id switch_id = Z.rem_int route_id switch_id
-let port = port_fast
+(* The [switch_id > 0] check lives in [Z.rem_int], not in a second guard
+   here. *)
+let port route_id switch_id = Z.rem_int route_id switch_id
 
 let decode route_id ids = List.map (port route_id) ids
-
-let extend ~route_id ~modulus extra =
-  match validate extra with
-  | Error _ as e -> e
-  | Ok () ->
-    (* Also require the new moduli to be coprime with the existing one. *)
-    let conflict =
-      List.find_opt
-        (fun r -> not (Z.equal (Z.gcd modulus (Z.of_int r.modulus)) Z.one))
-        extra
-    in
-    (match conflict with
-     | Some r -> Error (Modulus_conflict r.modulus)
-     | None ->
-       (* Combine (route_id mod modulus) with each new residue by pairwise
-          CRT: R' = route_id + modulus * t where
-          t = (p - route_id) * modulus^{-1} mod s. *)
-       let step (rid, m) r =
-         let s = Z.of_int r.modulus in
-         let inv =
-           match Z.invmod m s with Some inv -> inv | None -> assert false
-         in
-         let t = Z.erem (Z.mul (Z.sub (Z.of_int r.value) rid) inv) s in
-         (Z.add rid (Z.mul m t), Z.mul m s)
-       in
-       Ok (List.fold_left step (route_id, modulus) extra))
 
 let bit_length_bound m =
   if Z.compare m Z.one <= 0 then 0 else Z.bit_length (Z.sub m Z.one)

@@ -5,11 +5,11 @@
     switches) and a residue set [P = {p_1, ..., p_N}] (the output-port index
     each of those switches must use).  The route ID is the unique
     [R in [0, M)], [M = prod s_i], with [R mod s_i = p_i] — reconstructed by
-    the Chinese Remainder Theorem (paper Eq. 4-8).
+    the Chinese Remainder Theorem (paper Eq. 4-8), one residue at a time.
 
-    Switch IDs and ports are small native integers in this API; route IDs
-    are {!Bignum.Z.t} since [M] grows with the number of protected
-    switches. *)
+    Switch IDs and ports are small native integers in this API (switch IDs
+    in [\[2, 2^31)]); route IDs are {!Bignum.Z.t} since [M] grows with the
+    number of protected switches. *)
 
 module Z = Bignum.Z
 
@@ -21,10 +21,9 @@ type residue = {
 type error =
   | Not_pairwise_coprime of int * int (* the offending pair *)
   | Residue_out_of_range of residue
-  | Nonpositive_modulus of int
+  | Nonpositive_modulus of int (* a switch ID [<= 1] *)
+  | Modulus_too_large of int (* a switch ID [>= 2^31] *)
   | Empty_system
-  | Modulus_conflict of int (* new switch ID shares a factor with the
-                               existing route modulus (see {!extend}) *)
 
 val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
@@ -41,40 +40,26 @@ val modulus_product : int list -> Z.t
 
 (** [encode residues] is [Ok (route_id, m)] where [route_id] is the CRT
     reconstruction (Eq. 4) and [m] the modulus product, or an [error] when
-    the system is invalid. *)
+    the system is invalid.  It folds the residues left to right from
+    [(R, M) = (0, 1)]: each [(s, p)] gives
+    [t = (p - R mod s) * (M mod s)^-1 mod s] in machine ints and the next
+    pair [(R + M*t, M*s)].  [R] is unique below [M], so the result equals
+    Eq. 4's sum and does not depend on the order of [residues]. *)
 val encode : residue list -> (Z.t * Z.t, error) result
 
 (** [encode_exn residues] is [encode], raising [Invalid_argument] with the
     rendered error. *)
 val encode_exn : residue list -> Z.t * Z.t
 
-(** [encode_garner residues] reconstructs the same route ID with Garner's
-    mixed-radix algorithm — fewer large multiplications than the direct CRT
-    summation; used as an ablation and a cross-check. *)
-val encode_garner : residue list -> (Z.t * Z.t, error) result
-
 (** [decode route_id ids] extracts the output port at each switch:
     [R mod s_i] (Eq. 3, the data-plane operation). *)
 val decode : Z.t -> int list -> int list
 
 (** [port route_id switch_id] is the single-switch forwarding computation
-    [<R>_s].  This is all a KAR core switch ever evaluates.
+    [<R>_s], by the remainder-only kernel {!Bignum.Z.rem_int} (no quotient,
+    no allocation).  This is all a KAR core switch ever evaluates.
     @raise Invalid_argument when [switch_id <= 0]. *)
 val port : Z.t -> int -> int
-
-(** [port_fast] is {!port}: the remainder-only small-modulus kernel
-    ({!Bignum.Z.rem_int}) — no quotient, no allocation.  Exposed under its
-    own name so data-plane call sites document that they are on the fast
-    path; validation ([switch_id > 0]) happens inside the kernel itself. *)
-val port_fast : Z.t -> int -> int
-
-(** [extend ~route_id ~modulus extra] folds additional residues into an
-    existing route ID without re-encoding the original residues: the result
-    [R'] satisfies [R' mod m = route_id] for the old system and the new
-    residues.  This implements incremental driven-deflection protection
-    (adding path segments to an already computed route).  Returns the new
-    [(route_id, modulus)]. *)
-val extend : route_id:Z.t -> modulus:Z.t -> residue list -> (Z.t * Z.t, error) result
 
 (** [bit_length_bound m] is the number of bits needed to store any route ID
     in [\[0, m)] — the paper's Eq. 9 bound on the field width.  (Eq. 9's
@@ -82,8 +67,3 @@ val extend : route_id:Z.t -> modulus:Z.t -> residue list -> (Z.t * Z.t, error) r
     is a power of two, since the ID can be [m - 1] itself; all Table 1
     values agree under both readings.)  0 for [m <= 1]. *)
 val bit_length_bound : Z.t -> int
-
-(** [mixed_radix residues] is the mixed-radix digit expansion of the encoded
-    value with respect to the moduli order given (Garner coefficients);
-    exposed for tests and the encoding ablation. *)
-val mixed_radix : residue list -> (Z.t list, error) result

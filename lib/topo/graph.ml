@@ -25,6 +25,12 @@ type t = {
 
 let default_rate_bps = 200e6
 let default_delay_s = 50e-6
+let max_core_label = 1 lsl 31
+
+let check_core_label fn kind label =
+  if kind = Core && (label < 1 || label >= max_core_label) then
+    invalid_arg
+      (Printf.sprintf "%s: core switch ID %d is outside [1, 2^31)" fn label)
 
 module Builder = struct
   type bnode = {
@@ -45,6 +51,7 @@ module Builder = struct
     { nodes = []; n = 0; links = []; nl = 0; seen_labels = Hashtbl.create 64 }
 
   let add_node b ?(kind = Core) label =
+    check_core_label "Graph.Builder.add_node" kind label;
     if Hashtbl.mem b.seen_labels label then
       invalid_arg (Printf.sprintf "Graph.Builder.add_node: duplicate label %d" label);
     Hashtbl.add b.seen_labels label ();
@@ -244,6 +251,7 @@ let relabel g mapping =
   let by_label = Hashtbl.create (Array.length mapping) in
   Array.iteri
     (fun v l ->
+      check_core_label "Graph.relabel" g.kinds.(v) l;
       if Hashtbl.mem by_label l then
         invalid_arg (Printf.sprintf "Graph.relabel: duplicate label %d" l);
       Hashtbl.replace by_label l v)

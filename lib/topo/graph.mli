@@ -39,6 +39,13 @@ type link = {
 
 type t
 
+(** Core labels lie in [\[1, max_core_label)], [max_core_label = 2^31]: the
+    per-packet kernel that reduces a route ID by a switch ID folds 31-bit
+    limbs in machine ints, which is exact only for moduli below [2^31].
+    {!Builder.add_node} and {!relabel} reject core labels outside that
+    range. *)
+val max_core_label : int
+
 (** Incremental construction; see module doc for port semantics. *)
 module Builder : sig
   type graph := t
@@ -47,7 +54,8 @@ module Builder : sig
   val create : unit -> t
 
   (** [add_node b label] appends a node and returns its index.
-      @raise Invalid_argument if the label is already taken. *)
+      @raise Invalid_argument if the label is already taken, or, naming the
+      label, if a [Core] node's label is outside [\[1, max_core_label)]. *)
   val add_node : t -> ?kind:node_kind -> int -> node
 
   (** [add_link b u v] connects [u] and [v] using the lowest free port on
@@ -132,7 +140,8 @@ val core_labels : t -> int list
 
 (** [relabel g mapping] returns a copy of [g] whose node [v] carries label
     [mapping.(v)]; used by switch-ID assignment strategies.
-    @raise Invalid_argument on duplicate labels or wrong array length. *)
+    @raise Invalid_argument on duplicate labels, wrong array length, or a
+    core label outside [\[1, max_core_label)]. *)
 val relabel : t -> int array -> t
 
 (** [pp] prints a compact human-readable summary. *)

@@ -102,35 +102,6 @@ let test_shifts () =
   check_z "40 >> 3" (Z.of_int 5) (Z.shift_right (Z.of_int 40) 3);
   check_z "7 >> 1" (Z.of_int 3) (Z.shift_right (Z.of_int 7) 1)
 
-let test_known_gcd () =
-  check_z "gcd 12 18" (Z.of_int 6) (Z.gcd (Z.of_int 12) (Z.of_int 18));
-  check_z "gcd 0 5" (Z.of_int 5) (Z.gcd Z.zero (Z.of_int 5));
-  check_z "gcd -12 18" (Z.of_int 6) (Z.gcd (Z.of_int (-12)) (Z.of_int 18))
-
-let test_invmod_paper () =
-  (* The paper's worked example: L1 = <77^-1>_4 = 1, L2 = <44^-1>_7 = 4,
-     L3 = <28^-1>_11 = 2. *)
-  let inv a m = Option.get (Z.invmod (Z.of_int a) (Z.of_int m)) in
-  check_z "77^-1 mod 4" Z.one (inv 77 4);
-  check_z "44^-1 mod 7" (Z.of_int 4) (inv 44 7);
-  check_z "28^-1 mod 11" (Z.of_int 2) (inv 28 11);
-  (* and the protected example: <385^-1>_4 = 1, <220^-1>_7 = 5,
-     <140^-1>_11 = 7, <308^-1>_5 = 2 *)
-  check_z "385^-1 mod 4" Z.one (inv 385 4);
-  check_z "220^-1 mod 7" (Z.of_int 5) (inv 220 7);
-  check_z "140^-1 mod 11" (Z.of_int 7) (inv 140 11);
-  check_z "308^-1 mod 5" Z.two (inv 308 5)
-
-let test_invmod_none () =
-  Alcotest.(check bool) "no inverse of 2 mod 4" true (Z.invmod Z.two (Z.of_int 4) = None);
-  Alcotest.(check bool) "no inverse of 0 mod 7" true (Z.invmod Z.zero (Z.of_int 7) = None)
-
-let test_powmod () =
-  check_z "2^10 mod 1000" (Z.of_int 24) (Z.powmod Z.two (Z.of_int 10) (Z.of_int 1000));
-  (* Fermat: a^(p-1) = 1 mod p *)
-  check_z "fermat" Z.one
-    (Z.powmod (Z.of_int 123456) (Z.of_int 1_000_002) (Z.of_int 1_000_003))
-
 let test_erem_sign () =
   check_z "erem -7 3" Z.two (Z.erem (Z.of_int (-7)) (Z.of_int 3));
   check_z "erem 7 -3" Z.one (Z.erem (Z.of_int 7) (Z.of_int (-3)));
@@ -247,25 +218,6 @@ let prop_erem_range =
         && Z.is_zero (Z.erem (Z.sub a r) b)
       end)
 
-let prop_gcd_divides =
-  qtest "gcd divides both (big)" big_pair (fun (a, b) ->
-      let g = Z.gcd a b in
-      if Z.is_zero g then Z.is_zero a && Z.is_zero b
-      else Z.is_zero (Z.rem a g) && Z.is_zero (Z.rem b g))
-
-let prop_egcd_bezout =
-  qtest "egcd: a*u + b*v = g (big)" big_pair (fun (a, b) ->
-      let g, u, v = Z.egcd a b in
-      Z.equal g (Z.add (Z.mul a u) (Z.mul b v)) && Z.sign g >= 0)
-
-let prop_invmod =
-  qtest "invmod: a * a^-1 = 1 mod m"
-    QCheck2.Gen.(pair (gen_big 30) (map (fun n -> Z.of_int (abs n + 2)) int))
-    (fun (a, m) ->
-      match Z.invmod a m with
-      | None -> not (Z.equal (Z.gcd a m) Z.one)
-      | Some inv -> Z.equal (Z.erem (Z.mul a inv) m) Z.one)
-
 let prop_shift_is_mul_pow2 =
   qtest "shift_left = * 2^k"
     QCheck2.Gen.(pair (map Z.abs (gen_big 30)) (0 -- 200))
@@ -280,16 +232,11 @@ let prop_bit_length_bound =
         && Z.compare (Z.pow Z.two (bits - 1)) (Z.abs a) <= 0
       end)
 
-let prop_powmod_matches_pow =
-  qtest "powmod b e m = (b^e) mod m (small exponents)"
-    QCheck2.Gen.(triple (gen_big 10) (0 -- 40) (map (fun n -> Z.of_int (abs n + 1)) int))
-    (fun (b, e, m) ->
-      Z.equal (Z.powmod b (Z.of_int e) m) (Z.erem (Z.pow b e) m))
-
-(* Karatsuba threshold: exercise products big enough to take the Karatsuba
-   path and compare against a sum-of-shifts reference. *)
-let prop_karatsuba_consistent =
-  qtest ~count:50 "karatsuba agrees with schoolbook decomposition"
+(* Products of operands up to 75 limbs (700 digits) against a
+   sum-of-shifts reference: splitting one factor at bit k must not change
+   the product. *)
+let prop_mul_split_consistent =
+  qtest ~count:50 "mul = sum of split-operand products"
     (QCheck2.Gen.pair (gen_big 700) (gen_big 700))
     (fun (a, b) ->
       let a = Z.abs a and b = Z.abs b in
@@ -330,7 +277,6 @@ let test_shift_edges () =
 
 let test_trivial_identities () =
   check_z "erem by 1" Z.zero (Z.erem (Z.of_string "123456789123456789") Z.one);
-  check_z "gcd self" (Z.of_int 42) (Z.gcd (Z.of_int 42) (Z.of_int 42));
   check_z "x - x" Z.zero (Z.sub (Z.of_string "999999999999999999999") (Z.of_string "999999999999999999999"));
   Alcotest.(check int) "sign zero" 0 (Z.sign Z.zero);
   check_z "min" (Z.of_int (-5)) (Z.min (Z.of_int (-5)) (Z.of_int 3));
@@ -351,10 +297,6 @@ let () =
           Alcotest.test_case "pow" `Quick test_pow;
           Alcotest.test_case "bit_length" `Quick test_bit_length;
           Alcotest.test_case "shifts" `Quick test_shifts;
-          Alcotest.test_case "gcd (known)" `Quick test_known_gcd;
-          Alcotest.test_case "invmod (paper values)" `Quick test_invmod_paper;
-          Alcotest.test_case "invmod absent" `Quick test_invmod_none;
-          Alcotest.test_case "powmod" `Quick test_powmod;
           Alcotest.test_case "euclidean remainder signs" `Quick test_erem_sign;
           Alcotest.test_case "limb boundaries" `Quick test_limb_boundaries;
           Alcotest.test_case "shift edges" `Quick test_shift_edges;
@@ -367,9 +309,8 @@ let () =
         [
           prop_add_comm; prop_add_assoc; prop_mul_comm; prop_distrib;
           prop_sub_inverse; prop_divmod_invariant; prop_string_roundtrip;
-          prop_erem_range; prop_gcd_divides; prop_egcd_bezout; prop_invmod;
-          prop_shift_is_mul_pow2; prop_bit_length_bound; prop_powmod_matches_pow;
-          prop_karatsuba_consistent; nat_canonical;
+          prop_erem_range; prop_shift_is_mul_pow2; prop_bit_length_bound;
+          prop_mul_split_consistent; nat_canonical;
           prop_rem_int_matches_erem; prop_rem_int_limb_straddle;
         ] );
     ]

@@ -290,7 +290,8 @@ let test_residue_cache () =
 (* The acceptance bar of the fast-path work: a steady-state forwarding
    decision (cache lookup + NIP choice, healthy computed port) touches the
    minor heap not at all.  [Gc.minor_words] itself boxes its float result,
-   so allow a small constant slack rather than demanding an exact zero. *)
+   so allow a small constant slack rather than demanding an exact zero.
+   The switch's reader is built once, as Karnet builds it at install. *)
 let test_forward_zero_alloc () =
   let plan = Kar.Controller.scenario_plan Nets.net15 Kar.Controller.Full in
   let buf = Wire.Flat.create () in
@@ -298,8 +299,9 @@ let test_forward_zero_alloc () =
     ~route_id:plan.Kar.Route.route_id;
   let live = live 4 in
   let r = rng () in
+  let port_at_13 = Kar.Route.cached_port_flat plan ~switch_id:13 in
   let decide () =
-    let c = Kar.Route.cached_port_flat plan buf ~switch_id:13 in
+    let c = port_at_13 buf in
     let choice =
       Kar.Policy.choose Kar.Policy.Not_input_port ~computed:c ~in_port:0
         ~deflected:false ~degree:4 ~live
@@ -741,6 +743,29 @@ let test_controller_route_follows_shortest () =
   (* shortest AS1 -> AS3 is via the primary 10-7-13-29 (4 core hops) *)
   Alcotest.(check int) "4 switches" 4 (List.length plan.Kar.Route.residues)
 
+(* What planning allocates does not grow with the switch IDs on the route:
+   through SW29 relabelled 100000007 a plan costs kilobytes (a table
+   indexed by switch ID would take 800 MB). *)
+let test_controller_route_large_switch_id () =
+  let sc = Nets.net15 in
+  let g = sc.Nets.graph in
+  let big = 100_000_007 in
+  let g =
+    Graph.relabel g
+      (Array.init (Graph.n_nodes g) (fun v ->
+           let l = Graph.label g v in
+           if l = 29 then big else l))
+  in
+  let before = Gc.allocated_bytes () in
+  let plan =
+    Kar.Controller.route g ~src:sc.Nets.ingress ~dst:sc.Nets.egress ~protection:[]
+  in
+  let bytes = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool) "route crosses the relabelled switch" true
+    (Kar.Route.is_protected plan big);
+  Alcotest.(check (list (triple int int int))) "verifies" [] (Kar.Route.verify plan);
+  Alcotest.(check bool) (Printf.sprintf "%.0f bytes allocated" bytes) true (bytes < 1e6)
+
 (* --- One protection recipe --- *)
 
 (* The reference for [Controller.protected_route]: the level's tree hops
@@ -1133,6 +1158,8 @@ let () =
           Alcotest.test_case "re-encode unreachable" `Quick test_reencode_unreachable;
           Alcotest.test_case "route follows shortest path" `Quick
             test_controller_route_follows_shortest;
+          Alcotest.test_case "route through a large switch ID" `Quick
+            test_controller_route_large_switch_id;
           Alcotest.test_case "disjoint plans" `Quick test_disjoint_plans;
           Alcotest.test_case "disjoint plans survive each other" `Quick
             test_disjoint_plans_survive_each_other;

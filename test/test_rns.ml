@@ -2,9 +2,10 @@
 
    Anchored on the paper's worked examples (R = 44 and R = 660), plus
    randomized CRT properties: roundtrip, uniqueness below the modulus
-   product, order independence of the residue list (the commutativity that
-   makes driven-deflection protection possible), incremental extension, and
-   agreement between the direct CRT summation and Garner's algorithm. *)
+   product and order independence of the residue list (the commutativity
+   that makes driven-deflection protection possible), on small systems,
+   on wide ones (tens of residues, moduli up to 2^31 - 1) and against a
+   brute-force search. *)
 
 module Z = Bignum.Z
 
@@ -34,14 +35,6 @@ let test_paper_decode () =
     "ports of 44" [ 0; 2; 0 ]
     (Rns.decode (Z.of_int 44) [ 4; 7; 11 ])
 
-let test_paper_extend () =
-  (* extending 44 (mod 308) with SW5 port 0 must give 660 (mod 1540) *)
-  match Rns.extend ~route_id:(Z.of_int 44) ~modulus:(Z.of_int 308) [ residue 5 0 ] with
-  | Ok (r, m) ->
-    Alcotest.check z "R" (Z.of_int 660) r;
-    Alcotest.check z "M" (Z.of_int 1540) m
-  | Error e -> Alcotest.fail (Rns.error_to_string e)
-
 (* --- unit: error paths --- *)
 
 let test_not_coprime () =
@@ -69,11 +62,16 @@ let test_nonpositive () =
   | Error e -> Alcotest.failf "wrong error: %s" (Rns.error_to_string e)
   | Ok _ -> Alcotest.fail "expected failure"
 
-let test_extend_conflict () =
-  match Rns.extend ~route_id:(Z.of_int 44) ~modulus:(Z.of_int 308) [ residue 14 3 ] with
-  | Error (Rns.Modulus_conflict 14) -> ()
-  | Error e -> Alcotest.failf "wrong error: %s" (Rns.error_to_string e)
-  | Ok _ -> Alcotest.fail "expected failure (14 shares factor 7 with 308)"
+(* A switch ID of 2^31 or more would overflow the fold's machine-int
+   step; it is a typed error, not a wrong route ID. *)
+let test_modulus_too_large () =
+  List.iter
+    (fun s ->
+      match Rns.encode [ residue s 1 ] with
+      | Error (Rns.Modulus_too_large m) -> Alcotest.(check int) "modulus" s m
+      | Error e -> Alcotest.failf "wrong error: %s" (Rns.error_to_string e)
+      | Ok _ -> Alcotest.failf "switch ID %d accepted" s)
+    [ 2147483659; 1 lsl 31 ]
 
 let test_coprime () =
   Alcotest.(check bool) "4,7" true (Rns.coprime 4 7);
@@ -134,38 +132,6 @@ let prop_order_independent =
       let r2, m2 = Rns.encode_exn (List.rev rs) in
       Z.equal r1 r2 && Z.equal m1 m2)
 
-let prop_garner_agrees =
-  qtest "Garner's algorithm = direct CRT" gen_system (fun rs ->
-      match (Rns.encode rs, Rns.encode_garner rs) with
-      | Ok (r1, m1), Ok (r2, m2) -> Z.equal r1 r2 && Z.equal m1 m2
-      | _ -> false)
-
-let prop_extend_incremental =
-  qtest "extend = re-encode from scratch" gen_system (fun rs ->
-      match rs with
-      | [] | [ _ ] -> true
-      | first :: rest ->
-        let r0, m0 = Rns.encode_exn [ first ] in
-        (match Rns.extend ~route_id:r0 ~modulus:m0 rest with
-         | Error _ -> false
-         | Ok (r, m) ->
-           let r', m' = Rns.encode_exn rs in
-           Z.equal r r' && Z.equal m m'))
-
-let prop_mixed_radix_reconstructs =
-  qtest "mixed-radix digits rebuild R" gen_system (fun rs ->
-      match Rns.mixed_radix rs with
-      | Error _ -> false
-      | Ok digits ->
-        let r, _ = Rns.encode_exn rs in
-        let value, _ =
-          List.fold_left2
-            (fun (acc, prod) d { Rns.modulus; _ } ->
-              (Z.add acc (Z.mul d prod), Z.mul prod (Z.of_int modulus)))
-            (Z.zero, Z.one) digits rs
-        in
-        Z.equal value r)
-
 let prop_pairwise_coprime_check =
   qtest "pairwise_coprime accepts prime subsets"
     QCheck2.Gen.(1 -- 10)
@@ -179,6 +145,78 @@ let prop_modulus_product =
       Z.equal (Rns.modulus_product ids)
         (List.fold_left (fun acc m -> Z.mul acc (Z.of_int m)) Z.one ids))
 
+(* --- wide systems: 20-60 distinct primes below 2^16, plus primes just
+   below 2^31, so R runs to 300-1050 bits (10-34 limbs) and the fold's
+   machine-int step meets its largest operands --- *)
+
+let primes_below n =
+  let sieve = Array.make n true in
+  for i = 2 to n - 1 do
+    if sieve.(i) then begin
+      let j = ref (i * i) in
+      while !j < n do
+        sieve.(!j) <- false;
+        j := !j + i
+      done
+    end
+  done;
+  List.filter (fun i -> sieve.(i)) (List.init (n - 2) (fun i -> i + 2))
+
+let primes_16 = primes_below (1 lsl 16)
+let primes_near_2_31 = [ 2147483647; 2147483629; 2147483587 ]
+
+let gen_wide_system =
+  QCheck2.Gen.(
+    let* n = 20 -- 60 in
+    let* small = shuffle_l primes_16 in
+    let* k = 1 -- List.length primes_near_2_31 in
+    let take j l = List.filteri (fun i _ -> i < j) l in
+    let* moduli = shuffle_l (take n small @ take k primes_near_2_31) in
+    let* values = flatten_l (List.map (fun m -> 0 -- (m - 1)) moduli) in
+    pure (List.map2 (fun modulus value -> { Rns.modulus; value }) moduli values))
+
+let prop_wide_systems =
+  qtest ~count:100 "wide systems: roundtrip, range, order" gen_wide_system
+    (fun rs ->
+      let r, m = Rns.encode_exn rs in
+      let by_modulus = List.sort (fun a b -> compare a.Rns.modulus b.Rns.modulus) rs in
+      List.for_all (fun { Rns.modulus; value } -> Rns.port r modulus = value) rs
+      && Z.sign r >= 0 && Z.compare r m < 0
+      && Z.equal m (Rns.modulus_product (List.map (fun x -> x.Rns.modulus) rs))
+      && List.for_all
+           (fun order ->
+             let r', m' = Rns.encode_exn order in
+             Z.equal r r' && Z.equal m m')
+           [ List.rev rs; by_modulus ])
+
+(* --- oracle: for M <= 10^5, scan [0, M) for every value that recovers
+   all residues; there must be exactly one and it must be [encode]'s R.
+   Moduli are pairwise-coprime picks from [2, 60], composites included. *)
+
+let gen_small_system =
+  QCheck2.Gen.(
+    let* candidates = list_size (1 -- 8) (2 -- 60) in
+    let moduli =
+      List.fold_left
+        (fun acc s ->
+          if List.for_all (Rns.coprime s) acc && List.fold_left ( * ) s acc <= 100_000
+          then acc @ [ s ]
+          else acc)
+        [] candidates
+    in
+    let* values = flatten_l (List.map (fun m -> 0 -- (m - 1)) moduli) in
+    pure (List.map2 (fun modulus value -> { Rns.modulus; value }) moduli values))
+
+let prop_brute_force =
+  qtest ~count:200 "encode = brute-force search (M <= 10^5)" gen_small_system
+    (fun rs ->
+      let r, m = Rns.encode_exn rs in
+      let solves x = List.for_all (fun { Rns.modulus; value } -> x mod modulus = value) rs in
+      let rec solutions x acc =
+        if x < 0 then acc else solutions (x - 1) (if solves x then x :: acc else acc)
+      in
+      solutions (Z.to_int_exn m - 1) [] = [ Z.to_int_exn r ])
+
 let test_single_residue () =
   let r, m = Rns.encode_exn [ residue 7 3 ] in
   Alcotest.check z "R" (Z.of_int 3) r;
@@ -189,39 +227,21 @@ let test_modulus_two () =
   Alcotest.(check int) "port at 2" 1 (Rns.port r 2);
   Alcotest.(check int) "port at 3" 0 (Rns.port r 3)
 
-let test_extend_empty () =
-  match Rns.extend ~route_id:(Z.of_int 44) ~modulus:(Z.of_int 308) [] with
-  | Error Rns.Empty_system -> ()
-  | Error e -> Alcotest.failf "wrong error %s" (Rns.error_to_string e)
-  | Ok _ -> Alcotest.fail "empty extension should be rejected"
-
 let test_port_invalid_switch () =
   match Rns.port (Z.of_int 5) 0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "switch id 0 accepted"
 
-(* The single validated entry point behind both port functions: switch ID 1
-   is degenerate but legal (everything is 0 mod 1); non-positive IDs raise
+(* The single validated entry point: switch ID 1 is degenerate but legal (everything is 0 mod 1); non-positive IDs raise
    through the same check. *)
 let test_port_switch_one () =
   Alcotest.(check int) "R mod 1" 0 (Rns.port (Z.of_int 660) 1);
   Alcotest.(check int) "0 mod 1" 0 (Rns.port Z.zero 1)
 
 let test_port_negative_switch () =
-  List.iter
-    (fun f ->
-      match f (Z.of_int 5) (-3) with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "negative switch id accepted")
-    [ Rns.port; Rns.port_fast ]
-
-let prop_port_fast_agrees =
-  qtest "port_fast = port over random systems" gen_system (fun rs ->
-      let r, _ = Rns.encode_exn rs in
-      List.for_all
-        (fun { Rns.modulus; _ } ->
-          Rns.port_fast r modulus = Rns.port r modulus)
-        rs)
+  match Rns.port (Z.of_int 5) (-3) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "negative switch id accepted"
 
 let () =
   Alcotest.run "rns"
@@ -231,7 +251,6 @@ let () =
           Alcotest.test_case "primary route ID = 44" `Quick test_paper_primary;
           Alcotest.test_case "protected route ID = 660" `Quick test_paper_protected;
           Alcotest.test_case "decode paper values" `Quick test_paper_decode;
-          Alcotest.test_case "extend 44 -> 660" `Quick test_paper_extend;
         ] );
       ( "errors",
         [
@@ -239,12 +258,11 @@ let () =
           Alcotest.test_case "residue out of range" `Quick test_residue_out_of_range;
           Alcotest.test_case "empty system" `Quick test_empty;
           Alcotest.test_case "nonpositive modulus" `Quick test_nonpositive;
-          Alcotest.test_case "extend modulus conflict" `Quick test_extend_conflict;
+          Alcotest.test_case "modulus too large" `Quick test_modulus_too_large;
           Alcotest.test_case "coprime predicate" `Quick test_coprime;
           Alcotest.test_case "bit length bound (Eq. 9)" `Quick test_bit_length_bound;
           Alcotest.test_case "single residue" `Quick test_single_residue;
           Alcotest.test_case "modulus two" `Quick test_modulus_two;
-          Alcotest.test_case "extend with nothing" `Quick test_extend_empty;
           Alcotest.test_case "port at invalid switch" `Quick test_port_invalid_switch;
           Alcotest.test_case "port at switch 1" `Quick test_port_switch_one;
           Alcotest.test_case "port at negative switch" `Quick test_port_negative_switch;
@@ -252,8 +270,7 @@ let () =
       ( "properties",
         [
           prop_roundtrip; prop_range; prop_unique; prop_order_independent;
-          prop_garner_agrees; prop_extend_incremental; prop_mixed_radix_reconstructs;
-          prop_pairwise_coprime_check; prop_modulus_product;
-          prop_port_fast_agrees;
+          prop_pairwise_coprime_check; prop_modulus_product; prop_wide_systems;
+          prop_brute_force;
         ] );
     ]

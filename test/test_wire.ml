@@ -217,6 +217,8 @@ let test_serial_errors () =
   expect_error "frobnicate 1 2\n" "unknown record";
   expect_error "node 3 core\nlink 3:0 9:0\n" "unknown node";
   expect_error "node 3 blue\n" "unknown node kind";
+  (* a core switch ID the per-packet kernel cannot reduce by *)
+  expect_error "node 2147483659 core\n" "2147483659";
   expect_error "node 3 core\nnode 5 core\nlink 3:zero 5:0\n" "bad endpoint";
   (* link parameters that would crash the engine or strand packets *)
   let two = "node 3 core\nnode 5 core\n" in
@@ -476,7 +478,8 @@ let test_flat_vs_record_decide () =
    — pool acquire, stamp, four hop decisions off the limb view, release —
    touches the minor heap not at all once the pool is warm.  (The bench
    gauge gc/forward-minor-words-per-packet reports the same quantity;
-   this pins it in the suite.) *)
+   this pins it in the suite.)  The switch's reader is built once, as
+   Karnet builds it at install. *)
 let test_flat_packet_zero_alloc () =
   let sc = Topo.Nets.net15 in
   let g = sc.Topo.Nets.graph in
@@ -487,6 +490,7 @@ let test_flat_packet_zero_alloc () =
   let rng = Util.Prng.of_int 9 in
   let pool = Packet.Pool.create () in
   let born = Sys.opaque_identity 0.0 in
+  let port_at_13 = Kar.Route.cached_port_flat plan ~switch_id:13 in
   let packet_round i =
     let p = Packet.Pool.acquire pool in
     Packet.stamp p ~uid:i ~src:1 ~dst:5 ~size_bytes:512 ~route_id ~born
@@ -494,7 +498,7 @@ let test_flat_packet_zero_alloc () =
     let b = Packet.bytes p in
     for hop = 0 to 3 do
       Packet.set_hops p hop;
-      let c = Kar.Route.cached_port_flat plan b ~switch_id:13 in
+      let c = port_at_13 b in
       let choice =
         Kar.Policy.choose Kar.Policy.Not_input_port ~computed:c ~in_port:0
           ~deflected:false ~degree ~live
