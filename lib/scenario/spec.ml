@@ -168,24 +168,31 @@ let parse s =
       (Printf.sprintf
          "unknown scenario model %S (flap|regional|adversarial|events)" model)
 
+(* %g where it reads back exactly, as every value of up to six significant
+   digits does, else the 17 significant digits that always do *)
+let float_to_string x =
+  let s = Printf.sprintf "%g" x in
+  if float_of_string s = x then s else Printf.sprintf "%.17g" x
+
 let to_string = function
   | Flap { links; period; duty; seed } ->
-    Printf.sprintf "flap:links=%d,period=%g,duty=%g,seed=%d" links period duty
-      seed
+    Printf.sprintf "flap:links=%d,period=%s,duty=%s,seed=%d" links
+      (float_to_string period) (float_to_string duty) seed
   | Regional { groups; mtbf; mttr; seed } ->
-    Printf.sprintf "regional:groups=%d,mtbf=%g,mttr=%g,seed=%d" groups mtbf
-      mttr seed
+    Printf.sprintf "regional:groups=%d,mtbf=%s,mttr=%s,seed=%d" groups
+      (float_to_string mtbf) (float_to_string mttr) seed
   | Adversarial { k; period; hold; level } ->
-    Printf.sprintf "adversarial:k=%d,period=%g,hold=%g,level=%s" k period hold
+    Printf.sprintf "adversarial:k=%d,period=%s,hold=%s,level=%s" k
+      (float_to_string period) (float_to_string hold)
       (Kar.Controller.level_to_string level)
   | Events evs ->
     "events:"
     ^ String.concat ","
         (List.map
            (fun (at, action, link) ->
-             Printf.sprintf "%s@%g=%s"
+             Printf.sprintf "%s@%s=%s"
                (Event.action_to_string action)
-               at
+               (float_to_string at)
                (match link with
                 | Id id -> Printf.sprintf "#%d" id
                 | Between (a, b) -> Printf.sprintf "%d-%d" a b))

@@ -25,6 +25,21 @@ let classification_to_string = function
 let all_classifications =
   [ Guaranteed; Policy_dependent; Loop; Blackhole; Disconnected ]
 
+(* The graph as int arrays.  Every port of the graph has one index: port
+   [p] of node [v] is [off.(v) + p].  A state (plan, core node, in_port,
+   deflected) is then its arrival port under a plan plus a flag, so its
+   slot in the dense state index is [((plan * ports) + port) * 2 +
+   deflected]. *)
+type flat = {
+  off : int array;  (* per node, its first port; one extra entry *)
+  peer : int array;  (* per port, the port at the far end of its link *)
+  owner : int array;  (* per port, the node it belongs to *)
+  label : int array;  (* per node *)
+  core : bool array;  (* per node *)
+  all_live : int array;  (* per node, every port live; 0 at edges *)
+  n_slots : int;  (* plans x ports x 2 *)
+}
+
 type instance = {
   graph : Graph.t;
   src : Graph.node;
@@ -34,6 +49,7 @@ type instance = {
   plan : Kar.Route.plan;
   primary : int array array;
   plan_of_edge : int array;
+  flat : flat;
 }
 
 (* Per node, the port the plan computes there ([-1] at edge nodes): all
@@ -45,7 +61,38 @@ let primary_ports g plan =
         Kar.Route.port_at plan ~switch_id:(Graph.label g v)
       else -1)
 
+let flatten g ~n_plans =
+  let n = Graph.n_nodes g in
+  let off = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    off.(v + 1) <- off.(v) + Graph.degree g v
+  done;
+  let ports = off.(n) in
+  let peer = Array.make ports 0 and owner = Array.make ports 0 in
+  for v = 0 to n - 1 do
+    for p = 0 to Graph.degree g v - 1 do
+      let u, q = Graph.peer g v p in
+      peer.(off.(v) + p) <- off.(u) + q;
+      owner.(off.(v) + p) <- v
+    done
+  done;
+  {
+    off;
+    peer;
+    owner;
+    label = Array.init n (Graph.label g);
+    core = Array.init n (Graph.is_core g);
+    all_live =
+      Array.init n (fun v ->
+          if Graph.is_core g v then
+            Kar.Policy.mask_of_failures g ~node:v ~failed:(fun _ -> false)
+          else 0);
+    n_slots = n_plans * ports * 2;
+  }
+
 let prepare ?(ttl = 128) g ~plan ~policy ~src ~dst () =
+  if Graph.degree g src = 0 then
+    invalid_arg "Verifier.prepare: the source edge has no port";
   let primary = ref [ primary_ports g plan ] in
   let n = ref 1 in
   let plan_of_edge = Array.make (Graph.n_nodes g) (-1) in
@@ -70,34 +117,8 @@ let prepare ?(ttl = 128) g ~plan ~policy ~src ~dst () =
     plan;
     primary = Array.of_list (List.rev !primary);
     plan_of_edge;
+    flat = flatten g ~n_plans:!n;
   }
-
-(* Physical reachability of dst from src in g - F, transiting core switches
-   only (an edge node other than the endpoints cannot relay traffic).  The
-   yardstick for the ideal-resilience comparison: when this is false no
-   routing scheme could deliver, and the failure set is classified
-   [Disconnected] rather than held against KAR. *)
-let connected inst ~failed =
-  let g = inst.graph in
-  let ok v = Graph.is_core g v || v = inst.src || v = inst.dst in
-  let seen = Array.make (Graph.n_nodes g) false in
-  let q = Queue.create () in
-  seen.(inst.src) <- true;
-  Queue.push inst.src q;
-  let found = ref false in
-  while (not !found) && not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    if v = inst.dst then found := true
-    else
-      List.iter
-        (fun (_, (l : Graph.link), far) ->
-          if (not failed.(l.Graph.id)) && ok far && not seen.(far) then begin
-            seen.(far) <- true;
-            Queue.push far q
-          end)
-        (Graph.ports g v)
-  done;
-  !found
 
 (* --- the state graph ---
 
@@ -105,7 +126,348 @@ let connected inst ~failed =
    [Policy.choose] consults besides the live mask.  TTL is deliberately not
    part of the state: a reachable cycle in this finite graph is a run that
    exhausts any TTL, and acyclic runs are bounded by the longest path,
-   which [verify] checks against the TTL explicitly. *)
+   which [verify] checks against the TTL explicitly.
+
+   A successor's target is a state id, or one of two terminal codes:
+   [deliver], or [drop_at a] for a drop at the node owning port [a], the
+   port the packet arrived on. *)
+
+let deliver = -1
+let drop_at a = -2 - a
+let is_drop t = t <= -2
+
+(* Working memory for one call, one per domain: an instance is shared by
+   the domains of a sweep, so it cannot hold it.  It only grows, to the
+   largest instance the domain has seen, and nothing is cleared between
+   calls: a slot, port or node entry belongs to this call only when its
+   stamp is [gen]. *)
+type scratch = {
+  mutable gen : int;
+  mutable n : int;  (* states explored *)
+  mutable m : int;  (* successors recorded *)
+  slot_gen : int array;  (* per slot, the call that reached it *)
+  slot_id : int array;  (* per slot, its state id in that call *)
+  slot : int array;  (* per state, its slot *)
+  depth : int array;  (* per state, switch arrivals from injection *)
+  first : int array;  (* per state, its first successor; one extra *)
+  mutable tgt : int array;  (* per successor, a state id or terminal code *)
+  mutable out : int array;  (* per successor, the out port; -1 when stuck *)
+  w0 : int array;  (* per state, work arrays for the passes that follow *)
+  w1 : int array;  (* the exploration, each pass naming them for its *)
+  w2 : int array;  (* own use *)
+  live : int array;  (* per node, the live mask under F *)
+  node_gen : int array;  (* per node, the call whose BFS reached it *)
+  queue : int array;  (* per node, that BFS's queue *)
+  port_gen : int array;  (* per port, the call that failed its link *)
+}
+
+(* Zeroed arrays: a zero stamp predates every call. *)
+let scratch ~gen ~slots ~nodes ~ports =
+  let zeros len = Array.make len 0 in
+  {
+    gen;
+    n = 0;
+    m = 0;
+    slot_gen = zeros slots;
+    slot_id = zeros slots;
+    slot = zeros slots;
+    depth = zeros slots;
+    first = zeros (slots + 1);
+    tgt = zeros slots;
+    out = zeros slots;
+    w0 = zeros slots;
+    w1 = zeros slots;
+    w2 = zeros slots;
+    live = zeros nodes;
+    node_gen = zeros nodes;
+    queue = zeros nodes;
+    port_gen = zeros ports;
+  }
+
+let scratch_key =
+  Domain.DLS.new_key (fun () -> scratch ~gen:0 ~slots:0 ~nodes:0 ~ports:0)
+
+let rec fail_links s fl g = function
+  | [] -> ()
+  | id :: rest ->
+    if id < 0 || id >= Graph.n_links g then
+      invalid_arg (Printf.sprintf "Verifier: link id %d out of range" id);
+    let l = Graph.link g id in
+    fail_port s fl l.Graph.ep0;
+    fail_port s fl l.Graph.ep1;
+    fail_links s fl g rest
+
+and fail_port s fl (e : Graph.endpoint) =
+  s.port_gen.(fl.off.(e.node) + e.port) <- s.gen;
+  s.live.(e.node) <- s.live.(e.node) land lnot (1 lsl e.port)
+
+(* This domain's scratch, sized for [inst], with a fresh stamp and the
+   live masks under [failed]. *)
+let start inst ~failed =
+  let fl = inst.flat in
+  let nodes = Array.length fl.label and ports = Array.length fl.peer in
+  let s = Domain.DLS.get scratch_key in
+  let s =
+    if
+      Array.length s.slot_gen >= fl.n_slots
+      && Array.length s.live >= nodes
+      && Array.length s.port_gen >= ports
+    then s
+    else begin
+      let grown =
+        scratch ~gen:s.gen
+          ~slots:(max fl.n_slots (Array.length s.slot_gen))
+          ~nodes:(max nodes (Array.length s.live))
+          ~ports:(max ports (Array.length s.port_gen))
+      in
+      Domain.DLS.set scratch_key grown;
+      grown
+    end
+  in
+  s.gen <- s.gen + 1;
+  s.n <- 0;
+  s.m <- 0;
+  Array.blit fl.all_live 0 s.live 0 nodes;
+  fail_links s fl inst.graph failed;
+  s
+
+let plan_of fl slot = (slot lsr 1) / Array.length fl.peer
+let port_of fl slot = (slot lsr 1) mod Array.length fl.peer
+
+(* The target of arriving on port [a] under [plan] with the deflected flag
+   [deflected] (0 or 1), [depth] switch arrivals after injection.  A core
+   switch is a state, numbered on its first arrival.  An edge node
+   delivers, drops when it has no re-encode plan, or re-encodes: out its
+   port 0 under its own plan with the flag cleared, exactly like Karnet's
+   edge handler. *)
+let rec arrive s inst ~plan ~arrival:a ~deflected ~depth ~relays =
+  let fl = inst.flat in
+  if relays > Array.length fl.label then
+    invalid_arg "Verifier: edge-to-edge relay chain (unsupported topology)";
+  let u = fl.owner.(a) in
+  if fl.core.(u) then begin
+    let slot = (((plan * Array.length fl.peer) + a) lsl 1) lor deflected in
+    if s.slot_gen.(slot) = s.gen then s.slot_id.(slot)
+    else begin
+      let id = s.n in
+      s.n <- id + 1;
+      s.slot_gen.(slot) <- s.gen;
+      s.slot_id.(slot) <- id;
+      s.slot.(id) <- slot;
+      s.depth.(id) <- depth;
+      id
+    end
+  end
+  else if u = inst.dst then deliver
+  else
+    match inst.plan_of_edge.(u) with
+    | -1 -> drop_at a
+    | plan' ->
+      arrive s inst ~plan:plan' ~arrival:fl.peer.(fl.off.(u)) ~deflected:0
+        ~depth ~relays:(relays + 1)
+
+(* [Policy.choose] at state [id]. *)
+let decide s inst id =
+  let fl = inst.flat in
+  let slot = s.slot.(id) in
+  let a = port_of fl slot in
+  let v = fl.owner.(a) in
+  Kar.Policy.choose inst.policy
+    ~computed:inst.primary.(plan_of fl slot).(v)
+    ~in_port:(a - fl.off.(v))
+    ~deflected:(slot land 1 = 1)
+    ~degree:(fl.off.(v + 1) - fl.off.(v))
+    ~live:s.live.(v)
+
+let doubled a =
+  let b = Array.make (2 * Array.length a) 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let push s t p =
+  if s.m = Array.length s.tgt then begin
+    s.tgt <- doubled s.tgt;
+    s.out <- doubled s.out
+  end;
+  s.tgt.(s.m) <- t;
+  s.out.(s.m) <- p;
+  s.m <- s.m + 1
+
+(* The decision's fan-out at state [id], in port order. *)
+let expand s inst id =
+  let fl = inst.flat in
+  let slot = s.slot.(id) in
+  let plan = plan_of fl slot and a = port_of fl slot in
+  let v = fl.owner.(a) in
+  let base = fl.off.(v) and depth = s.depth.(id) + 1 in
+  s.first.(id) <- s.m;
+  let choice = decide s inst id in
+  if choice < 0 then
+    push s
+      (arrive s inst ~plan
+         ~arrival:fl.peer.(base + lnot choice)
+         ~deflected:(slot land 1) ~depth ~relays:0)
+      (lnot choice)
+  else if choice > 0 then begin
+    for p = 0 to fl.off.(v + 1) - base - 1 do
+      if choice land (1 lsl p) <> 0 then
+        push s
+          (arrive s inst ~plan ~arrival:fl.peer.(base + p) ~deflected:1
+             ~depth ~relays:0)
+          p
+    done
+  end
+  else push s (drop_at a) (-1)
+
+(* The port a packet lands on when injected: the source edge ships it out
+   its port 0. *)
+let injection inst = inst.flat.peer.(inst.flat.off.(inst.src))
+
+(* Breadth-first from the landing after injection.  States are numbered
+   in discovery order, so the queue is the id range itself.  Returns the
+   initial target. *)
+let explore s inst =
+  let init =
+    arrive s inst ~plan:0 ~arrival:(injection inst) ~deflected:0 ~depth:1
+      ~relays:0
+  in
+  let id = ref 0 in
+  while !id < s.n do
+    expand s inst !id;
+    incr id
+  done;
+  s.first.(s.n) <- s.m;
+  init
+
+(* Hop accounting matches Karnet: a switch arrival bumps the hop count and
+   the decision only happens when hops <= ttl.  The init state is arrival
+   1; each transition is one further arrival.  States are numbered in
+   BFS order, so the first state with a delivering successor is a
+   shallowest one. *)
+let min_deliver_hops s init =
+  if init = deliver then 0
+  else begin
+    let best = ref (-1) and id = ref 0 in
+    while !best < 0 && !id < s.n do
+      for e = s.first.(!id) to s.first.(!id + 1) - 1 do
+        if s.tgt.(e) = deliver then best := s.depth.(!id)
+      done;
+      incr id
+    done;
+    !best
+  end
+
+(* Every explored state is reachable from the initial one, so some run
+   drops exactly when some state has a drop successor. *)
+let can_drop s init =
+  let e = ref 0 in
+  while !e < s.m && not (is_drop s.tgt.(!e)) do
+    incr e
+  done;
+  is_drop init || !e < s.m
+
+(* Kahn's pass over the explored states: the longest run in switch
+   arrivals, or -1 when a cycle is reachable (some state never reaches
+   in-degree 0).  Every state but the initial one has an incoming edge,
+   so the initial one is the only start. *)
+let kahn s =
+  let n = s.n in
+  if n = 0 then 0
+  else begin
+    let indeg = s.w0 and run = s.w1 and queue = s.w2 in
+    Array.fill indeg 0 n 0;
+    Array.fill run 0 n 0;
+    for e = 0 to s.m - 1 do
+      let t = s.tgt.(e) in
+      if t >= 0 then indeg.(t) <- indeg.(t) + 1
+    done;
+    let head = ref 0 and tail = ref 0 and longest = ref 0 in
+    if indeg.(0) = 0 then begin
+      queue.(0) <- 0;
+      run.(0) <- 1;
+      tail := 1
+    end;
+    while !head < !tail do
+      let id = queue.(!head) in
+      incr head;
+      if run.(id) > !longest then longest := run.(id);
+      for e = s.first.(id) to s.first.(id + 1) - 1 do
+        let t = s.tgt.(e) in
+        if t >= 0 then begin
+          if run.(id) + 1 > run.(t) then run.(t) <- run.(id) + 1;
+          indeg.(t) <- indeg.(t) - 1;
+          if indeg.(t) = 0 then begin
+            queue.(!tail) <- t;
+            incr tail
+          end
+        end
+      done
+    done;
+    if !head < n then -1 else !longest
+  end
+
+(* Physical reachability of dst from src in g - F, transiting core switches
+   only (an edge node other than the endpoints cannot relay traffic).  The
+   yardstick for the ideal-resilience comparison: when this is false no
+   routing scheme could deliver, and the failure set is classified
+   [Disconnected] rather than held against KAR. *)
+let connected s inst =
+  let fl = inst.flat in
+  let q = s.queue in
+  s.node_gen.(inst.src) <- s.gen;
+  q.(0) <- inst.src;
+  let head = ref 0 and tail = ref 1 and found = ref false in
+  while (not !found) && !head < !tail do
+    let v = q.(!head) in
+    incr head;
+    if v = inst.dst then found := true
+    else
+      for a = fl.off.(v) to fl.off.(v + 1) - 1 do
+        let u = fl.owner.(fl.peer.(a)) in
+        if
+          s.port_gen.(a) <> s.gen
+          && (fl.core.(u) || u = inst.src || u = inst.dst)
+          && s.node_gen.(u) <> s.gen
+        then begin
+          s.node_gen.(u) <- s.gen;
+          q.(!tail) <- u;
+          incr tail
+        end
+      done
+  done;
+  !found
+
+let verify inst ~failed =
+  let s = start inst ~failed in
+  let init = explore s inst in
+  let min_deliver_hops = min_deliver_hops s init in
+  (* TTL guards: a delivery deeper than the TTL is unreachable in the real
+     data plane, and an acyclic run longer than the TTL still dies of TTL
+     exhaustion (counted in the loop class — TTL death is how loops
+     manifest in the engine). *)
+  let can_deliver = min_deliver_hops >= 0 && min_deliver_hops <= inst.ttl in
+  let can_drop = can_drop s init in
+  let run = kahn s in
+  let can_loop = run < 0 || run > inst.ttl in
+  let outcome =
+    { can_deliver; can_drop; can_loop; states = s.n; min_deliver_hops }
+  in
+  let classification =
+    if not (connected s inst) then Disconnected
+    else if can_deliver && (not can_drop) && not can_loop then Guaranteed
+    else if can_deliver then Policy_dependent
+    else if can_loop then Loop
+    else Blackhole
+  in
+  (classification, outcome)
+
+(* --- refutation witnesses ---
+
+   A refutation is one concrete resolution of the deflection choices that
+   fails: a finite run into a drop, or a lasso (prefix + cycle) whose
+   unrolling dies of TTL.  {!Counterexample} turns either into a
+   Trace-format replay.  Both searches walk the explored successors in
+   order and build [step] records only along the witness. *)
 
 type step = {
   switch : int;
@@ -123,364 +485,130 @@ type refutation =
   | Drops of { steps : step list; at : int; at_in_port : int }
   | Loops of { prefix : step list; cycle : step list }
 
-type target =
-  | T_state of int
-  | T_deliver
-  | T_drop of { at : int; at_in_port : int }
+(* The label of the edge a packet arriving on port [a] strands at and is
+   re-encoded by, or -1. *)
+let stranded inst a =
+  let fl = inst.flat in
+  let u = fl.owner.(a) in
+  if fl.core.(u) || u = inst.dst || inst.plan_of_edge.(u) < 0 then -1
+  else fl.label.(u)
 
-type exploration = {
-  n_states : int;
-  succs : (target * step option) list array;
-      (* per state, the decision's fan-out; [step] is [None] only for the
-         drop-at-this-switch pseudo-transition *)
-  init : target;
-  init_stranded : int;
-      (* edge the packet stranded at straight off injection, or -1 *)
-}
+(* The hop along successor [e] of state [id]. *)
+let step_of s inst id e =
+  let fl = inst.flat in
+  let slot = s.slot.(id) in
+  let a = port_of fl slot in
+  let base = fl.off.(fl.owner.(a)) in
+  let via_computed = decide s inst id < 0 in
+  let deflected = slot land 1 = 1 in
+  {
+    switch = fl.label.(fl.owner.(a));
+    in_port = a - base;
+    out_port = s.out.(e);
+    via_computed;
+    deflected_before = deflected;
+    deflected_after = deflected || not via_computed;
+    stranded = stranded inst fl.peer.(base + s.out.(e));
+  }
 
-let explore inst ~failed =
-  let g = inst.graph in
-  let n_nodes = Graph.n_nodes g in
-  let n_plans = Array.length inst.primary in
-  let masks =
-    Array.init n_nodes (fun v ->
-        if Graph.is_core g v then
-          Kar.Policy.mask_of_failures g ~node:v ~failed:(fun id -> failed.(id))
-        else 0)
-  in
-  let ids : (int, int) Hashtbl.t = Hashtbl.create 256 in
-  let state_of : (int, int * int * int * bool) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  let n_states = ref 0 in
-  let todo = Queue.create () in
-  let key ~plan ~node ~in_port ~deflected =
-    (((plan * n_nodes) + node) * (n_nodes + 2))
-    + (in_port + 1)
-    + if deflected then n_plans * n_nodes * (n_nodes + 2) else 0
-  in
-  let state_id ~plan ~node ~in_port ~deflected =
-    let k = key ~plan ~node ~in_port ~deflected in
-    match Hashtbl.find_opt ids k with
-    | Some id -> id
-    | None ->
-      let id = !n_states in
-      incr n_states;
-      Hashtbl.add ids k id;
-      Hashtbl.add state_of id (plan, node, in_port, deflected);
-      Queue.push id todo;
-      id
-  in
-  (* Landing on node [u] via port [q]: a core switch becomes a state; an
-     edge node delivers, re-encodes (continuing out its port 0 under the
-     edge's own plan with a cleared deflected flag, exactly like Karnet's
-     edge handler), or drops the packet when no re-encode plan exists.
-     Returns the target and the label of the stranding edge (or -1). *)
-  let rec land_on ~depth ~plan ~node:u ~in_port:q ~deflected =
-    if depth > n_nodes then
-      invalid_arg "Verifier: edge-to-edge relay chain (unsupported topology)";
-    if Graph.is_core g u then
-      (T_state (state_id ~plan ~node:u ~in_port:q ~deflected), -1)
-    else if u = inst.dst then (T_deliver, -1)
-    else
-      match inst.plan_of_edge.(u) with
-      | -1 -> (T_drop { at = Graph.label g u; at_in_port = q }, -1)
-      | plan' ->
-        let w, r = Graph.peer g u 0 in
-        let t, _ =
-          land_on ~depth:(depth + 1) ~plan:plan' ~node:w ~in_port:r
-            ~deflected:false
-        in
-        (t, Graph.label g u)
-  in
-  let init, init_stranded =
-    (* injection: the source edge ships the packet out its port 0 *)
-    let w, r = Graph.peer g inst.src 0 in
-    land_on ~depth:0 ~plan:0 ~node:w ~in_port:r ~deflected:false
-  in
-  let succs_tbl : (int, (target * step option) list) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  while not (Queue.is_empty todo) do
-    let id = Queue.pop todo in
-    let plan, v, in_port, deflected = Hashtbl.find state_of id in
-    let switch_id = Graph.label g v in
-    let degree = Graph.degree g v in
-    let out ports_mask ~via_computed ~deflected_after =
-      let rec go p acc =
-        if p >= degree then List.rev acc
-        else if ports_mask land (1 lsl p) = 0 then go (p + 1) acc
-        else begin
-          let u, q = Graph.peer g v p in
-          let t, strand =
-            land_on ~depth:0 ~plan ~node:u ~in_port:q
-              ~deflected:deflected_after
-          in
-          let step =
-            {
-              switch = switch_id;
-              in_port;
-              out_port = p;
-              via_computed;
-              deflected_before = deflected;
-              deflected_after;
-              stranded = strand;
-            }
-          in
-          go (p + 1) ((t, Some step) :: acc)
-        end
+let drop_witness inst t ~steps =
+  let fl = inst.flat in
+  let a = -2 - t in
+  let v = fl.owner.(a) in
+  Drops { steps; at = fl.label.(v); at_in_port = a - fl.off.(v) }
+
+(* The nearest drop.  The exploration was a BFS from the initial state, so
+   the first state with a drop successor is a nearest one, and the first
+   edge into each state is the BFS tree edge that discovered it. *)
+let refute_drop s inst init =
+  if init = deliver then None
+  else if is_drop init then Some (drop_witness inst init ~steps:[])
+  else begin
+    let last = ref (-1) and id = ref 0 in
+    while !last < 0 && !id < s.n do
+      for e = s.first.(!id) to s.first.(!id + 1) - 1 do
+        if !last < 0 && is_drop s.tgt.(e) then last := e
+      done;
+      if !last < 0 then incr id
+    done;
+    if !last < 0 then None
+    else begin
+      let parent = s.w0 and via = s.w1 in
+      Array.fill parent 0 s.n (-1);
+      for from = 0 to s.n - 1 do
+        for e = s.first.(from) to s.first.(from + 1) - 1 do
+          let t = s.tgt.(e) in
+          if t > 0 && parent.(t) < 0 then begin
+            parent.(t) <- from;
+            via.(t) <- e
+          end
+        done
+      done;
+      let rec unwind id acc =
+        if id = 0 then acc
+        else unwind parent.(id) (step_of s inst parent.(id) via.(id) :: acc)
       in
-      go 0 []
-    in
-    let choice =
-      Kar.Policy.choose inst.policy ~computed:inst.primary.(plan).(v) ~in_port
-        ~deflected ~degree ~live:masks.(v)
-    in
-    let successors =
-      if choice < 0 then
-        out (1 lsl lnot choice) ~via_computed:true ~deflected_after:deflected
-      else if choice > 0 then
-        out choice ~via_computed:false ~deflected_after:true
-      else [ (T_drop { at = switch_id; at_in_port = in_port }, None) ]
-    in
-    Hashtbl.replace succs_tbl id successors
-  done;
-  let succs =
-    Array.init !n_states (fun id ->
-        match Hashtbl.find_opt succs_tbl id with Some l -> l | None -> [])
-  in
-  { n_states = !n_states; succs; init; init_stranded }
-
-(* Reachability of a terminal predicate, by fixpoint over the (small)
-   state set. *)
-let reaches expl ~terminal =
-  let reach = Array.make (max expl.n_states 1) false in
-  let direct targets =
-    List.exists
-      (fun (t, _) ->
-        match t with T_state id -> reach.(id) | t -> terminal t)
-      targets
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for id = 0 to expl.n_states - 1 do
-      if (not reach.(id)) && direct expl.succs.(id) then begin
-        reach.(id) <- true;
-        changed := true
-      end
-    done
-  done;
-  match expl.init with
-  | T_state id -> reach.(id)
-  | t -> terminal t
-
-let is_deliver = function T_deliver -> true | _ -> false
-let is_drop = function T_drop _ -> true | _ -> false
-
-(* Cycle detection over the states reachable from init (every explored
-   state is reachable by construction): 3-colour DFS. *)
-let has_cycle expl =
-  let color = Array.make (max expl.n_states 1) 0 in
-  let cycle = ref false in
-  let rec visit id =
-    if color.(id) = 1 then cycle := true
-    else if color.(id) = 0 then begin
-      color.(id) <- 1;
-      List.iter
-        (fun (t, _) -> match t with T_state s -> visit s | _ -> ())
-        expl.succs.(id);
-      color.(id) <- 2
+      let e = !last in
+      (* a stuck switch drops without taking a hop *)
+      let final = if s.out.(e) < 0 then [] else [ step_of s inst !id e ] in
+      Some (drop_witness inst s.tgt.(e) ~steps:(unwind !id final))
     end
-  in
-  (match expl.init with T_state id -> visit id | _ -> ());
-  !cycle
+  end
 
-(* Hop accounting matches Karnet: a switch arrival bumps the hop count and
-   the decision only happens when hops <= ttl.  The init state is arrival
-   1; each transition is one further arrival.  Delivery from a state at
-   BFS depth d therefore needs d <= ttl. *)
-let shortest_deliver expl =
-  match expl.init with
-  | T_deliver -> Some 0
-  | T_drop _ -> None
-  | T_state init ->
-    let dist = Array.make expl.n_states (-1) in
-    dist.(init) <- 1;
-    let q = Queue.create () in
-    Queue.push init q;
-    let best = ref None in
-    while !best = None && not (Queue.is_empty q) do
-      let id = Queue.pop q in
-      if List.exists (fun (t, _) -> is_deliver t) expl.succs.(id) then
-        best := Some dist.(id)
-      else
-        List.iter
-          (fun (t, _) ->
-            match t with
-            | T_state s when dist.(s) < 0 ->
-              dist.(s) <- dist.(id) + 1;
-              Queue.push s q
-            | _ -> ())
-          expl.succs.(id)
-    done;
-    !best
-
-(* Longest run (in switch arrivals) of the acyclic state graph — only
-   meaningful when [has_cycle] is false. *)
-let longest_run expl =
-  match expl.init with
-  | T_state init ->
-    let memo = Array.make expl.n_states (-1) in
-    let rec depth id =
-      if memo.(id) >= 0 then memo.(id)
+(* A lasso, by depth-first search from the initial state: [path.(k)] is
+   the state at depth [k] and [next.(k)] its next successor to try, so
+   the edge taken out of depth [k] is [next.(k) - 1]. *)
+let refute_loop s inst init =
+  if init < 0 then None
+  else begin
+    let colour = s.w0 and path = s.w1 and next = s.w2 in
+    Array.fill colour 0 s.n 0;
+    colour.(0) <- 1;
+    path.(0) <- 0;
+    next.(0) <- s.first.(0);
+    let top = ref 0 and back = ref (-1) in
+    while !back < 0 && !top >= 0 do
+      let id = path.(!top) and e = next.(!top) in
+      if e = s.first.(id + 1) then begin
+        colour.(id) <- 2;
+        decr top
+      end
       else begin
-        let deepest =
-          List.fold_left
-            (fun acc (t, _) ->
-              match t with T_state s -> max acc (depth s) | _ -> acc)
-            0 expl.succs.(id)
-        in
-        memo.(id) <- 1 + deepest;
-        memo.(id)
+        next.(!top) <- e + 1;
+        let t = s.tgt.(e) in
+        if t >= 0 && colour.(t) = 1 then back := t
+        else if t >= 0 && colour.(t) = 0 then begin
+          colour.(t) <- 1;
+          incr top;
+          path.(!top) <- t;
+          next.(!top) <- s.first.(t)
+        end
       end
-    in
-    depth init
-  | _ -> 0
-
-let failed_array g links =
-  let failed = Array.make (Graph.n_links g) false in
-  List.iter (fun id -> failed.(id) <- true) links;
-  failed
-
-let verify inst ~failed:failed_links =
-  let failed = failed_array inst.graph failed_links in
-  let expl = explore inst ~failed in
-  let cyc = has_cycle expl in
-  let min_deliver_hops =
-    match shortest_deliver expl with Some d -> d | None -> -1
-  in
-  (* TTL guards: a delivery deeper than the TTL is unreachable in the real
-     data plane, and an acyclic run longer than the TTL still dies of TTL
-     exhaustion (counted in the loop class — TTL death is how loops
-     manifest in the engine). *)
-  let can_deliver = min_deliver_hops >= 0 && min_deliver_hops <= inst.ttl in
-  let can_drop = reaches expl ~terminal:is_drop in
-  let can_loop = cyc || longest_run expl > inst.ttl in
-  let outcome =
-    {
-      can_deliver;
-      can_drop;
-      can_loop;
-      states = expl.n_states;
-      min_deliver_hops;
-    }
-  in
-  let classification =
-    if not (connected inst ~failed) then Disconnected
-    else if can_deliver && (not can_drop) && not can_loop then Guaranteed
-    else if can_deliver then Policy_dependent
-    else if can_loop then Loop
-    else Blackhole
-  in
-  (classification, outcome)
-
-(* --- refutation witnesses ---
-
-   A refutation is one concrete resolution of the deflection choices that
-   fails: a finite run into a drop, or a lasso (prefix + cycle) whose
-   unrolling dies of TTL.  {!Counterexample} turns either into a
-   Trace-format replay. *)
-
-let steps_of_path path = List.filter_map (fun (_, s) -> s) path
-
-let refute_drop expl =
-  match expl.init with
-  | T_drop { at; at_in_port } -> Some (Drops { steps = []; at; at_in_port })
-  | T_deliver -> None
-  | T_state init ->
-    (* BFS with parent pointers to the nearest drop *)
-    let parent = Array.make expl.n_states None in
-    let seen = Array.make expl.n_states false in
-    seen.(init) <- true;
-    let q = Queue.create () in
-    Queue.push init q;
-    let found = ref None in
-    while !found = None && not (Queue.is_empty q) do
-      let id = Queue.pop q in
-      List.iter
-        (fun (t, s) ->
-          match t with
-          | T_drop { at; at_in_port } when !found = None ->
-            found := Some (id, s, at, at_in_port)
-          | T_state nxt when not seen.(nxt) ->
-            seen.(nxt) <- true;
-            parent.(nxt) <- Some (id, s);
-            Queue.push nxt q
-          | _ -> ())
-        expl.succs.(id)
     done;
-    (match !found with
-     | None -> None
-     | Some (last, last_step, at, at_in_port) ->
-       let rec unwind id acc =
-         match parent.(id) with
-         | None -> acc
-         | Some (prev, s) -> unwind prev ((prev, s) :: acc)
-       in
-       let path = unwind last [] @ [ (last, last_step) ] in
-       Some (Drops { steps = steps_of_path path; at; at_in_port }))
-
-let refute_loop expl =
-  match expl.init with
-  | T_state init ->
-    (* DFS lasso search; the trail records (from-state, to-state, step)
-       per traversed edge *)
-    let color = Array.make expl.n_states 0 in
-    let result = ref None in
-    let rec visit trail id =
-      if !result = None then begin
-        color.(id) <- 1;
-        List.iter
-          (fun (t, s) ->
-            match t with
-            | T_state nxt when !result = None ->
-              if color.(nxt) = 1 then begin
-                let trail' = List.rev ((id, nxt, s) :: trail) in
-                let rec split acc = function
-                  | [] -> None
-                  | ((from, _, _) as tr) :: rest ->
-                    if from = nxt then Some (List.rev acc, tr :: rest)
-                    else split (tr :: acc) rest
-                in
-                match split [] trail' with
-                | Some (prefix, cycle) ->
-                  let steps l =
-                    steps_of_path (List.map (fun (f, _, s) -> (f, s)) l)
-                  in
-                  result :=
-                    Some (Loops { prefix = steps prefix; cycle = steps cycle })
-                | None -> ()
-              end
-              else if color.(nxt) = 0 then visit ((id, nxt, s) :: trail) nxt
-            | _ -> ())
-          expl.succs.(id);
-        if !result = None then color.(id) <- 2
-      end
-    in
-    visit [] init;
-    !result
-  | _ -> None
+    if !back < 0 then None
+    else begin
+      (* the back edge closes the cycle at the depth holding its target *)
+      let rec depth_of k = if path.(k) = !back then k else depth_of (k + 1) in
+      let j = depth_of 0 in
+      let steps lo hi =
+        List.init (hi - lo) (fun i ->
+            step_of s inst path.(lo + i) (next.(lo + i) - 1))
+      in
+      Some (Loops { prefix = steps 0 j; cycle = steps j (!top + 1) })
+    end
+  end
 
 (* [refute inst ~failed] is one concrete failing run under F, or [None]
    when delivery is guaranteed (or immediate).  Prefers the drop witness
    (shorter traces).  Also returns the label of the edge the packet
    stranded at straight off injection (-1 normally) so the emitter can
    reproduce the initial re-encode. *)
-let refute inst ~failed:failed_links =
-  let failed = failed_array inst.graph failed_links in
-  let expl = explore inst ~failed in
+let refute inst ~failed =
+  let s = start inst ~failed in
+  let init = explore s inst in
   let r =
-    match refute_drop expl with Some r -> Some r | None -> refute_loop expl
+    match refute_drop s inst init with
+    | Some r -> Some r
+    | None -> refute_loop s inst init
   in
-  (r, expl.init_stranded)
+  (r, stranded inst (injection inst))

@@ -28,7 +28,19 @@
     a {!Policy_dependent} pair can deliver every packet of a randomized
     simulation (an unlucky infinite draw sequence has probability zero)
     while still admitting a finite refutation.  The k=1 agreement test in
-    test_verify is therefore directional, not an equivalence. *)
+    test_verify is therefore directional, not an equivalence.
+
+    Cost: {!prepare} flattens the graph into int arrays once per
+    instance, with a dense index of [plans x ports x 2] state slots.  A
+    {!verify} call then costs time linear in the states it explores,
+    their successors and the size of the graph: one breadth-first
+    exploration, linear passes for the outcome fields (successor scans,
+    and one Kahn pass for the cycle and the longest run) and a
+    breadth-first connectivity check.  Its working memory belongs to the
+    calling domain, grows to the largest instance that domain has seen
+    and is reused across calls, so a warmed-up call allocates only its
+    result.  One instance is therefore safe to share between the domains
+    of a sweep. *)
 
 module Graph = Topo.Graph
 
@@ -53,6 +65,9 @@ type classification =
 val classification_to_string : classification -> string
 val all_classifications : classification list
 
+(** The graph flattened for the exploration. *)
+type flat
+
 (** A prepared verification instance for one (src, dst) pair: the
     primary plan at index 0 plus one re-encode plan per edge node that can
     reach [dst], shared across all failure sets. *)
@@ -67,11 +82,14 @@ type instance = {
       (** per plan index, per node: the port the plan computes there
           ({!Kar.Route.port_at}), [-1] at edge nodes *)
   plan_of_edge : int array;  (** node -> plan index, -1 when unreachable *)
+  flat : flat;
 }
 
 (** [prepare ?ttl g ~plan ~policy ~src ~dst ()] plans every re-encode
-    once and records each plan's per-node computed port; [ttl] defaults
-    to 128 (Karnet's default). *)
+    once, records each plan's per-node computed port and flattens [g];
+    [ttl] defaults to 128 (Karnet's default).
+    @raise Invalid_argument when a core switch has more than
+    {!Kar.Policy.max_degree} ports, or [src] has none. *)
 val prepare :
   ?ttl:int ->
   Graph.t ->
@@ -83,7 +101,8 @@ val prepare :
   instance
 
 (** [verify inst ~failed] classifies the instance under the failure set
-    [failed] (link ids). *)
+    [failed] (link ids).
+    @raise Invalid_argument on a link id that is not in the graph. *)
 val verify : instance -> failed:Graph.link_id list -> classification * outcome
 
 (** One hop of a concrete witness run. *)

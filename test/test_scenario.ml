@@ -66,6 +66,58 @@ let test_spec_errors () =
       "events:fail@1=7:13";
     ]
 
+(* [Spec.parse] reads a command-line argument: on any string it returns
+   [Ok] or [Error], never raises.  Strings are built from the grammar's
+   own tokens, so most get past the model name. *)
+let prop_parse_never_raises =
+  let tokens =
+    [ "flap"; "regional"; "adversarial"; "events"; ":"; ","; "="; "@"; "-";
+      "#"; "links"; "period"; "duty"; "seed"; "groups"; "mtbf"; "mttr"; "k";
+      "hold"; "level"; "full"; "partial"; "unprotected"; "fail"; "repair";
+      "0"; "1"; "7"; "-1"; "0.5"; "1e9"; "nan"; "inf"; "0x1F";
+      "99999999999999999999"; ""; " " ]
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~name:"parse never raises on token strings"
+       ~print:(Printf.sprintf "%S")
+       QCheck2.Gen.(
+         map (String.concat "") (list_size (0 -- 20) (oneofl tokens)))
+       (fun s -> match Spec.parse s with Ok _ | Error _ -> true))
+
+(* Any spec [parse] can return survives [to_string |> parse], floats
+   included. *)
+let gen_spec =
+  let open QCheck2.Gen in
+  let positive = 1 -- 1_000_000 in
+  (* shrinking moves floats towards 0, which no positive field accepts *)
+  let pfloat = map (fun x -> if x > 0.0 then x else 1.0) pfloat in
+  let duty = float_range 1e-6 (1.0 -. 1e-6) in
+  let link =
+    oneof
+      [ map (fun id -> Spec.Id id) int;
+        map2 (fun a b -> Spec.Between (a, b)) nat nat ]
+  in
+  oneof
+    [ map (fun ((links, period), (duty, seed)) ->
+          Spec.Flap { links; period; duty; seed })
+        (pair (pair positive pfloat) (pair duty int));
+      map (fun ((groups, mtbf), (mttr, seed)) ->
+          Spec.Regional { groups; mtbf; mttr; seed })
+        (pair (pair positive pfloat) (pair pfloat int));
+      map (fun ((k, period), (hold, level)) ->
+          Spec.Adversarial { k; period; hold; level })
+        (pair (pair positive pfloat)
+           (pair pfloat (oneofl Kar.Controller.all_levels)));
+      map (fun evs -> Spec.Events evs)
+        (list_size (1 -- 5)
+           (triple pfloat (oneofl [ Event.Fail; Event.Repair ]) link)) ]
+
+let prop_spec_round_trip =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000 ~name:"to_string |> parse is the identity"
+       ~print:Spec.to_string gen_spec (fun spec ->
+         Spec.parse (Spec.to_string spec) = Ok spec))
+
 (* --- stream well-formedness --- *)
 
 let alternates_per_link evs =
@@ -348,6 +400,8 @@ let () =
           t "round-trips" test_spec_round_trip;
           t "defaults" test_spec_defaults;
           t "errors" test_spec_errors;
+          prop_parse_never_raises;
+          prop_spec_round_trip;
         ] );
       ( "streams",
         [

@@ -10,8 +10,8 @@ module Event = Trace.Event
 module Recorder = Trace.Recorder
 module Invariant = Trace.Invariant
 
-let qtest ?(count = 200) name gen f =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen f)
+let qtest ?(count = 200) ?print name gen f =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen f)
 
 (* --- Recorder: ring buffer semantics --- *)
 
@@ -437,6 +437,72 @@ let test_binary_golden_compat () =
           rendered)
     fixtures
 
+(* --- Never-raise fuzzing ---
+
+   Both decoders read files and lines from outside the program: on any
+   input they return [Ok] or [Error], never raise.  Valid encodings are
+   mutated byte by byte (replace, insert, delete, truncate) so the
+   decoders get past their first check. *)
+
+let never_raises decode input =
+  match decode input with Ok _ | Error _ -> true
+
+let gen_event =
+  QCheck2.Gen.(
+    map
+      (fun ((seq, vtime, switch, in_port), (out_port, ttl, ai)) ->
+        { Event.seq; vtime; uid = seq mod 97; switch; in_port; out_port; ttl;
+          action = List.nth actions ai })
+      (pair
+         (quad (0 -- 1_000_000) float (-1 -- 997) (-1 -- 31))
+         (triple (-1 -- 31) (-300 -- 300) (0 -- (List.length actions - 1)))))
+
+(* [s] after one to four random edits at random positions *)
+let mutated ~gen_char s =
+  let open QCheck2.Gen in
+  let edit s =
+    map3
+      (fun kind pos c ->
+        let n = String.length s in
+        let pos = if n = 0 then 0 else pos mod n in
+        match kind with
+        | 0 when n > 0 -> String.mapi (fun i x -> if i = pos then c else x) s
+        | 1 -> String.sub s 0 pos ^ String.make 1 c ^ String.sub s pos (n - pos)
+        | 2 when n > 0 ->
+          String.sub s 0 pos ^ String.sub s (pos + 1) (n - pos - 1)
+        | _ -> String.sub s 0 pos)
+      (0 -- 3) nat gen_char
+  in
+  let rec edits k s = if k = 0 then pure s else edit s >>= edits (k - 1) in
+  1 -- 4 >>= fun k -> edits k s
+
+let prop_binary_random_bytes =
+  qtest ~count:1000 ~print:(Printf.sprintf "%S")
+    "Binary.decode_string never raises on random bytes"
+    QCheck2.Gen.(
+      oneof
+        [ string_size ~gen:char (0 -- 200);
+          map (( ^ ) Trace.Binary.magic) (string_size ~gen:char (0 -- 200)) ])
+    (never_raises Trace.Binary.decode_string)
+
+let prop_binary_mutated =
+  qtest ~count:1000 ~print:(Printf.sprintf "%S")
+    "Binary.decode_string never raises on mutated streams"
+    QCheck2.Gen.(
+      list_size (1 -- 4) gen_event >>= fun events ->
+      mutated ~gen_char:char (Trace.Binary.encode_events events))
+    (never_raises Trace.Binary.decode_string)
+
+let prop_jsonl_mutated =
+  qtest ~count:1000 ~print:(Printf.sprintf "%S")
+    "Event.of_jsonl never raises on mutated lines"
+    QCheck2.Gen.(
+      gen_event >>= fun e ->
+      mutated
+        ~gen_char:(oneof [ printable; oneofl [ '"'; ','; ':'; '{'; '}' ] ])
+        (Event.to_jsonl e))
+    (never_raises Event.of_jsonl)
+
 (* --- Differential Walk <-> Netsim property --- *)
 
 (* The switch-hop sequence of the (single) traced packet: every forwarding
@@ -547,6 +613,7 @@ let () =
           Alcotest.test_case "golden line" `Quick test_jsonl_golden_line;
           prop_jsonl_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_jsonl_rejects_garbage;
+          prop_jsonl_mutated;
         ] );
       ( "invariants",
         [
@@ -575,6 +642,8 @@ let () =
         [
           prop_binary_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_binary_rejects_garbage;
+          prop_binary_random_bytes;
+          prop_binary_mutated;
           Alcotest.test_case "writer grows and resets" `Quick
             test_binary_writer_reset;
           Alcotest.test_case "golden fixtures via binary sink" `Quick

@@ -8,7 +8,9 @@
    adversarial no-delivery implies empirical zero delivery), and refuted
    verdicts replay through Netsim.Engine to reproduce the predicted
    violation.  The golden fixture pins the whole net15 k<=2 verdict table
-   byte-for-byte at any -j. *)
+   byte-for-byte at any -j.  The flat exploration kernel itself is checked
+   against a plain reference of its state-graph algorithm on random
+   topologies, and its per-call allocation is bounded. *)
 
 module Graph = Topo.Graph
 module Nets = Topo.Nets
@@ -64,6 +66,344 @@ let test_gen32_prepare_memory () =
     (Printf.sprintf "live heap grew %.1f MB (< 64 MB)" grown_mb)
     true (grown_mb < 64.0);
   ignore (Sys.opaque_identity inst)
+
+(* --- the flat kernel's allocation budget ---
+
+   After a warm-up sweep has grown this domain's scratch, a call allocates
+   its result (the outcome record and the pair, 9 words) and little else,
+   on every failure set of up to 3 core links of verify-k3's first gen:16
+   pair (bench/e2e). *)
+
+let test_verify_minor_words () =
+  let g = Experiments.Service.testbed ~n_core:16 () in
+  let src, dst, plan =
+    let pairs = Kar_service.Workload.pairs g ~seed:1 in
+    let rec first i =
+      let src, dst = pairs.(i) in
+      match
+        Kar.Controller.protected_route g ~src ~dst ~level:Kar.Controller.Full
+      with
+      | plan -> (src, dst, plan)
+      | exception Invalid_argument _ -> first (i + 1)
+    in
+    first 0
+  in
+  let inst = Verifier.prepare g ~plan ~policy:nip ~src ~dst () in
+  let links = Verify.core_links g in
+  let sets =
+    List.concat_map (fun k -> Verify.failure_sets links ~k) [ 1; 2; 3 ]
+  in
+  List.iter (fun failed -> ignore (Verifier.verify inst ~failed)) sets;
+  let worst = ref 0.0 in
+  List.iter
+    (fun failed ->
+      let w0 = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Verifier.verify inst ~failed));
+      let words = Gc.minor_words () -. w0 in
+      if words > !worst then worst := words)
+    sets;
+  Alcotest.(check bool)
+    (Printf.sprintf "at most %.0f minor words per call over %d sets (<= 64)"
+       !worst (List.length sets))
+    true (!worst <= 64.0)
+
+(* --- bad input ---
+
+   A switch too wide for a live-port mask is rejected when the instance is
+   prepared, and a link id outside the graph when a set is verified; a
+   call that raised leaves nothing behind for the next one. *)
+
+let test_rejects_bad_input () =
+  let base = Topo.Gen.complete 63 in
+  let g, hosts =
+    Topo.Gen.with_edge_hosts base [ Graph.node_of_label base 1 ]
+  in
+  let plan = Kar.Controller.scenario_plan Nets.net15 Kar.Controller.Full in
+  (match hosts with
+   | [ host ] -> (
+     match Verifier.prepare g ~plan ~policy:nip ~src:host ~dst:host () with
+     | _ -> Alcotest.fail "prepare accepted a 63-port switch"
+     | exception Invalid_argument msg ->
+       Alcotest.(check bool)
+         (Printf.sprintf "prepare names the switch (%s)" msg)
+         true
+         (Astring.String.is_infix ~affix:"SW1 has 63 ports" msg))
+   | _ -> Alcotest.fail "one host expected");
+  let sc = Nets.net15 in
+  let inst =
+    Verifier.prepare sc.Nets.graph
+      ~plan:(Kar.Controller.scenario_plan sc Kar.Controller.Full)
+      ~policy:nip ~src:sc.Nets.ingress ~dst:sc.Nets.egress ()
+  in
+  let link = List.hd (Verify.core_links sc.Nets.graph) in
+  let before = Verifier.verify inst ~failed:[ link ] in
+  List.iter
+    (fun bad ->
+      match Verifier.verify inst ~failed:[ link; bad ] with
+      | _ -> Alcotest.failf "verify accepted link id %d" bad
+      | exception Invalid_argument _ -> ())
+    [ -1; Graph.n_links sc.Nets.graph ];
+  Alcotest.(check bool) "the next call is unaffected" true
+    (Verifier.verify inst ~failed:[ link ] = before)
+
+(* --- differential oracle ---
+
+   The flat kernel against the algorithm it replaced, stated plainly:
+   states keyed in a Hashtbl, successor lists, reachability repeated until
+   stable, a recursive 3-colour DFS, a memoised longest path and a list
+   BFS for connectivity.  Only Policy.choose and the prepared plans are
+   shared with the kernel. *)
+
+module Reference = struct
+  type target = State of int | Deliver | Drop
+
+  let explore (inst : Verifier.instance) ~failed =
+    let g = inst.Verifier.graph in
+    let ids = Hashtbl.create 64 and todo = Queue.create () in
+    let state key =
+      match Hashtbl.find_opt ids key with
+      | Some id -> id
+      | None ->
+        let id = Hashtbl.length ids in
+        Hashtbl.add ids key id;
+        Queue.push (id, key) todo;
+        id
+    in
+    (* landing on [u] via port [q]: an edge delivers, drops, or re-encodes
+       out its port 0 under its own plan *)
+    let rec arrive plan (u, q) deflected relays =
+      if relays > Graph.n_nodes g then invalid_arg "edge-to-edge relay chain";
+      if Graph.is_core g u then State (state (plan, u, q, deflected))
+      else if u = inst.Verifier.dst then Deliver
+      else
+        match inst.Verifier.plan_of_edge.(u) with
+        | -1 -> Drop
+        | plan' -> arrive plan' (Graph.peer g u 0) false (relays + 1)
+    in
+    let init = arrive 0 (Graph.peer g inst.Verifier.src 0) false 0 in
+    let succs = Hashtbl.create 64 in
+    while not (Queue.is_empty todo) do
+      let id, (plan, v, in_port, deflected) = Queue.pop todo in
+      let degree = Graph.degree g v in
+      let live =
+        Kar.Policy.mask_of_failures g ~node:v ~failed:(fun l ->
+            List.mem l failed)
+      in
+      let choice =
+        Kar.Policy.choose inst.Verifier.policy
+          ~computed:inst.Verifier.primary.(plan).(v) ~in_port ~deflected
+          ~degree ~live
+      in
+      let via ports d =
+        List.map (fun p -> arrive plan (Graph.peer g v p) d 0) ports
+      in
+      Hashtbl.replace succs id
+        (if choice < 0 then via [ lnot choice ] deflected
+         else if choice > 0 then
+           via
+             (List.filter
+                (fun p -> choice land (1 lsl p) <> 0)
+                (List.init degree Fun.id))
+             true
+         else [ Drop ])
+    done;
+    (init, Hashtbl.length ids, Hashtbl.find succs)
+
+  let verify (inst : Verifier.instance) ~failed =
+    let init, n, succs = explore inst ~failed in
+    let states_of ts =
+      List.filter_map (function State s -> Some s | _ -> None) ts
+    in
+    let reaches terminal =
+      let reach = Array.make n false and changed = ref true in
+      while !changed do
+        changed := false;
+        for id = 0 to n - 1 do
+          if
+            (not reach.(id))
+            && List.exists
+                 (function State s -> reach.(s) | t -> t = terminal)
+                 (succs id)
+          then begin
+            reach.(id) <- true;
+            changed := true
+          end
+        done
+      done;
+      match init with State id -> reach.(id) | t -> t = terminal
+    in
+    let cycle =
+      let colour = Array.make n 0 and found = ref false in
+      let rec visit id =
+        if colour.(id) = 1 then found := true
+        else if colour.(id) = 0 then begin
+          colour.(id) <- 1;
+          List.iter visit (states_of (succs id));
+          colour.(id) <- 2
+        end
+      in
+      (match init with State id -> visit id | _ -> ());
+      !found
+    in
+    let longest () =
+      let memo = Array.make n 0 in
+      let rec run id =
+        if memo.(id) = 0 then
+          memo.(id) <-
+            1
+            + List.fold_left
+                (fun acc s -> max acc (run s))
+                0 (states_of (succs id));
+        memo.(id)
+      in
+      match init with State id -> run id | _ -> 0
+    in
+    let min_deliver_hops =
+      match init with
+      | Deliver -> 0
+      | Drop -> -1
+      | State id0 ->
+        let dist = Array.make n (-1) and q = Queue.create () in
+        dist.(id0) <- 1;
+        Queue.push id0 q;
+        let best = ref (-1) in
+        while !best < 0 && not (Queue.is_empty q) do
+          let id = Queue.pop q in
+          if List.mem Deliver (succs id) then best := dist.(id)
+          else
+            List.iter
+              (fun s ->
+                if dist.(s) < 0 then begin
+                  dist.(s) <- dist.(id) + 1;
+                  Queue.push s q
+                end)
+              (states_of (succs id))
+        done;
+        !best
+    in
+    let connected =
+      let g = inst.Verifier.graph in
+      let src = inst.Verifier.src and dst = inst.Verifier.dst in
+      let ok u = Graph.is_core g u || u = src || u = dst in
+      let rec bfs seen frontier =
+        if frontier = [] then false
+        else if List.mem dst frontier then true
+        else
+          let next =
+            List.sort_uniq compare
+              (List.concat_map
+                 (fun v ->
+                   List.filter_map
+                     (fun (_, (l : Graph.link), u) ->
+                       if ok u && (not (List.mem l.Graph.id failed))
+                          && not (List.mem u seen)
+                       then Some u
+                       else None)
+                     (Graph.ports g v))
+                 frontier)
+          in
+          bfs (next @ seen) next
+      in
+      bfs [ src ] [ src ]
+    in
+    let ttl = inst.Verifier.ttl in
+    let can_deliver = min_deliver_hops >= 0 && min_deliver_hops <= ttl in
+    let can_drop = reaches Drop in
+    let can_loop = cycle || longest () > ttl in
+    let classification =
+      if not connected then Verifier.Disconnected
+      else if can_deliver && (not can_drop) && not can_loop then
+        Verifier.Guaranteed
+      else if can_deliver then Verifier.Policy_dependent
+      else if can_loop then Verifier.Loop
+      else Verifier.Blackhole
+    in
+    ( classification,
+      { Verifier.can_deliver; can_drop; can_loop; states = n; min_deliver_hops }
+    )
+end
+
+let show_outcome (o : Verifier.outcome) =
+  Printf.sprintf "deliver=%b drop=%b loop=%b states=%d min_hops=%d"
+    o.Verifier.can_deliver o.Verifier.can_drop o.Verifier.can_loop
+    o.Verifier.states o.Verifier.min_deliver_hops
+
+(* One failure set: the kernel's verdict and outcome equal the
+   reference's, and a refuted verdict has a witness that machine-checks. *)
+let check_set inst ~what ~failed =
+  let cls, o = Verifier.verify inst ~failed in
+  let cls', o' = Reference.verify inst ~failed in
+  if cls <> cls' || o <> o' then
+    QCheck2.Test.fail_reportf "%s: kernel %s {%s}, reference %s {%s}" what
+      (Verifier.classification_to_string cls)
+      (show_outcome o)
+      (Verifier.classification_to_string cls')
+      (show_outcome o');
+  match cls with
+  | Verifier.Policy_dependent | Verifier.Loop | Verifier.Blackhole -> (
+    match Verifier.refute inst ~failed with
+    | None, _ -> QCheck2.Test.fail_reportf "%s: refuted, no witness" what
+    | Some r, init_stranded ->
+      let v = Counterexample.check inst r ~init_stranded in
+      if not (Counterexample.well_formed v && Counterexample.refutes v) then
+        QCheck2.Test.fail_reportf "%s: witness does not machine-check" what)
+  | Verifier.Guaranteed | Verifier.Disconnected -> ()
+
+(* Random Waxman cores of 6-12 switches with a host on every switch, one
+   random host pair, every protection level and policy, and random sets of
+   0-3 failed core links. *)
+let prop_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"verify = reference, refute checks"
+       ~print:(fun (n, seed, pick, sets) ->
+         Printf.sprintf "n=%d seed=%d pick=%d sets=[%s]" n seed pick
+           (String.concat "; "
+              (List.map
+                 (fun s -> String.concat "," (List.map string_of_int s))
+                 sets)))
+       QCheck2.Gen.(
+         quad (6 -- 12) (1 -- 100_000) nat
+           (list_size (1 -- 8) (list_size (0 -- 3) nat)))
+       (fun (n, seed, pick, sets) ->
+         let g =
+           Kar.Ids.assign
+             (Topo.Gen.waxman ~n ~alpha:0.9 ~beta:0.35 ~seed)
+             Kar.Ids.Prime_powers
+         in
+         let g, hosts = Topo.Gen.with_edge_hosts g (Graph.core_nodes g) in
+         let hosts = Array.of_list hosts in
+         let n_hosts = Array.length hosts in
+         let i = pick mod n_hosts and j = pick / n_hosts mod (n_hosts - 1) in
+         let src = hosts.(i) and dst = hosts.(if j >= i then j + 1 else j) in
+         let links = Array.of_list (Verify.core_links g) in
+         let sets =
+           List.map
+             (fun s ->
+               List.sort_uniq compare
+                 (List.map (fun k -> links.(k mod Array.length links)) s))
+             sets
+         in
+         List.iter
+           (fun level ->
+             match Kar.Controller.protected_route g ~src ~dst ~level with
+             | exception Invalid_argument _ -> ()
+             | plan ->
+               List.iter
+                 (fun policy ->
+                   let inst = Verifier.prepare g ~plan ~policy ~src ~dst () in
+                   List.iter
+                     (fun failed ->
+                       check_set inst ~failed
+                         ~what:
+                           (Printf.sprintf "%s %s failed=[%s]"
+                              (Kar.Controller.level_to_string level)
+                              (Kar.Policy.to_string policy)
+                              (String.concat ","
+                                 (List.map string_of_int failed))))
+                     sets)
+                 Kar.Policy.all)
+           Kar.Controller.all_levels;
+         true))
 
 (* --- empirical replay harness (mirrors Invariants.run_case) --- *)
 
@@ -386,6 +726,11 @@ let () =
         [
           Alcotest.test_case "gen:32 prepare + k=1 sweep stays small" `Quick
             test_gen32_prepare_memory;
+          Alcotest.test_case "a warm call allocates <= 64 minor words"
+            `Quick test_verify_minor_words;
+          Alcotest.test_case "rejects wide switches and unknown links"
+            `Quick test_rejects_bad_input;
+          prop_matches_reference;
           Alcotest.test_case "k=1 agreement with invariants sweep" `Quick
             test_k1_agreement;
           Alcotest.test_case "k=1 keeps delivery possible (both topologies)"
