@@ -257,7 +257,12 @@ let plan_cmd =
       (match (Topo.Graph.find_label g src, Topo.Graph.find_label g dst) with
        | Some s, Some d ->
          let plans = Kar.Controller.disjoint_plans g ~src:s ~dst:d ~k in
-         if plans = [] then `Error (false, "no route between the endpoints")
+         if plans = [] then
+           (* the shortest path's own error says why: no path, or a route
+              ID wider than the header *)
+           match Kar.Controller.route g ~src:s ~dst:d ~protection:[] with
+           | exception Invalid_argument m -> `Error (false, m)
+           | _ -> `Error (false, "no route between the endpoints")
          else begin
            List.iteri
              (fun i plan ->

@@ -72,6 +72,12 @@ let run topo src_label dst_label policy fail fail_at fail_for scenario duration
   | Ok _ when not (fail_for > 0.0) ->
     (* a zero-length window would normalize to "fail and stay down" *)
     `Error (false, "--fail-for must be positive")
+  | Ok _ when protect_bits > Wire.Header.max_route_bits ->
+    `Error
+      ( true,
+        Printf.sprintf
+          "--protect-bits must be at most %d, the header's route-ID width"
+          Wire.Header.max_route_bits )
   | Ok g ->
     (match (Graph.find_label g src_label, Graph.find_label g dst_label) with
      | Some src, Some dst when not (Graph.is_core g src || Graph.is_core g dst) ->
@@ -98,16 +104,22 @@ let run topo src_label dst_label policy fail fail_at fail_for scenario duration
            exit 1
        in
        (* plan: shortest route, protection optimized within the budget over
-          the route's own links *)
-       let base = Kar.Controller.route g ~src ~dst ~protection:[] in
+          the route's own links.  No path, or a path whose route ID no
+          header can carry, stops the run here. *)
+       let base, rev =
+         try
+           ( Kar.Controller.route g ~src ~dst ~protection:[],
+             Kar.Controller.route g ~src:dst ~dst:src ~protection:[] )
+         with Invalid_argument msg ->
+           Printf.eprintf "kar_sim: %s\n" msg;
+           exit 1
+       in
        let failures_for_opt = Topo.Paths.path_links g base.Kar.Route.core_path in
        let plan =
          (Kar.Optimizer.optimize g ~plan:base ~policy ~failures:failures_for_opt
-            ~src ~dst ~candidates:[] ~bits:protect_bits
-            ~objective:Kar.Optimizer.Worst_delivery)
+            ~src ~dst ~bits:protect_bits ~objective:Kar.Optimizer.Worst_delivery)
            .Kar.Optimizer.plan
        in
-       let rev = Kar.Controller.route g ~src:dst ~dst:src ~protection:[] in
        Printf.printf "route %s (%d bits, %d residues)\n"
          (String.concat "->"
             (List.map (fun v -> string_of_int (Graph.label g v)) plan.Kar.Route.core_path))
@@ -348,7 +360,8 @@ let sim_term =
   in
   let protect_bits =
     Arg.(value & opt int 64 & info [ "protect-bits" ] ~docv:"N"
-           ~doc:"Header budget for optimizer-placed protection (0 = none).")
+           ~doc:"Header budget, in bits, for optimizer-placed protection \
+                 (0 = none); at most the header's 992-bit route-ID width.")
   in
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Deflection PRNG seed.")

@@ -69,7 +69,7 @@ let () =
   let failures = Topo.Paths.path_links g base.Kar.Route.core_path in
   let optimized =
     Kar.Optimizer.optimize g ~plan:base ~policy:Kar.Policy.Not_input_port
-      ~failures ~src ~dst ~candidates:[] ~bits:96
+      ~failures ~src ~dst ~bits:96
       ~objective:Kar.Optimizer.Worst_delivery
   in
   Printf.printf "route %s  (%d bits unprotected)\n"

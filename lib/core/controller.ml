@@ -107,22 +107,23 @@ let route ?usable g ~src ~dst ~protection =
    scaling study plan every pair they meet, so they need one recipe applied
    uniformly: a shortest-path tree toward the egress core switch over the
    off-path members the level selects (radius-1 neighbours for partial, the
-   whole component for full).  Only the primary path honours [usable]; the
-   trees are built on the whole graph, since switches check the liveness
-   of a protection hop themselves. *)
-let protected_route ?usable g ~src ~dst ~level =
+   whole component for full), folded in while the plan fits [max_bits].
+   Only the primary path honours [usable]; the trees are built on the whole
+   graph, since switches check the liveness of a protection hop
+   themselves. *)
+let protected_route ?usable ?max_bits g ~src ~dst ~level =
   let core = core_route ?usable g ~src ~dst in
   let base = encode_core g core ~dst in
   let members =
     match level with
     | Unprotected -> []
     | Partial -> Protection.off_path_members g ~path:core ~radius:1
-    | Full -> Protection.full_members g ~path:core
+    | Full -> Protection.off_path_members g ~path:core ~radius:max_int
   in
   match (members, List.rev core) with
   | [], _ | _, [] -> base
   | _, dest :: _ ->
-    Route.protect_skipping g base (Protection.tree_hops g ~dest members)
+    Route.protect_skipping ?max_bits g base (Protection.tree_hops g ~dest members)
 
 (* Edge-disjoint route plans between two edge nodes: greedy shortest-path
    extraction over the core (each found path's links are barred from the

@@ -39,28 +39,38 @@ val scenario_reverse_plan : Topo.Nets.scenario -> level -> Route.plan
     post-failure replans route around known failures; protection hops are
     not filtered (they are data-plane residues, vetted by the data plane's
     own liveness check).
-    @raise Invalid_argument when no path exists or encoding fails. *)
+    @raise Invalid_argument when no path exists or encoding fails,
+    including a primary path whose route ID no header can carry
+    ({!Route.Exceeds_header}). *)
 val route :
   ?usable:(Graph.link -> bool) ->
   Graph.t -> src:Graph.node -> dst:Graph.node -> protection:(int * int) list -> Route.plan
 
-(** [protected_route ?usable g ~src ~dst ~level] plans a shortest-path
-    route and folds in protection computed uniformly for the pair (rather
-    than the hand-pinned scenario hops): a shortest-path tree rooted at the
-    egress core switch over the off-path members the level selects —
-    radius-1 neighbours of the path for [Partial], every off-path core
-    switch in the component for [Full].  [usable] (default: everything)
-    restricts the primary path's links as in {!route}; the trees are built
-    on the whole graph.  A tree hop that {!Route.protect} would reject
-    after the hops already kept is skipped ({!Route.protect_skipping}), so
-    a labelling with only advisory issues ([Ids.Port_unencodable]) yields a
-    plan with fewer protected switches instead of an exception.  This is
-    the one planner behind the resilience verifier, the plan server
-    ({!Kar_service}), the adversarial scenario and the scaling study.
+(** [protected_route ?usable ?max_bits g ~src ~dst ~level] plans a
+    shortest-path route and folds in protection computed uniformly for the
+    pair (rather than the hand-pinned scenario hops): a shortest-path tree
+    rooted at the egress core switch over the off-path members the level
+    selects — radius-1 neighbours of the path for [Partial], every
+    off-path core switch in the component for [Full].  [usable] (default:
+    everything) restricts the primary path's links as in {!route}; the
+    trees are built on the whole graph.  A tree hop is skipped by
+    {!Route.protect_skipping}'s rules: one that {!Route.protect} would
+    reject after the hops already kept (so a labelling with only advisory
+    issues, [Ids.Port_unencodable], yields a plan with fewer protected
+    switches instead of an exception), and one that would take the plan's
+    Eq. 9 bound past [max_bits].  [max_bits] defaults to
+    {!Wire.Header.max_route_bits}, so by default every plan fits the
+    header and a level that does not fit degrades to the strongest
+    protection that does; only the scaling study passes [max_int], to
+    measure unbounded plans.  This is the one planner behind the
+    resilience verifier, the plan server ({!Kar_service}), the adversarial
+    scenario and the scaling study.
     @raise Invalid_argument only when no path exists or the primary path
-    itself cannot be encoded. *)
+    itself cannot be encoded (a primary path wider than the header
+    included, whatever [max_bits]). *)
 val protected_route :
   ?usable:(Graph.link -> bool) ->
+  ?max_bits:int ->
   Graph.t -> src:Graph.node -> dst:Graph.node -> level:level -> Route.plan
 
 (** [disjoint_plans g ~src ~dst ~k] plans up to [k] mutually edge-disjoint
@@ -82,7 +92,9 @@ type cache
 val create_cache : Graph.t -> cache
 
 (** [reencode cache ~at ~dst] is the fresh route ID from edge [at] to edge
-    [dst], or [None] when no path exists or encoding fails. *)
+    [dst], or [None] when no path exists or encoding fails (a path whose
+    route ID no header can carry included), so the packet drops as
+    no-route. *)
 val reencode : cache -> at:Graph.node -> dst:Graph.node -> Bignum.Z.t option
 
 (** [plans_computed cache] counts the [(at, dst)] pairs actually planned so

@@ -52,7 +52,9 @@ let score g ~plan ~policy ~failures ~src ~dst ~objective =
        in
        total /. float_of_int (List.length analyses))
 
-let default_candidates g plan =
+(* Every off-path switch's hop on the shortest-path tree toward the
+   plan's egress switch. *)
+let candidates g plan =
   let dest =
     match List.rev plan.Route.core_path with
     | last :: _ -> last
@@ -61,27 +63,22 @@ let default_candidates g plan =
   let members = Protection.off_path_members g ~path:plan.Route.core_path ~radius:max_int in
   Protection.tree_hops g ~dest members
 
-let optimize g ~plan ~policy ~failures ~src ~dst ~candidates ~bits ~objective =
-  let candidates =
-    match candidates with [] -> default_candidates g plan | cs -> cs
-  in
+let optimize g ~plan ~policy ~failures ~src ~dst ~bits ~objective =
   let evaluate plan = score g ~plan ~policy ~failures ~src ~dst ~objective in
   let rec loop plan current steps remaining =
     (* try every remaining hop; keep the best strict improvement *)
     let best =
       List.fold_left
         (fun best hop ->
-          match Route.protect g plan [ hop ] with
-          | Error _ -> best
-          | Ok candidate ->
-            if candidate.Route.bit_length > bits then best
-            else begin
-              let s = evaluate candidate in
-              match best with
-              | Some (_, _, best_score) when best_score >= s -> best
-              | _ when s > current +. 1e-12 -> Some (hop, candidate, s)
-              | _ -> best
-            end)
+          let candidate = Route.protect_skipping ~max_bits:bits g plan [ hop ] in
+          if candidate == plan then best
+          else begin
+            let s = evaluate candidate in
+            match best with
+            | Some (_, _, best_score) when best_score >= s -> best
+            | _ when s > current +. 1e-12 -> Some (hop, candidate, s)
+            | _ -> best
+          end)
         None remaining
     in
     match best with
@@ -98,5 +95,5 @@ let optimize g ~plan ~policy ~failures ~src ~dst ~candidates ~bits ~objective =
       loop better s (step :: steps) (List.filter (fun h -> h <> hop) remaining)
   in
   let initial = evaluate plan in
-  let plan, final, steps = loop plan initial [] candidates in
+  let plan, final, steps = loop plan initial [] (candidates g plan) in
   { plan; steps; score = final }

@@ -1,9 +1,9 @@
 (** Analysis-guided protection planning.
 
-    {!Protection.select_within_budget} fills a bit budget in
-    distance-from-path order — the natural heuristic, but (as the budget
-    ablation shows) early hops can even {e hurt} when they funnel deflected
-    packets back toward the failure.  This module plans protection using
+    {!Route.protect_skipping} over the distance-ordered tree hops fills a
+    bit budget in distance-from-path order — the natural heuristic, but (as
+    the budget ablation shows) early hops can even {e hurt} when they
+    funnel deflected packets back toward the failure.  This module plans protection using
     the exact {!Markov} analysis as the objective: each greedy step adds
     the hop that most improves the chosen objective over a set of failure
     cases, and steps that do not improve it are skipped rather than
@@ -37,14 +37,16 @@ type result = {
   score : float; (** final objective value *)
 }
 
-(** [optimize g ~plan ~policy ~failures ~src ~dst ~candidates ~bits
-     ~objective] greedily folds candidate hops into [plan] while the
-    encoded size stays within [bits], keeping only hops that strictly
-    improve the objective (scores are "higher is better" internally; for
-    {!Expected_hops} the score is negated hops weighted by delivery).
-    Candidates default to tree hops of all off-path switches when [[]] is
-    given.  O(|candidates|^2) exact analyses — fine for the paper-scale
-    topologies this targets. *)
+(** [optimize g ~plan ~policy ~failures ~src ~dst ~bits ~objective]
+    greedily folds candidate hops into [plan], keeping only hops that
+    strictly improve the objective (scores are "higher is better"
+    internally; for {!Expected_hops} the score is negated hops weighted by
+    delivery).  The candidates are the tree hops of every off-path switch
+    toward the plan's egress switch; each is tried with
+    {!Route.protect_skipping} [~max_bits:bits], so a hop that would push
+    the plan's Eq. 9 bound past [bits] is never taken.
+    O(|candidates|^2) exact analyses — fine for the paper-scale topologies
+    this targets. *)
 val optimize :
   Graph.t ->
   plan:Route.plan ->
@@ -52,7 +54,6 @@ val optimize :
   failures:Graph.link_id list ->
   src:Graph.node ->
   dst:Graph.node ->
-  candidates:(int * int) list ->
   bits:int ->
   objective:objective ->
   result

@@ -44,19 +44,6 @@ let off_path_members g ~path ~radius =
   |> List.sort Stdlib.compare
   |> List.map snd
 
-let full_members g ~path =
-  off_path_members g ~path ~radius:max_int
-
-let select_within_budget g ~plan ~dest ~members ~bits =
-  let hops = tree_hops g ~dest members in
-  List.fold_left
-    (fun (plan, chosen) hop ->
-      match Route.protect g plan [ hop ] with
-      | Ok candidate when candidate.Route.bit_length <= bits ->
-        (candidate, chosen @ [ hop ])
-      | Ok _ | Error _ -> (plan, chosen))
-    (plan, []) hops
-
 let coverage g ~plan ~failed =
   let failed_link = Graph.link g failed in
   (* Find the path switch whose forward hop uses the failed link. *)

@@ -4,7 +4,8 @@
     a route ID so that a deflected packet reaching any protected switch is
     deterministically driven toward the destination — the logical tree
     "with its root at destination" of section 2.  This module computes such
-    trees and selects members under a bit budget (the paper's partial
+    trees and their candidate members; {!Route.protect_skipping} folds the
+    resulting hops into a plan under a bit budget (the paper's partial
     protection, section 2.3). *)
 
 module Graph = Topo.Graph
@@ -19,25 +20,9 @@ val tree_hops : Graph.t -> dest:Graph.node -> int list -> (int * int) list
 (** [off_path_members g ~path ~radius] lists the labels of core switches
     within [radius] hops of any node of [path] (excluding the path's own
     nodes) — candidate protection members ordered by increasing distance
-    from the path, then by label. *)
+    from the path, then by label.  [~radius:max_int] is every off-path core
+    switch in the path's connected component ("full protection"). *)
 val off_path_members : Graph.t -> path:Graph.node list -> radius:int -> int list
-
-(** [full_members g ~path] is every off-path core switch in [path]'s
-    connected component ("full protection"). *)
-val full_members : Graph.t -> path:Graph.node list -> int list
-
-(** [select_within_budget g ~plan ~members ~bits] greedily folds members'
-    tree hops into [plan] (in the given order) while the encoded bit length
-    (Eq. 9) stays within [bits] — the paper's partial protection under a
-    header-size constraint.  Returns the extended plan and the hops actually
-    included. *)
-val select_within_budget :
-  Graph.t ->
-  plan:Route.plan ->
-  dest:Graph.node ->
-  members:int list ->
-  bits:int ->
-  Route.plan * (int * int) list
 
 (** [coverage g ~plan ~failed] estimates static protection coverage: for
     the failure of link [failed] on the plan's path, the fraction of

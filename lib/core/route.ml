@@ -16,6 +16,7 @@ type error =
   | Not_core of int
   | Port_not_encodable of int * int
   | Duplicate_switch of int
+  | Exceeds_header of int
 
 let pp_error ppf = function
   | Rns_error e -> Rns.pp_error ppf e
@@ -26,6 +27,10 @@ let pp_error ppf = function
   | Duplicate_switch s ->
     Format.fprintf ppf
       "SW%d already carries a residue; a switch can appear only once per route ID" s
+  | Exceeds_header bits ->
+    Format.fprintf ppf
+      "the path's route ID needs %d bits; the header carries at most %d" bits
+      Wire.Header.max_route_bits
 
 let ( let* ) = Result.bind
 
@@ -77,7 +82,10 @@ let of_core_path g path ~egress_port =
   | _ ->
     let* rs = residues [] path in
     let* () = check_no_duplicates rs in
-    encode_plan ~core_path:path ~protection:[] rs
+    let* plan = encode_plan ~core_path:path ~protection:[] rs in
+    if plan.bit_length > Wire.Header.max_route_bits then
+      Error (Exceeds_header plan.bit_length)
+    else Ok plan
 
 let of_labels g labels ~egress_label =
   let nodes = List.map (Graph.node_of_label g) labels in
@@ -112,23 +120,32 @@ let protect g plan hops =
   encode_plan ~core_path:plan.core_path ~protection:(plan.protection @ hops) residues
 
 (* [protect] applied one hop at a time, without re-encoding per hop: a hop
-   is kept when its residue is valid and its switch ID is > 1 and coprime
+   is kept when its residue is valid, its switch ID is > 1 and coprime
    with every modulus already in the plan (a repeated switch included),
-   which is everything [protect] checks; the kept residues are encoded
+   which is everything [protect] checks, and the modulus product with it
+   keeps the Eq. 9 bound within [max_bits]; the kept residues are encoded
    once. *)
-let protect_skipping g plan hops =
-  let rec select moduli kept extra = function
+let protect_skipping ?(max_bits = Wire.Header.max_route_bits) g plan hops =
+  let rec select moduli product kept extra = function
     | [] -> (List.rev kept, List.rev extra)
     | hop :: rest ->
-      (match hop_residue g hop with
-       | Ok r
-         when r.Rns.modulus > 1 && List.for_all (Rns.coprime r.Rns.modulus) moduli
-         ->
-         select (r.Rns.modulus :: moduli) (hop :: kept) (r :: extra) rest
-       | Ok _ | Error _ -> select moduli kept extra rest)
+      let grown =
+        match hop_residue g hop with
+        | Ok r
+          when r.Rns.modulus > 1 && List.for_all (Rns.coprime r.Rns.modulus) moduli
+          ->
+          let product = Z.mul product (Z.of_int r.Rns.modulus) in
+          if Rns.bit_length_bound product <= max_bits then Some (r, product)
+          else None
+        | Ok _ | Error _ -> None
+      in
+      (match grown with
+       | Some (r, product) ->
+         select (r.Rns.modulus :: moduli) product (hop :: kept) (r :: extra) rest
+       | None -> select moduli product kept extra rest)
   in
   let moduli = List.map (fun r -> r.Rns.modulus) plan.residues in
-  match select moduli [] [] hops with
+  match select moduli plan.modulus [] [] hops with
   | [], _ -> plan
   | kept, extra ->
     (match

@@ -27,12 +27,17 @@ type error =
   | Duplicate_switch of int
       (** a switch can carry only one residue per route ID (the paper's
           intrinsic constraint discussed around Fig. 8) *)
+  | Exceeds_header of int
+      (** the Eq. 9 bound, in bits, of a primary path whose route ID no
+          header can carry: wider than {!Wire.Header.max_route_bits} *)
 
 val pp_error : Format.formatter -> error -> unit
 
 (** [of_core_path g path ~egress_port] encodes the pure source route: each
     core node forwards toward its successor; the last core node uses
-    [egress_port] (its port toward the destination edge).  No protection. *)
+    [egress_port] (its port toward the destination edge).  No protection.
+    A path whose Eq. 9 bound exceeds {!Wire.Header.max_route_bits} is the
+    error [Exceeds_header bits]. *)
 val of_core_path :
   Topo.Graph.t -> Topo.Graph.node list -> egress_port:int -> (plan, error) result
 
@@ -44,17 +49,23 @@ val of_labels : Topo.Graph.t -> int list -> egress_label:int -> (plan, error) re
 (** [protect g plan hops] folds directed protection hops
     [(switch_label, next_label)] into the plan, recomputing the route ID
     with the extra residues (still one CRT; order irrelevant by Eq. 4
-    commutativity). *)
+    commutativity).  It applies no header budget; {!protect_skipping}
+    does. *)
 val protect : Topo.Graph.t -> plan -> (int * int) list -> (plan, error) result
 
-(** [protect_skipping g plan hops] folds in each hop that {!protect} would
-    accept after the hops already kept, skips the others, and encodes the
-    route ID once.  A hop is skipped when its switch and next hop are not
-    adjacent, its switch is not a core switch, its port is [>=] the switch
-    ID, or the switch ID is [<= 1] or shares a factor with a switch already
-    in the plan (a repeated switch included).  Returns [plan] itself when
-    every hop is skipped. *)
-val protect_skipping : Topo.Graph.t -> plan -> (int * int) list -> plan
+(** [protect_skipping ?max_bits g plan hops] folds in each hop that
+    {!protect} would accept after the hops already kept, skips the others,
+    and encodes the route ID once.  A hop is skipped when its switch and
+    next hop are not adjacent, its switch is not a core switch, its port is
+    [>=] the switch ID, the switch ID is [<= 1] or shares a factor with a
+    switch already in the plan (a repeated switch included), or the plan's
+    Eq. 9 bound with it would exceed [max_bits] (default
+    {!Wire.Header.max_route_bits}, the header's route-ID width).  A hop
+    skipped for the budget does not end the fold: a later hop through a
+    smaller switch ID may still fit.  Returns [plan] itself when every hop
+    is skipped. *)
+val protect_skipping :
+  ?max_bits:int -> Topo.Graph.t -> plan -> (int * int) list -> plan
 
 (** [protect_exn], [of_labels_exn]: raising variants for scenario code
     where failure is a programming error. *)

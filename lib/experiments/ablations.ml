@@ -90,23 +90,26 @@ let ids_table () =
       ~header:[ "Topology"; "Strategy"; "Mean route bits"; "Max ID"; "Valid" ]
       rows
 
+(* Every off-path switch's hop on the shortest-path tree toward the
+   scenario's last primary switch, in distance-from-path order: the hops
+   the budget ablations fold in until the budget is spent. *)
+let distance_ordered_hops sc =
+  let g = sc.Nets.graph in
+  let path = List.map (Graph.node_of_label g) sc.Nets.primary in
+  let dest = List.nth path (List.length path - 1) in
+  Kar.Protection.tree_hops g ~dest
+    (Kar.Protection.off_path_members g ~path ~radius:max_int)
+
 let budget_table () =
   let sc = Nets.net15 in
   let g = sc.Nets.graph in
   let fc = List.nth sc.Nets.failures 2 (* SW13-SW29 *) in
   let base = Kar.Controller.scenario_plan sc Kar.Controller.Unprotected in
-  let dest = Graph.node_of_label g 29 in
-  let members =
-    Kar.Protection.off_path_members g
-      ~path:(List.map (Graph.node_of_label g) sc.Nets.primary)
-      ~radius:max_int
-  in
+  let hops = distance_ordered_hops sc in
   let rows =
     Util.Pool.run [| 15; 20; 28; 36; 43; 52; 64; 96; 128 |]
       ~f:(fun ~idx:_ bits ->
-        let plan, chosen =
-          Kar.Protection.select_within_budget g ~plan:base ~dest ~members ~bits
-        in
+        let plan = Kar.Route.protect_skipping ~max_bits:bits g base hops in
         let a =
           Kar.Markov.analyze g ~plan ~policy:Kar.Policy.Not_input_port
             ~failed:[ fc.Nets.link ] ~src:sc.Nets.ingress ~dst:sc.Nets.egress
@@ -114,7 +117,7 @@ let budget_table () =
         [
           string_of_int bits;
           string_of_int plan.Kar.Route.bit_length;
-          string_of_int (List.length chosen);
+          string_of_int (List.length plan.Kar.Route.protection);
           Printf.sprintf "%.4f" a.Kar.Markov.p_delivered;
           (if Float.is_nan a.Kar.Markov.expected_hops_delivered then "-"
            else Printf.sprintf "%.2f" a.Kar.Markov.expected_hops_delivered);
@@ -134,12 +137,7 @@ let planner_table () =
   let g = sc.Nets.graph in
   let failures = List.map (fun fc -> fc.Nets.link) sc.Nets.failures in
   let base = Kar.Controller.scenario_plan sc Kar.Controller.Unprotected in
-  let dest = Graph.node_of_label g 29 in
-  let members =
-    Kar.Protection.off_path_members g
-      ~path:(List.map (Graph.node_of_label g) sc.Nets.primary)
-      ~radius:max_int
-  in
+  let hops = distance_ordered_hops sc in
   let evaluate plan =
     Kar.Optimizer.score g ~plan ~policy:Kar.Policy.Not_input_port ~failures
       ~src:sc.Nets.ingress ~dst:sc.Nets.egress
@@ -147,18 +145,17 @@ let planner_table () =
   in
   let rows =
     Util.Pool.run [| 20; 28; 43; 64 |] ~f:(fun ~idx:_ bits ->
-        let naive_plan, naive_hops =
-          Kar.Protection.select_within_budget g ~plan:base ~dest ~members ~bits
-        in
+        let naive_plan = Kar.Route.protect_skipping ~max_bits:bits g base hops in
         let optimized =
           Kar.Optimizer.optimize g ~plan:base ~policy:Kar.Policy.Not_input_port
-            ~failures ~src:sc.Nets.ingress ~dst:sc.Nets.egress ~candidates:[]
-            ~bits ~objective:Kar.Optimizer.Worst_delivery
+            ~failures ~src:sc.Nets.ingress ~dst:sc.Nets.egress ~bits
+            ~objective:Kar.Optimizer.Worst_delivery
         in
         [
           string_of_int bits;
           Printf.sprintf "%.4f (%d hops, %d bits)" (evaluate naive_plan)
-            (List.length naive_hops) naive_plan.Kar.Route.bit_length;
+            (List.length naive_plan.Kar.Route.protection)
+            naive_plan.Kar.Route.bit_length;
           Printf.sprintf "%.4f (%d hops, %d bits)" optimized.Kar.Optimizer.score
             (List.length optimized.Kar.Optimizer.steps)
             optimized.Kar.Optimizer.plan.Kar.Route.bit_length;

@@ -29,8 +29,11 @@ let scenario_for n =
   | [ src; dst ] -> (g, src, dst, diameter)
   | _ -> assert false
 
+(* Unbounded plans: the study measures how wide a level's route ID grows,
+   so the header budget that caps served plans is lifted here. *)
 let plan_bits g ~src ~dst level =
-  (Kar.Controller.protected_route g ~src ~dst ~level).Kar.Route.bit_length
+  (Kar.Controller.protected_route ~max_bits:max_int g ~src ~dst ~level)
+    .Kar.Route.bit_length
 
 (* Each network size is an independent unit (its own generated graph,
    seeded by [n]), so the sizes sweep in parallel on the domain pool. *)

@@ -126,17 +126,16 @@ let test_budget_ablation_monotone_delivery () =
   let fc = List.nth sc.Topo.Nets.failures 2 in
   let base = Kar.Controller.scenario_plan sc Kar.Controller.Unprotected in
   let dest = Topo.Graph.node_of_label g 29 in
-  let members =
-    Kar.Protection.off_path_members g
-      ~path:(List.map (Topo.Graph.node_of_label g) sc.Topo.Nets.primary)
-      ~radius:max_int
+  let hops =
+    Kar.Protection.tree_hops g ~dest
+      (Kar.Protection.off_path_members g
+         ~path:(List.map (Topo.Graph.node_of_label g) sc.Topo.Nets.primary)
+         ~radius:max_int)
   in
   let deliveries =
     List.map
       (fun bits ->
-        let plan, _ =
-          Kar.Protection.select_within_budget g ~plan:base ~dest ~members ~bits
-        in
+        let plan = Kar.Route.protect_skipping ~max_bits:bits g base hops in
         (Kar.Markov.analyze g ~plan ~policy:Kar.Policy.Not_input_port
            ~failed:[ fc.Topo.Nets.link ] ~src:sc.Topo.Nets.ingress
            ~dst:sc.Topo.Nets.egress)

@@ -379,12 +379,15 @@ let test_next_hop_matches_residues () =
         (Kar.Route.port_at plan ~switch_id:r.Rns.modulus))
     plan.Kar.Route.residues
 
-(* The reference for [Route.protect_skipping]: one [Route.protect] call per
-   hop, a hop skipped when that call rejects it. *)
-let fold_protect g base hops =
+(* The reference for [Route.protect_skipping ~max_bits]: one
+   [Route.protect] call per hop, a hop skipped when that call rejects it or
+   its result's Eq. 9 bound exceeds [max_bits]. *)
+let fold_protect ~max_bits g base hops =
   List.fold_left
     (fun acc hop ->
-      match Kar.Route.protect g acc [ hop ] with Ok p -> p | Error _ -> acc)
+      match Kar.Route.protect g acc [ hop ] with
+      | Ok p when p.Kar.Route.bit_length <= max_bits -> p
+      | Ok _ | Error _ -> acc)
     base hops
 
 (* A core SW5-SW7 between hosts 1001 and 1002, with neighbours whose hops
@@ -407,7 +410,11 @@ let awkward_graph () =
   (Graph.Builder.finish b, h1, h2)
 
 (* Random hop lists over every label pair, adjacent or not, edge nodes and
-   path switches included. *)
+   path switches included, under a random budget.  The base plan takes 6
+   bits and every hop the other rules keep fits in 11, so budgets of 4 to
+   12 bits cover a base already over budget, hops that fit, a hop skipped
+   for size before a smaller one that fits, and no budget pressure; the
+   default budget is checked too. *)
 let prop_protect_skipping_matches_fold =
   let g, src, dst = awkward_graph () in
   let base = Kar.Controller.route g ~src ~dst ~protection:[] in
@@ -427,10 +434,15 @@ let prop_protect_skipping_matches_fold =
         bool (int_bound (n - 1)) (int_bound 16))
   in
   qtest ~count:500 "protect_skipping = per-hop protect fold"
-    QCheck2.Gen.(list_size (int_bound 10) hop)
-    (fun hops ->
-      let got = Kar.Route.protect_skipping g base hops in
-      let want = fold_protect g base hops in
+    QCheck2.Gen.(
+      pair (list_size (int_bound 10) hop) (opt ~ratio:0.8 (int_range 4 12)))
+    (fun (hops, budget) ->
+      let got = Kar.Route.protect_skipping ?max_bits:budget g base hops in
+      let want =
+        fold_protect
+          ~max_bits:(Option.value budget ~default:Wire.Header.max_route_bits)
+          g base hops
+      in
       Z.equal got.Kar.Route.route_id want.Kar.Route.route_id
       && got.Kar.Route.residues = want.Kar.Route.residues
       && got.Kar.Route.protection = want.Kar.Route.protection
@@ -485,14 +497,13 @@ let test_budget_monotone () =
   let dest = Graph.node_of_label g 29 in
   let path = List.map (Graph.node_of_label g) sc.Nets.primary in
   let members = Kar.Protection.off_path_members g ~path ~radius:max_int in
+  let hops = Kar.Protection.tree_hops g ~dest members in
   let sizes =
     List.map
       (fun bits ->
-        let plan, hops =
-          Kar.Protection.select_within_budget g ~plan:base ~dest ~members ~bits
-        in
+        let plan = Kar.Route.protect_skipping ~max_bits:bits g base hops in
         Alcotest.(check bool) "respects budget" true (plan.Kar.Route.bit_length <= bits);
-        List.length hops)
+        List.length plan.Kar.Route.protection)
       [ 15; 30; 60; 120 ]
   in
   Alcotest.(check bool) "monotone" true (List.sort Stdlib.compare sizes = sizes)
@@ -769,7 +780,7 @@ let test_controller_route_large_switch_id () =
 (* --- One protection recipe --- *)
 
 (* The reference for [Controller.protected_route]: the level's tree hops
-   through [fold_protect]. *)
+   through [fold_protect] under the header budget. *)
 let reference_protected ?usable g ~src ~dst ~level =
   let base = Kar.Controller.route ?usable g ~src ~dst ~protection:[] in
   let path = base.Kar.Route.core_path in
@@ -777,10 +788,11 @@ let reference_protected ?usable g ~src ~dst ~level =
     match level with
     | Kar.Controller.Unprotected -> []
     | Kar.Controller.Partial -> Kar.Protection.off_path_members g ~path ~radius:1
-    | Kar.Controller.Full -> Kar.Protection.full_members g ~path
+    | Kar.Controller.Full -> Kar.Protection.off_path_members g ~path ~radius:max_int
   in
   let dest = List.nth path (List.length path - 1) in
-  fold_protect g base (Kar.Protection.tree_hops g ~dest members)
+  fold_protect ~max_bits:Wire.Header.max_route_bits g base
+    (Kar.Protection.tree_hops g ~dest members)
 
 (* What the recipes must agree on, or None when planning raised. *)
 let plan_outcome f =
@@ -899,6 +911,109 @@ let test_protected_route_advisory_labels () =
   in
   Alcotest.(check int) "server planned it" 1 report.Kar_service.Server.planned;
   Alcotest.(check int) "server routed it" 0 report.Kar_service.Server.unroutable
+
+(* --- The header budget --- *)
+
+(* On the 128-switch serving testbed a full plan folds in enough tree hops
+   to pass the header's 992 bits, so the budget, not the level, bounds what
+   the planner hands out.  50 ordered pairs, every level: each plan fits
+   and stamps into a packet image, and every fifth pair's plans equal the
+   per-hop reference (a full one costs ~100 CRT folds). *)
+let test_protected_route_fits_header () =
+  let g = Experiments.Service.testbed ~n_core:128 () in
+  let edges = Array.of_list (Graph.edge_nodes g) in
+  let n = Array.length edges in
+  let pairs =
+    List.init 50 (fun i ->
+        (edges.(i * 13 mod n), edges.((i * 13 + 1 + (i * 7 mod (n - 1))) mod n)))
+  in
+  let buf = Wire.Flat.create () in
+  let check i (src, dst) level =
+    let plan = Kar.Controller.protected_route g ~src ~dst ~level in
+    let stamps =
+      match Wire.Flat.set_route_id buf plan.Kar.Route.route_id with
+      | () -> true
+      | exception Invalid_argument _ -> false
+    in
+    if plan.Kar.Route.bit_length <= Wire.Header.max_route_bits && stamps
+       && (i mod 5 <> 0
+          || plan_outcome (fun () -> plan)
+             = plan_outcome (fun () -> reference_protected g ~src ~dst ~level))
+    then None
+    else
+      Some
+        (Printf.sprintf "%d->%d %s: %d bits" (Graph.label g src)
+           (Graph.label g dst) (Kar.Controller.level_to_string level)
+           plan.Kar.Route.bit_length)
+  in
+  let bad =
+    List.concat
+      (List.mapi
+         (fun i pair -> List.filter_map (check i pair) Kar.Controller.all_levels)
+         pairs)
+  in
+  Alcotest.(check (list string)) "plans over the header or off the reference" []
+    bad;
+  (* the budget binds: unbounded, some full plan is wider than the header *)
+  Alcotest.(check bool) "an unbounded full plan exceeds the header" true
+    (List.exists
+       (fun (src, dst) ->
+         (Kar.Controller.protected_route ~max_bits:max_int g ~src ~dst
+            ~level:Kar.Controller.Full)
+           .Kar.Route.bit_length > Wire.Header.max_route_bits)
+       pairs)
+
+(* A 160-switch chain labelled with ascending primes, with hosts at both
+   ends and one beside [dst]: the end-to-end path's own route ID needs
+   1,310 bits. *)
+let test_path_wider_than_header () =
+  let g, hosts = Topo.Gen.with_edge_hosts (Topo.Gen.line 160) [ 0; 159; 158 ] in
+  let g = Kar.Ids.assign g Kar.Ids.Primes_ascending in
+  let src, dst, near =
+    match hosts with [ a; b; c ] -> (a, b, c) | _ -> Alcotest.fail "three hosts"
+  in
+  let labels = List.map (Graph.label g) (Graph.core_nodes g) in
+  let want = Rns.bit_length_bound (Rns.modulus_product labels) in
+  Alcotest.(check int) "1310-bit path" 1310 want;
+  (match Kar.Route.of_labels g labels ~egress_label:(Graph.label g dst) with
+   | Error (Kar.Route.Exceeds_header bits) -> Alcotest.(check int) "bits" want bits
+   | Error e -> Alcotest.failf "unexpected error %a" Kar.Route.pp_error e
+   | Ok _ -> Alcotest.fail "a 1310-bit path encoded");
+  let raises f =
+    match f () with
+    | (_ : Kar.Route.plan) -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "route raises" true
+    (raises (fun () -> Kar.Controller.route g ~src ~dst ~protection:[]));
+  List.iter
+    (fun level ->
+      Alcotest.(check bool)
+        (Kar.Controller.level_to_string level ^ " protected_route raises")
+        true
+        (raises (fun () ->
+             Kar.Controller.protected_route ~max_bits:max_int g ~src ~dst ~level)))
+    Kar.Controller.all_levels;
+  let cache = Kar.Controller.create_cache g in
+  Alcotest.(check bool) "re-encode is None" true
+    (Kar.Controller.reencode cache ~at:src ~dst = None);
+  (* the verifier treats a packet stranded at [src] as unrecoverable *)
+  let inst =
+    Kar_verify.Verifier.prepare g
+      ~plan:(Kar.Controller.route g ~src:near ~dst ~protection:[])
+      ~policy:Kar.Policy.Not_input_port ~src:near ~dst ()
+  in
+  Alcotest.(check int) "verifier: src unreachable" (-1)
+    inst.Kar_verify.Verifier.plan_of_edge.(src);
+  let server = Kar_service.Server.create ~graph:g () in
+  let report =
+    Kar_service.Server.run server
+      [| { Kar_service.Workload.seq = 0; arrival = 0.0; src; dst;
+           level = Kar.Controller.Unprotected;
+           policy = Kar.Policy.Not_input_port } |]
+  in
+  Alcotest.(check int) "server answers unroutable" 1
+    report.Kar_service.Server.unroutable
 
 (* --- Walk vs Markov agreement --- *)
 
@@ -1026,7 +1141,7 @@ let test_optimizer_improves_or_equals () =
   let before = score base in
   let r =
     Kar.Optimizer.optimize g ~plan:base ~policy:Kar.Policy.Not_input_port
-      ~failures ~src:sc.Nets.ingress ~dst:sc.Nets.egress ~candidates:[] ~bits:64
+      ~failures ~src:sc.Nets.ingress ~dst:sc.Nets.egress ~bits:64
       ~objective:Kar.Optimizer.Worst_delivery
   in
   Alcotest.(check bool) "never worse" true (r.Kar.Optimizer.score >= before);
@@ -1053,7 +1168,7 @@ let test_optimizer_tiny_budget_noop () =
   let r =
     Kar.Optimizer.optimize g ~plan:base ~policy:Kar.Policy.Not_input_port
       ~failures:[ (List.hd sc.Nets.failures).Nets.link ] ~src:sc.Nets.ingress
-      ~dst:sc.Nets.egress ~candidates:[] ~bits:base.Kar.Route.bit_length
+      ~dst:sc.Nets.egress ~bits:base.Kar.Route.bit_length
       ~objective:Kar.Optimizer.Mean_delivery
   in
   Alcotest.(check int) "no steps" 0 (List.length r.Kar.Optimizer.steps);
@@ -1069,7 +1184,7 @@ let test_optimizer_hop_objective () =
   let base = Kar.Controller.scenario_plan sc Kar.Controller.Unprotected in
   let r =
     Kar.Optimizer.optimize g ~plan:base ~policy:Kar.Policy.Not_input_port
-      ~failures ~src:sc.Nets.ingress ~dst:sc.Nets.egress ~candidates:[] ~bits:96
+      ~failures ~src:sc.Nets.ingress ~dst:sc.Nets.egress ~bits:96
       ~objective:Kar.Optimizer.Expected_hops
   in
   let delivery =
@@ -1167,6 +1282,13 @@ let () =
             test_protected_route_matches_fold;
           Alcotest.test_case "protected route skips advisory-label hops" `Quick
             test_protected_route_advisory_labels;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "protected plans fit the header (gen:128)" `Quick
+            test_protected_route_fits_header;
+          Alcotest.test_case "a path wider than the header is an error" `Quick
+            test_path_wider_than_header;
         ] );
       ( "analysis",
         [

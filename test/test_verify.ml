@@ -10,7 +10,9 @@
    violation.  The golden fixture pins the whole net15 k<=2 verdict table
    byte-for-byte at any -j.  The flat exploration kernel itself is checked
    against a plain reference of its state-graph algorithm on random
-   topologies, and its per-call allocation is bounded. *)
+   topologies, and its per-call allocation is bounded.  A whole-pipeline
+   property runs random topologies from generation through planning,
+   verification and simulation. *)
 
 module Graph = Topo.Graph
 module Nets = Topo.Nets
@@ -442,6 +444,111 @@ let empirical g ~plan ~policy ~src ~dst ~failed ~packets ~seed =
   Netsim.Engine.run engine;
   ((Netsim.Net.stats net).Netsim.Net.delivered, Trace.Recorder.contents recorder)
 
+(* --- the whole pipeline ---
+
+   gen -> ids -> plan -> stamp -> prepare + verify -> simulate, on random
+   Waxman cores of 8 to 160 switches.  Waxman's alpha falls as 24/n so
+   switch degrees stay near 20 at every size.  Full protection on 128 or
+   more switches wants more than the header's 992 bits, so those cases
+   plan under the budget.  Hosts sit on four core switches, a quarter of
+   the core apart.  At every level the plan must fit the header and stamp
+   into a pooled packet, the verifier must classify three single-link
+   failures, and that packet, injected with the first of those links down,
+   must leave a trace that passes every invariant and return to the pool.
+   Any exception fails the case. *)
+let pipeline_net ~n ~seed ~strategy =
+  let core =
+    Kar.Ids.assign
+      (Topo.Gen.waxman ~n ~alpha:(Float.min 0.9 (24.0 /. float_of_int n))
+         ~beta:0.35 ~seed)
+      strategy
+  in
+  let g, hosts =
+    Topo.Gen.with_edge_hosts core (List.init 4 (fun i -> (seed + (i * n / 4)) mod n))
+  in
+  (g, List.nth hosts 0, List.nth hosts 2)
+
+(* One case, run through every stage; the problems found. *)
+let pipeline_problems ~n ~seed ~strategy ~policy =
+  let g, src, dst = pipeline_net ~n ~seed ~strategy in
+  let links = Array.of_list (Verify.core_links g) in
+  let sets =
+    List.init 3 (fun i -> [ links.((seed + (i * 7919)) mod Array.length links) ])
+  in
+  List.concat_map
+    (fun level ->
+      let what = Kar.Controller.level_to_string level in
+      let plan = Kar.Controller.protected_route g ~src ~dst ~level in
+      let engine = Netsim.Engine.create () in
+      let net = Netsim.Net.create ~graph:g ~engine () in
+      let packet =
+        Netsim.Net.alloc net ~src ~dst ~size_bytes:512
+          ~route_id:plan.Kar.Route.route_id Netsim.Packet.Raw
+      in
+      let inst = Verifier.prepare g ~plan ~policy ~src ~dst () in
+      List.iter (fun failed -> ignore (Verifier.verify inst ~failed)) sets;
+      let recorder =
+        Trace.Recorder.create
+          ~protected_switches:
+            (List.map (fun r -> r.Rns.modulus) plan.Kar.Route.residues)
+          ()
+      in
+      Netsim.Net.set_recorder net (Some recorder);
+      Netsim.Karnet.install_switches ~plan net ~policy ~seed;
+      let cache = Kar.Controller.create_cache g in
+      Netsim.Karnet.install_standard_edges net
+        ~controller_reencode:(fun p ->
+          Kar.Controller.reencode cache ~at:(Netsim.Packet.src p)
+            ~dst:(Netsim.Packet.dst p));
+      List.iter (Netsim.Net.fail_link net) (List.hd sets);
+      Netsim.Net.inject net ~at:src packet;
+      Netsim.Engine.run engine;
+      let checks =
+        [ (plan.Kar.Route.bit_length <= Wire.Header.max_route_bits,
+           "plan wider than the header");
+          (Netsim.Net.pool_in_flight net = 0, "packet not returned to the pool") ]
+      in
+      List.filter_map
+        (fun (ok, msg) -> if ok then None else Some (what ^ ": " ^ msg))
+        checks
+      @ List.map
+          (fun v -> Format.asprintf "%s: %a" what Trace.Invariant.pp_violation v)
+          (Trace.Invariant.check ~drained:true (Trace.Recorder.contents recorder)))
+    Kar.Controller.all_levels
+
+let strategies =
+  [ Kar.Ids.Primes_ascending; Kar.Ids.Degree_descending; Kar.Ids.Prime_powers;
+    Kar.Ids.Random_primes 5 ]
+
+let prop_pipeline =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:40
+       ~name:"gen -> ids -> plan -> verify -> simulate: no crash, no violation"
+       ~print:(fun (n, seed, s, p) ->
+         Printf.sprintf "n=%d seed=%d strategy=%s policy=%s" n seed
+           (Kar.Ids.strategy_to_string (List.nth strategies s))
+           (Kar.Policy.to_string (List.nth Kar.Policy.all p)))
+       QCheck2.Gen.(quad (8 -- 160) (1 -- 100_000) (0 -- 3) (0 -- 3))
+       (fun (n, seed, s, p) ->
+         match
+           pipeline_problems ~n ~seed ~strategy:(List.nth strategies s)
+             ~policy:(List.nth Kar.Policy.all p)
+         with
+         | [] -> true
+         | problems -> QCheck2.Test.fail_report (String.concat "; " problems)))
+
+(* The largest size, where the budget binds: unbounded, the full plan
+   would not fit the header. *)
+let test_pipeline_past_budget () =
+  let n = 160 and seed = 3 and strategy = Kar.Ids.Prime_powers in
+  let g, src, dst = pipeline_net ~n ~seed ~strategy in
+  Alcotest.(check bool) "unbounded full plan exceeds the header" true
+    ((Kar.Controller.protected_route ~max_bits:max_int g ~src ~dst
+        ~level:Kar.Controller.Full)
+       .Kar.Route.bit_length > Wire.Header.max_route_bits);
+  Alcotest.(check (list string)) "pipeline problems" []
+    (pipeline_problems ~n ~seed ~strategy ~policy:nip)
+
 (* --- k=1 agreement with the empirical invariants sweep ---
 
    Adversarial verdicts are directional w.r.t. randomized simulation:
@@ -735,6 +842,12 @@ let () =
             test_k1_agreement;
           Alcotest.test_case "k=1 keeps delivery possible (both topologies)"
             `Quick test_k1_no_refutation_of_possibility;
+        ] );
+      ( "pipeline",
+        [
+          prop_pipeline;
+          Alcotest.test_case "160 switches, past the header budget" `Quick
+            test_pipeline_past_budget;
         ] );
       ( "counterexamples",
         [
