@@ -186,7 +186,7 @@ let tests =
              ~policy:Kar.Policy.Not_input_port
              ~failed:[ List.nth fail_links 1 ]
              ~src:net15.Topo.Nets.ingress ~dst:net15.Topo.Nets.egress
-             ~trials:1000 ~seed:4 ()));
+             ~trials:1000 ~seed:4));
     (* route planning *)
     Test.make ~name:"kar/plan-net15-full"
       (Staged.stage (fun () -> Kar.Controller.scenario_plan net15 Kar.Controller.Full));
@@ -299,10 +299,14 @@ let netsim_packets_per_sec ?(metrics = false) ~packets () =
   Netsim.Karnet.install_switches ~plan net ~policy:Kar.Policy.Not_input_port
     ~seed:1;
   let cache = Kar.Controller.create_cache g in
-  Netsim.Karnet.install_standard_edges net
-    ~controller_reencode:(fun (p : Netsim.Packet.t) ->
-      Kar.Controller.reencode cache ~at:(Netsim.Packet.dst p)
-        ~dst:(Netsim.Packet.dst p));
+  List.iter
+    (fun v ->
+      Netsim.Karnet.install_edge net v
+        ~reencode:(fun (p : Netsim.Packet.t) ->
+          Kar.Controller.reencode cache ~at:v ~dst:(Netsim.Packet.dst p))
+        ~receive:(fun _ _ -> ())
+        ())
+    (Topo.Graph.edge_nodes g);
   (* Injections self-schedule (each one books the next) instead of being
      queued upfront: the event heap stays a few entries deep rather than
      [packets] deep, so the probe measures forwarding, not heap sifting

@@ -86,22 +86,13 @@ let paper_flag =
   in
   Arg.(value & flag & info [ "paper" ] ~doc)
 
-let jobs_arg =
-  let doc =
-    "Worker domains for the parallel sweeps (replications, failure pairs, \
-     generated graphs).  Output is byte-identical at any value.  Defaults \
-     to $(b,KAR_JOBS) if set, else the machine's recommended domain count \
-     (capped at 16)."
-  in
-  Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
 let max_k_arg =
   let doc =
     "Cap the exhaustive resilience verifier's failure-set size (the \
      $(b,verify) experiment) on every topology; 0 keeps the per-topology \
      defaults (net15 k<=3, rnp28 k<=2)."
   in
-  Arg.(value & opt int 0 & info [ "max-k" ] ~docv:"K" ~doc)
+  Arg.(value & opt (Cli.int_from 0) 0 & info [ "max-k" ] ~docv:"K" ~doc)
 
 (* KAR_LOG=info|debug turns on the simulator's log sources (stderr). *)
 let setup_logging () =
@@ -117,11 +108,10 @@ let setup_logging () =
     Logs.set_level level
   | None -> ()
 
-let main names list metrics paper jobs max_k =
+let main names list metrics paper () max_k =
   setup_logging ();
   if list then list_catalogue names
   else begin
-    Util.Pool.set_jobs (if jobs > 0 then jobs else Util.Pool.default_jobs ());
     if max_k > 0 then Experiments.Verify.max_k_override := Some max_k;
     let profile =
       if paper then Experiments.Profile.paper else Experiments.Profile.from_env ()
@@ -137,6 +127,6 @@ let cmd =
   Cmd.v info
     Term.(
       const main $ names_arg $ list_flag $ metrics_flag $ paper_flag
-      $ jobs_arg $ max_k_arg)
+      $ Cli.jobs $ max_k_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -20,21 +20,17 @@ let residue_conv =
   let print ppf r = Format.fprintf ppf "%d:%d" r.Rns.modulus r.Rns.value in
   Arg.conv (parse, print)
 
-let z_conv =
+let route =
   let parse s =
-    try Ok (Bignum.Z.of_string s) with Invalid_argument m -> Error (`Msg m)
+    match Bignum.Z.of_string s with
+    | r when Bignum.Z.sign r >= 0 -> Ok r
+    | _ -> Error (`Msg "route IDs are non-negative")
+    | exception Invalid_argument m -> Error (`Msg m)
   in
-  Arg.conv (parse, Bignum.Z.pp)
-
-let ids_conv =
-  let parse s =
-    try Ok (List.map int_of_string (String.split_on_char ',' s))
-    with Failure _ -> Error (`Msg ("bad id list " ^ s))
-  in
-  let print ppf ids =
-    Format.pp_print_string ppf (String.concat "," (List.map string_of_int ids))
-  in
-  Arg.conv (parse, print)
+  Arg.(
+    required
+    & opt (some (conv (parse, Bignum.Z.pp))) None
+    & info [ "R"; "route" ] ~docv:"ROUTE_ID" ~doc:"The route ID.")
 
 (* --- encode --- *)
 
@@ -62,16 +58,10 @@ let encode_cmd =
 (* --- decode --- *)
 
 let decode_cmd =
-  let route =
-    Arg.(
-      required
-      & opt (some z_conv) None
-      & info [ "R"; "route" ] ~docv:"ROUTE_ID" ~doc:"The route ID.")
-  in
   let switches =
     Arg.(
       required
-      & opt (some ids_conv) None
+      & opt (some (list (Cli.int_from 1))) None
       & info [ "s"; "switches" ] ~docv:"IDS" ~doc:"Comma-separated switch IDs.")
   in
   let run route switches =
@@ -87,14 +77,9 @@ let decode_cmd =
 (* --- header --- *)
 
 let header_cmd =
-  let route =
-    Arg.(
-      required
-      & opt (some z_conv) None
-      & info [ "R"; "route" ] ~docv:"ROUTE_ID" ~doc:"The route ID.")
-  in
   let ttl =
-    Arg.(value & opt int 64 & info [ "ttl" ] ~docv:"TTL" ~doc:"Initial TTL.")
+    Arg.(value & opt (Cli.int_from 0 ~max:255) 64 & info [ "ttl" ] ~docv:"TTL"
+           ~doc:"Initial TTL.")
   in
   let run route ttl =
     match Wire.Header.encode (Wire.Header.make ~ttl route) with
@@ -144,17 +129,6 @@ let parse_cmd =
     Term.(ret (const run $ hex))
 
 (* --- topology-based commands --- *)
-
-let topo_arg =
-  Arg.(
-    required
-    & opt (some file) None
-    & info [ "topo" ] ~docv:"FILE" ~doc:"Topology file (Topo.Serial format).")
-
-let load_topo path =
-  match Topo.Serial.load path with
-  | Ok g -> Ok g
-  | Error e -> Error (Format.asprintf "%s: %a" path Topo.Serial.pp_error e)
 
 (* Exhaustive resilience check of one planned route: every failure set of
    up to max_k core links, deflection draws as adversarial choice. *)
@@ -215,14 +189,9 @@ let verify_plan g ~plan ~policy ~src ~dst ~max_k =
   done
 
 let plan_cmd =
-  let src =
-    Arg.(required & opt (some int) None & info [ "src" ] ~docv:"LABEL" ~doc:"Source edge label.")
-  in
-  let dst =
-    Arg.(required & opt (some int) None & info [ "dst" ] ~docv:"LABEL" ~doc:"Destination edge label.")
-  in
   let disjoint =
-    Arg.(value & opt int 1 & info [ "k" ] ~docv:"K" ~doc:"Edge-disjoint plans to compute.")
+    Arg.(value & opt (Cli.int_from 1) 1 & info [ "k" ] ~docv:"K"
+           ~doc:"Edge-disjoint plans to compute.")
   in
   let verify_flag =
     Arg.(
@@ -235,57 +204,44 @@ let plan_cmd =
   in
   let max_k =
     Arg.(
-      value & opt int 1
+      value & opt (Cli.int_from 1) 1
       & info [ "max-k" ] ~docv:"K"
           ~doc:"Largest failure-set size for --verify (default 1).")
   in
-  let policy =
-    let policy_conv =
-      Arg.enum
-        (List.map (fun p -> (Kar.Policy.to_string p, p)) Kar.Policy.all)
-    in
-    Arg.(
-      value
-      & opt policy_conv Kar.Policy.Not_input_port
-      & info [ "policy" ] ~docv:"P"
-          ~doc:"Deflection policy for --verify: none | hp | avp | nip.")
-  in
-  let run topo src dst k verify max_k policy =
-    match load_topo topo with
+  let run topology src dst k verify max_k policy =
+    let g = topology.Cli.graph in
+    match Cli.endpoints g ~src ~dst with
     | Error m -> `Error (false, m)
-    | Ok g ->
-      (match (Topo.Graph.find_label g src, Topo.Graph.find_label g dst) with
-       | Some s, Some d ->
-         let plans = Kar.Controller.disjoint_plans g ~src:s ~dst:d ~k in
-         if plans = [] then
-           (* the shortest path's own error says why: no path, or a route
-              ID wider than the header *)
-           match Kar.Controller.route g ~src:s ~dst:d ~protection:[] with
-           | exception Invalid_argument m -> `Error (false, m)
-           | _ -> `Error (false, "no route between the endpoints")
-         else begin
-           List.iteri
-             (fun i plan ->
-               Printf.printf "plan %d: route_id=%s bits=%d path=%s\n" i
-                 (Bignum.Z.to_string plan.Kar.Route.route_id)
-                 plan.Kar.Route.bit_length
-                 (String.concat "->"
-                    (List.map
-                       (fun v -> string_of_int (Topo.Graph.label g v))
-                       plan.Kar.Route.core_path));
-               if verify then
-                 verify_plan g ~plan ~policy ~src:s ~dst:d ~max_k)
-             plans;
-           `Ok ()
-         end
-       | _ -> `Error (false, "unknown src or dst label"))
+    | Ok (s, d) ->
+      let plans = Kar.Controller.disjoint_plans g ~src:s ~dst:d ~k in
+      if plans = [] then
+        (* the shortest path's own error says why: no path, or a route
+           ID wider than the header *)
+        match Kar.Controller.route g ~src:s ~dst:d ~protection:[] with
+        | exception Invalid_argument m -> `Error (false, m)
+        | _ -> `Error (false, "no route between the endpoints")
+      else begin
+        List.iteri
+          (fun i plan ->
+            Printf.printf "plan %d: route_id=%s bits=%d path=%s\n" i
+              (Bignum.Z.to_string plan.Kar.Route.route_id)
+              plan.Kar.Route.bit_length
+              (String.concat "->"
+                 (List.map
+                    (fun v -> string_of_int (Topo.Graph.label g v))
+                    plan.Kar.Route.core_path));
+            if verify then
+              verify_plan g ~plan ~policy ~src:s ~dst:d ~max_k)
+          plans;
+        `Ok ()
+      end
   in
   Cmd.v
     (Cmd.info "plan" ~doc:"Plan route IDs between two edge nodes of a topology")
     Term.(
       ret
-        (const run $ topo_arg $ src $ dst $ disjoint $ verify_flag $ max_k
-       $ policy))
+        (const run $ Cli.topology "topo" $ Cli.src $ Cli.dst $ disjoint
+       $ verify_flag $ max_k $ Cli.policy))
 
 let ids_cmd =
   let strategy =
@@ -305,45 +261,30 @@ let ids_cmd =
     Arg.(value & opt (some string) None & info [ "o" ] ~docv:"FILE"
            ~doc:"Write the relabelled topology here (default: stdout).")
   in
-  let run topo strategy output =
-    match load_topo topo with
-    | Error m -> `Error (false, m)
-    | Ok g ->
-      let relabelled = Kar.Ids.assign g strategy in
-      (match Kar.Ids.validate relabelled with
-       | [] ->
-         let text = Topo.Serial.to_string relabelled in
-         (match output with
-          | None -> print_string text
-          | Some path ->
-            Out_channel.with_open_text path (fun oc -> output_string oc text));
-         `Ok ()
-       | issues -> `Error (false, String.concat "; " issues))
+  let run topology strategy output =
+    let relabelled = Kar.Ids.assign topology.Cli.graph strategy in
+    match Kar.Ids.validate relabelled with
+    | [] ->
+      let text = Topo.Serial.to_string relabelled in
+      (match output with
+       | None -> print_string text
+       | Some path ->
+         Out_channel.with_open_text path (fun oc -> output_string oc text));
+      `Ok ()
+    | issues -> `Error (false, String.concat "; " issues)
   in
   Cmd.v
     (Cmd.info "ids" ~doc:"Assign pairwise-coprime switch IDs to a topology")
-    Term.(ret (const run $ topo_arg $ strategy $ output))
+    Term.(ret (const run $ Cli.topology "topo" $ strategy $ output))
 
 let export_cmd =
-  let net_arg =
-    let net_conv =
-      Arg.enum
-        [ ("fig1", Topo.Nets.fig1_six); ("net15", Topo.Nets.net15);
-          ("rnp28", Topo.Nets.rnp28); ("fig8", Topo.Nets.rnp_fig8) ]
-    in
-    Arg.(
-      value
-      & opt net_conv Topo.Nets.net15
-      & info [ "net" ] ~docv:"NAME"
-          ~doc:"Built-in scenario: fig1 | net15 | rnp28 | fig8.")
-  in
-  let run sc =
-    print_string (Topo.Serial.to_string sc.Topo.Nets.graph);
+  let run topology =
+    print_string (Topo.Serial.to_string topology.Cli.graph);
     `Ok ()
   in
   Cmd.v
-    (Cmd.info "export" ~doc:"Print a built-in paper topology in Serial format")
-    Term.(ret (const run $ net_arg))
+    (Cmd.info "export" ~doc:"Print a topology in Serial format")
+    Term.(ret (const run $ Cli.topology "net" ~default:"net15"))
 
 let () =
   let info =

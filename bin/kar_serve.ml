@@ -10,49 +10,6 @@ module Workload = Kar_service.Workload
 module Server = Kar_service.Server
 module Scenario = Kar_scenario
 
-type net =
-  | Net15
-  | Rnp28
-  | Gen of int
-
-let parse_net = function
-  | "net15" -> Ok Net15
-  | "rnp28" -> Ok Rnp28
-  | s ->
-    let gen n = if n >= 4 then Ok (Gen n) else Error (`Msg "gen:N needs N >= 4") in
-    (match String.split_on_char ':' s with
-     | [ "gen" ] -> gen 32
-     | [ "gen"; n ] ->
-       (match int_of_string_opt n with
-        | Some n -> gen n
-        | None -> Error (`Msg (Printf.sprintf "bad generated size %S" n)))
-     | _ -> Error (`Msg (Printf.sprintf "unknown topology %S (net15|rnp28|gen:N)" s)))
-
-let graph_of_net = function
-  | Net15 -> (Topo.Nets.net15.Topo.Nets.graph, Topo.Nets.net15.Topo.Nets.failures)
-  | Rnp28 -> (Topo.Nets.rnp28.Topo.Nets.graph, Topo.Nets.rnp28.Topo.Nets.failures)
-  | Gen n -> (Experiments.Service.testbed ~n_core:n (), [])
-
-let parse_levels s =
-  let one name =
-    match name with
-    | "unprotected" -> Ok Kar.Controller.Unprotected
-    | "partial" -> Ok Kar.Controller.Partial
-    | "full" -> Ok Kar.Controller.Full
-    | _ -> Error (`Msg (Printf.sprintf "unknown level %S" name))
-  in
-  let rec all = function
-    | [] -> Ok []
-    | x :: tl ->
-      (match (one x, all tl) with
-       | Ok l, Ok ls -> Ok (l :: ls)
-       | (Error _ as e), _ | _, (Error _ as e) -> e)
-  in
-  match all (String.split_on_char ',' s) with
-  | Ok [] -> Error (`Msg "empty level list")
-  | Ok ls -> Ok (Array.of_list ls)
-  | Error _ as e -> e
-
 let report_to_string (r : Server.report) =
   let ms v = Printf.sprintf "%.3f" (v *. 1e3) in
   Util.Texttab.render_kv
@@ -81,11 +38,10 @@ let report_to_string (r : Server.report) =
       ("unroutable", string_of_int r.Server.unroutable);
     ]
 
-let run net requests rate skew seed levels cache_cap batch_size batch_delay
-    workers fail_ats repair_ats fail_link scenario trace metrics metrics_every
-    metrics_prom jobs =
-  Util.Pool.set_jobs (if jobs > 0 then jobs else Util.Pool.default_jobs ());
-  let graph, failure_cases = graph_of_net net in
+let run topology requests rate skew seed levels cache_cap batch_size
+    batch_delay workers fail_ats repair_ats fail_link scenario trace metrics
+    metrics_every metrics_prom () =
+  let graph = topology.Cli.graph in
   let spec =
     {
       Workload.default with
@@ -113,7 +69,7 @@ let run net requests rate skew seed levels cache_cap batch_size batch_delay
     else
       let link =
         Scenario.Spec.Id
-          (match (fail_link, failure_cases) with
+          (match (fail_link, topology.Cli.failures) with
            | Some l, _ -> l
            | None, fc :: _ -> fc.Topo.Nets.link
            | None, [] -> Experiments.Service.storm_link graph)
@@ -173,89 +129,62 @@ let run net requests rate skew seed levels cache_cap batch_size batch_delay
 
 open Cmdliner
 
-let net_arg =
-  let net_conv = Arg.conv (parse_net, fun ppf n ->
-      Format.pp_print_string ppf
-        (match n with Net15 -> "net15" | Rnp28 -> "rnp28" | Gen n -> Printf.sprintf "gen:%d" n))
-  in
-  let doc = "Topology: the paper's $(b,net15) or $(b,rnp28), or $(b,gen:N) \
-             (Waxman testbed, N core switches, one edge host each)." in
-  Arg.(value & opt net_conv (Gen 32) & info [ "net" ] ~docv:"NET" ~doc)
-
 let requests_arg =
   let doc = "Number of requests in the open-loop workload." in
-  Arg.(value & opt int 10_000 & info [ "n"; "requests" ] ~docv:"N" ~doc)
+  Arg.(value & opt (Cli.int_from 0) 10_000
+       & info [ "n"; "requests" ] ~docv:"N" ~doc)
 
 let rate_arg =
   let doc = "Mean Poisson arrival rate, requests per second." in
-  Arg.(value & opt float 10_000.0 & info [ "rate" ] ~docv:"R" ~doc)
+  Arg.(value & opt Cli.positive_float 10_000.0 & info [ "rate" ] ~docv:"R" ~doc)
 
 let skew_arg =
   let doc = "Zipf exponent over (src, dst) pair popularity (0 = uniform)." in
-  Arg.(value & opt float 0.9 & info [ "skew" ] ~docv:"S" ~doc)
+  Arg.(value & opt Cli.nonneg_float 0.9 & info [ "skew" ] ~docv:"S" ~doc)
 
 let seed_arg =
   let doc = "Workload seed; everything downstream is deterministic in it." in
   Arg.(value & opt int 11 & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let levels_arg =
-  let levels_conv =
-    Arg.conv
-      ( parse_levels,
-        fun ppf ls ->
-          Format.pp_print_string ppf
-            (String.concat ","
-               (Array.to_list (Array.map Kar.Controller.level_to_string ls))) )
-  in
   let doc = "Comma-separated protection levels drawn uniformly per request \
              (unprotected,partial,full)." in
   Arg.(value
-       & opt levels_conv [| Kar.Controller.Unprotected; Kar.Controller.Partial |]
+       & opt Cli.levels_conv [| Kar.Controller.Unprotected; Kar.Controller.Partial |]
        & info [ "levels" ] ~docv:"LEVELS" ~doc)
 
 let cache_arg =
   let doc = "Plan cache capacity (LRU entries)." in
-  Arg.(value & opt int 256 & info [ "cache" ] ~docv:"N" ~doc)
+  Arg.(value & opt (Cli.int_from 1) 256 & info [ "cache" ] ~docv:"N" ~doc)
 
 let batch_size_arg =
   let doc = "Dispatch a batch at this many distinct missed keys." in
-  Arg.(value & opt int 16 & info [ "batch-size" ] ~docv:"N" ~doc)
+  Arg.(value & opt (Cli.int_from 1) 16 & info [ "batch-size" ] ~docv:"N" ~doc)
 
 let batch_delay_arg =
   let doc = "Max seconds a batch stays open before dispatching anyway." in
-  Arg.(value & opt float 2e-4 & info [ "batch-delay" ] ~docv:"S" ~doc)
+  Arg.(value & opt Cli.nonneg_float 2e-4 & info [ "batch-delay" ] ~docv:"S" ~doc)
 
 let workers_arg =
   let doc = "Modelled planner threads (virtual-time model; fixed so results \
              do not depend on -j)." in
-  Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N" ~doc)
+  Arg.(value & opt (Cli.int_from 1) 4 & info [ "workers" ] ~docv:"N" ~doc)
 
 let fail_at_arg =
   let doc = "Fail a link at this virtual time (epoch bump + replan storm). \
              Repeatable." in
-  Arg.(value & opt_all float [] & info [ "fail-at" ] ~docv:"T" ~doc)
+  Arg.(value & opt_all Cli.nonneg_float [] & info [ "fail-at" ] ~docv:"T" ~doc)
 
 let repair_at_arg =
   let doc = "Repair the failed link at this virtual time.  Repeatable." in
-  Arg.(value & opt_all float [] & info [ "repair-at" ] ~docv:"T" ~doc)
+  Arg.(value & opt_all Cli.nonneg_float [] & info [ "repair-at" ] ~docv:"T" ~doc)
 
 let fail_link_arg =
   let doc = "Link id the --fail-at/--repair-at flags act on (default: the \
              topology's first failure case, or a popular core link on \
              generated topologies)." in
-  Arg.(value & opt (some int) None & info [ "fail-link" ] ~docv:"LINK" ~doc)
-
-let scenario_arg =
-  let doc = "Failure schedule applied during the run: \
-             $(b,flap:links=N,period=S,duty=D,seed=K), \
-             $(b,regional:groups=N,mtbf=S,mttr=S,seed=K), \
-             $(b,adversarial:k=N,period=S,hold=S,level=L) or \
-             $(b,events:fail@T=A-B,repair@T=#ID,...).  Generated over the \
-             workload's arrival horizon and merged with any \
-             --fail-at/--repair-at events." in
-  Arg.(value
-       & opt (some string) None
-       & info [ "scenario" ] ~docv:"SPEC" ~doc)
+  Arg.(value & opt (some (Cli.int_from 0)) None
+       & info [ "fail-link" ] ~docv:"LINK" ~doc)
 
 let trace_arg =
   let doc = "Write the deterministic service event stream to $(docv) as JSONL." in
@@ -271,7 +200,8 @@ let metrics_arg =
 let metrics_every_arg =
   let doc = "Virtual seconds between metrics snapshots (default: arrival \
              horizon / 64)." in
-  Arg.(value & opt (some float) None & info [ "metrics-every" ] ~docv:"S" ~doc)
+  Arg.(value & opt (some Cli.positive_float) None
+       & info [ "metrics-every" ] ~docv:"S" ~doc)
 
 let metrics_prom_arg =
   let doc = "Dump the end-of-run registry to $(docv) in Prometheus text \
@@ -280,20 +210,15 @@ let metrics_prom_arg =
        & opt (some string) None
        & info [ "metrics-prom" ] ~docv:"FILE" ~doc)
 
-let jobs_arg =
-  let doc = "Worker domains for batch plan computation.  Reports are \
-             byte-identical at any value.  Defaults to $(b,KAR_JOBS) if \
-             set, else the machine's recommended domain count." in
-  Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
 let cmd =
   let doc = "Serve route-plan requests from an online KAR control plane" in
   let info = Cmd.info "kar_serve" ~doc in
   Cmd.v info
     Term.(
-      const run $ net_arg $ requests_arg $ rate_arg $ skew_arg $ seed_arg
-      $ levels_arg $ cache_arg $ batch_size_arg $ batch_delay_arg $ workers_arg
-      $ fail_at_arg $ repair_at_arg $ fail_link_arg $ scenario_arg $ trace_arg
-      $ metrics_arg $ metrics_every_arg $ metrics_prom_arg $ jobs_arg)
+      const run $ Cli.topology "net" ~default:"gen:32" $ requests_arg
+      $ rate_arg $ skew_arg $ seed_arg $ levels_arg $ cache_arg
+      $ batch_size_arg $ batch_delay_arg $ workers_arg $ fail_at_arg
+      $ repair_at_arg $ fail_link_arg $ Cli.scenario $ trace_arg $ metrics_arg
+      $ metrics_every_arg $ metrics_prom_arg $ Cli.jobs)
 
 let () = exit (Cmd.eval cmd)

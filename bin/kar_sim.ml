@@ -20,10 +20,6 @@
 open Cmdliner
 module Graph = Topo.Graph
 
-let policy_conv =
-  Arg.enum
-    (List.map (fun p -> (Kar.Policy.to_string p, p)) Kar.Policy.all)
-
 let link_conv =
   let parse s =
     match String.split_on_char ':' s with
@@ -63,204 +59,198 @@ let print_stats g net =
     end
   done
 
-let run topo src_label dst_label policy fail fail_at fail_for scenario duration
-    protect_bits seed regions jobs trace_file trace_format stats metrics
+(* --regions 0 keeps the single-engine simulator; any positive
+   count goes through the partitioned (sharded) simulator, which produces
+   the byte-identical trace.  A partition the topology cannot take (more
+   regions than nodes, a cut across a zero-delay link) is an error. *)
+let network g ~regions =
+  if regions = 0 then
+    Ok (Netsim.Net.create ~graph:g ~engine:(Netsim.Engine.create ()) (), None)
+  else
+    try
+      let partition = Topo.Partition.make g ~regions in
+      Ok (Netsim.Net.create_partitioned ~graph:g ~partition (), Some partition)
+    with Invalid_argument m -> Error (Printf.sprintf "--regions %d: %s" regions m)
+
+let run () topology src dst policy fail fail_at fail_for scenario duration
+    protect_bits seed regions trace_file trace_format stats metrics
     metrics_prom check_invariants =
-  Option.iter Util.Pool.set_jobs jobs;
-  match Topo.Serial.load topo with
-  | Error e -> `Error (false, Format.asprintf "%s: %a" topo Topo.Serial.pp_error e)
-  | Ok _ when not (fail_for > 0.0) ->
-    (* a zero-length window would normalize to "fail and stay down" *)
-    `Error (false, "--fail-for must be positive")
-  | Ok _ when protect_bits > Wire.Header.max_route_bits ->
-    `Error
-      ( true,
-        Printf.sprintf
-          "--protect-bits must be at most %d, the header's route-ID width"
-          Wire.Header.max_route_bits )
-  | Ok g ->
-    (match (Graph.find_label g src_label, Graph.find_label g dst_label) with
-     | Some src, Some dst when not (Graph.is_core g src || Graph.is_core g dst) ->
-       (* --fail and --scenario compile to one normalized event stream; a
-          bad link or spec stops the run before it starts. *)
-       let explicit =
-         match fail with
-         | None -> []
-         | Some (a, b) ->
-           let link = Kar_scenario.Spec.Between (a, b) in
-           [
-             (fail_at, Kar_scenario.Event.Fail, link);
-             (fail_at +. fail_for, Kar_scenario.Event.Repair, link);
-           ]
+  let g = topology.Cli.graph in
+  match
+    Result.bind (Cli.endpoints g ~src ~dst) (fun ends ->
+        Result.map (fun net -> (ends, net)) (network g ~regions))
+  with
+  | Error msg -> `Error (false, msg)
+  | Ok ((src, dst), (net, partition)) ->
+    (* --fail and --scenario compile to one normalized event stream; a
+       bad link stops the run before it starts. *)
+    let explicit =
+      match fail with
+      | None -> []
+      | Some (a, b) ->
+        let link = Kar_scenario.Spec.Between (a, b) in
+        [
+          (fail_at, Kar_scenario.Event.Fail, link);
+          (fail_at +. fail_for, Kar_scenario.Event.Repair, link);
+        ]
+    in
+    let events =
+      match
+        Kar_scenario.Gen.compile g ~horizon:duration ~pairs:[ (src, dst) ]
+          ~explicit scenario
+      with
+      | Ok evs -> evs
+      | Error e ->
+        Printf.eprintf "scenario: %s\n" e;
+        exit 1
+    in
+    (* plan: shortest route, protection optimized within the budget over
+       the route's own links.  No path, or a path whose route ID no
+       header can carry, stops the run here. *)
+    let base, rev =
+      try
+        ( Kar.Controller.route g ~src ~dst ~protection:[],
+          Kar.Controller.route g ~src:dst ~dst:src ~protection:[] )
+      with Invalid_argument msg ->
+        Printf.eprintf "kar_sim: %s\n" msg;
+        exit 1
+    in
+    let failures_for_opt = Topo.Paths.path_links g base.Kar.Route.core_path in
+    let plan =
+      (Kar.Optimizer.optimize g ~plan:base ~policy ~failures:failures_for_opt
+         ~src ~dst ~bits:protect_bits)
+        .Kar.Optimizer.plan
+    in
+    Printf.printf "route %s (%d bits, %d residues)\n"
+      (String.concat "->"
+         (List.map (fun v -> string_of_int (Graph.label g v)) plan.Kar.Route.core_path))
+      plan.Kar.Route.bit_length
+      (List.length plan.Kar.Route.residues);
+    Option.iter
+      (fun p ->
+        Printf.printf "sharded: %d regions, %d cut links, lookahead %g s\n"
+          regions
+          (List.length p.Topo.Partition.cut_links)
+          p.Topo.Partition.lookahead)
+      partition;
+    (* Flight recorder: on for --trace, --stats and/or
+       --check-invariants (the per-switch tallies --stats prints are
+       only maintained while a recorder is attached).  The protected
+       set is the moduli of both plans in the air (data and ACK
+       direction) — the switches whose modulo forward of a deflected
+       packet counts as a driven deflection. *)
+    let trace_oc =
+      match (trace_file, trace_format) with
+      | Some file, Jsonl -> Some (open_out file)
+      | _ -> None
+    in
+    let binary_writer =
+      match (trace_file, trace_format) with
+      | Some _, Binary -> Some (Trace.Binary.writer ())
+      | _ -> None
+    in
+    let sink =
+      match (trace_oc, binary_writer) with
+      | Some oc, _ -> Some (Trace.Recorder.jsonl_sink oc)
+      | None, Some w -> Some (Trace.Binary.sink w)
+      | None, None -> None
+    in
+    let recorder =
+      if sink = None && not (check_invariants || stats) then None
+      else
+        Some
+          (Trace.Recorder.create ?sink ~capacity:(1 lsl 20)
+             ~protected_switches:
+               (List.map
+                  (fun r -> r.Rns.modulus)
+                  (plan.Kar.Route.residues @ rev.Kar.Route.residues))
+             ())
+    in
+    Netsim.Net.set_recorder net recorder;
+    Netsim.Karnet.install_switches net ~policy ~seed;
+    let stack = Tcp.Stack.create ~net () in
+    let sampler = Tcp.Sampler.create ~bin_s:(duration /. 24.0) () in
+    let flow =
+      Tcp.Flow.start ~net ~id:1 ~src ~dst ~fwd_route:plan.Kar.Route.route_id
+        ~rev_route:rev.Kar.Route.route_id ~sampler ()
+    in
+    Tcp.Stack.register stack flow;
+    (* The stream is armed as admin actions, which apply at
+       sharded-region barriers, so solo and --regions R runs see
+       byte-identical topology churn.  Arming registers the scenario/*
+       metrics, so it happens once, and only when there are events to
+       ask for. *)
+    if fail <> None || scenario <> None then begin
+      Kar_scenario.Driver.arm net events;
+      Printf.printf "scenario: %d topology events over %g s\n"
+        (List.length events) duration
+    end;
+    Netsim.Net.run_until net duration;
+    (* The recorder may hold a buffered tie group at the cut-off;
+       settle it before any sink output is consumed. *)
+    Option.iter Trace.Recorder.flush recorder;
+    Tcp.Flow.stop flow;
+    let series = Tcp.Sampler.series_mbps sampler ~until:duration in
+    Printf.printf "goodput: %s\n" (Util.Texttab.spark series);
+    List.iteri
+      (fun i v ->
+        if i mod 4 = 0 then
+          Printf.printf "  t=%5.2fs  %8.2f Mb/s\n"
+            (float_of_int i *. duration /. 24.0) v)
+      series;
+    let st = Tcp.Flow.stats flow in
+    let ns = Netsim.Net.stats net in
+    Printf.printf
+      "flow: %d segments, %d retransmissions (%d spurious), %d timeouts\n"
+      st.Tcp.Flow.segments_sent st.Tcp.Flow.retransmissions
+      st.Tcp.Flow.spurious_rexmits st.Tcp.Flow.timeouts;
+    Printf.printf "network: %d deflections, %d re-encodes, %d drops\n"
+      ns.Netsim.Net.deflections ns.Netsim.Net.reencodes
+      (ns.Netsim.Net.dropped_link_down + ns.Netsim.Net.dropped_queue_full
+     + ns.Netsim.Net.dropped_no_route + ns.Netsim.Net.dropped_ttl);
+    if stats then print_stats g net;
+    if metrics then begin
+      print_string "\n-- metrics --\n";
+      print_string (Kar_obs.Export.summary (Netsim.Net.registry net))
+    end;
+    if metrics_prom then
+      print_string (Kar_obs.Export.prometheus (Netsim.Net.registry net));
+    Option.iter close_out trace_oc;
+    (match (binary_writer, trace_file) with
+     | Some w, Some file -> Trace.Binary.to_file w file
+     | _ -> ());
+    (match (recorder, trace_file) with
+     | Some r, Some file ->
+       Printf.printf "trace: %d events written to %s\n"
+         (Trace.Recorder.recorded r) file
+     | _ -> ());
+    (match recorder with
+     | Some r when check_invariants ->
+       (* TCP segments still in flight at the cut-off are legitimate, so
+          no drain check; delivery is TCP's business, not the trace's. *)
+       let violations =
+         Trace.Invariant.check
+           ~truncated:(Trace.Recorder.overwritten r > 0)
+           (Trace.Recorder.contents r)
        in
-       let events =
-         match
-           Kar_scenario.Gen.compile g ~horizon:duration ~pairs:[ (src, dst) ]
-             ~explicit scenario
-         with
-         | Ok evs -> evs
-         | Error e ->
-           Printf.eprintf "scenario: %s\n" e;
-           exit 1
-       in
-       (* plan: shortest route, protection optimized within the budget over
-          the route's own links.  No path, or a path whose route ID no
-          header can carry, stops the run here. *)
-       let base, rev =
-         try
-           ( Kar.Controller.route g ~src ~dst ~protection:[],
-             Kar.Controller.route g ~src:dst ~dst:src ~protection:[] )
-         with Invalid_argument msg ->
-           Printf.eprintf "kar_sim: %s\n" msg;
-           exit 1
-       in
-       let failures_for_opt = Topo.Paths.path_links g base.Kar.Route.core_path in
-       let plan =
-         (Kar.Optimizer.optimize g ~plan:base ~policy ~failures:failures_for_opt
-            ~src ~dst ~bits:protect_bits ~objective:Kar.Optimizer.Worst_delivery)
-           .Kar.Optimizer.plan
-       in
-       Printf.printf "route %s (%d bits, %d residues)\n"
-         (String.concat "->"
-            (List.map (fun v -> string_of_int (Graph.label g v)) plan.Kar.Route.core_path))
-         plan.Kar.Route.bit_length
-         (List.length plan.Kar.Route.residues);
-       (* simulate: --regions 0 keeps the historical single-engine path;
-          any positive count goes through the partitioned (sharded)
-          simulator, which produces the byte-identical trace. *)
-       let net =
-         if regions = 0 then
-           let engine = Netsim.Engine.create () in
-           Netsim.Net.create ~graph:g ~engine ()
-         else begin
-           let partition = Topo.Partition.make g ~regions in
-           Printf.printf
-             "sharded: %d regions, %d cut links, lookahead %g s\n" regions
-             (List.length partition.Topo.Partition.cut_links)
-             partition.Topo.Partition.lookahead;
-           Netsim.Net.create_partitioned ~graph:g ~partition ()
-         end
-       in
-       (* Flight recorder: on for --trace, --stats and/or
-          --check-invariants (the per-switch tallies --stats prints are
-          only maintained while a recorder is attached).  The protected
-          set is the moduli of both plans in the air (data and ACK
-          direction) — the switches whose modulo forward of a deflected
-          packet counts as a driven deflection. *)
-       let trace_oc =
-         match (trace_file, trace_format) with
-         | Some file, Jsonl -> Some (open_out file)
-         | _ -> None
-       in
-       let binary_writer =
-         match (trace_file, trace_format) with
-         | Some _, Binary -> Some (Trace.Binary.writer ())
-         | _ -> None
-       in
-       let sink =
-         match (trace_oc, binary_writer) with
-         | Some oc, _ -> Some (Trace.Recorder.jsonl_sink oc)
-         | None, Some w -> Some (Trace.Binary.sink w)
-         | None, None -> None
-       in
-       let recorder =
-         if sink = None && not (check_invariants || stats) then None
-         else
-           Some
-             (Trace.Recorder.create ?sink ~capacity:(1 lsl 20)
-                ~protected_switches:
-                  (List.map
-                     (fun r -> r.Rns.modulus)
-                     (plan.Kar.Route.residues @ rev.Kar.Route.residues))
-                ())
-       in
-       Netsim.Net.set_recorder net recorder;
-       Netsim.Karnet.install_switches net ~policy ~seed;
-       let stack = Tcp.Stack.create ~net () in
-       let sampler = Tcp.Sampler.create ~bin_s:(duration /. 24.0) () in
-       let flow =
-         Tcp.Flow.start ~net ~id:1 ~src ~dst ~fwd_route:plan.Kar.Route.route_id
-           ~rev_route:rev.Kar.Route.route_id ~sampler ()
-       in
-       Tcp.Stack.register stack flow;
-       (* The stream is armed as admin actions, which apply at
-          sharded-region barriers, so solo and --regions R runs see
-          byte-identical topology churn.  Arming registers the scenario/*
-          metrics, so it happens once, and only when there are events to
-          ask for. *)
-       if fail <> None || scenario <> None then begin
-         Kar_scenario.Driver.arm net events;
-         Printf.printf "scenario: %d topology events over %g s\n"
-           (List.length events) duration
-       end;
-       Netsim.Net.run_until net duration;
-       (* The recorder may hold a buffered tie group at the cut-off;
-          settle it before any sink output is consumed. *)
-       Option.iter Trace.Recorder.flush recorder;
-       Tcp.Flow.stop flow;
-       let series = Tcp.Sampler.series_mbps sampler ~until:duration in
-       Printf.printf "goodput: %s\n" (Util.Texttab.spark series);
-       List.iteri
-         (fun i v ->
-           if i mod 4 = 0 then
-             Printf.printf "  t=%5.2fs  %8.2f Mb/s\n"
-               (float_of_int i *. duration /. 24.0) v)
-         series;
-       let st = Tcp.Flow.stats flow in
-       let ns = Netsim.Net.stats net in
-       Printf.printf
-         "flow: %d segments, %d retransmissions (%d spurious), %d timeouts\n"
-         st.Tcp.Flow.segments_sent st.Tcp.Flow.retransmissions
-         st.Tcp.Flow.spurious_rexmits st.Tcp.Flow.timeouts;
-       Printf.printf "network: %d deflections, %d re-encodes, %d drops\n"
-         ns.Netsim.Net.deflections ns.Netsim.Net.reencodes
-         (ns.Netsim.Net.dropped_link_down + ns.Netsim.Net.dropped_queue_full
-        + ns.Netsim.Net.dropped_no_route + ns.Netsim.Net.dropped_ttl);
-       if stats then print_stats g net;
-       if metrics then begin
-         print_string "\n-- metrics --\n";
-         print_string (Kar_obs.Export.summary (Netsim.Net.registry net))
-       end;
-       if metrics_prom then
-         print_string (Kar_obs.Export.prometheus (Netsim.Net.registry net));
-       Option.iter close_out trace_oc;
-       (match (binary_writer, trace_file) with
-        | Some w, Some file -> Trace.Binary.to_file w file
-        | _ -> ());
-       (match (recorder, trace_file) with
-        | Some r, Some file ->
-          Printf.printf "trace: %d events written to %s\n"
-            (Trace.Recorder.recorded r) file
-        | _ -> ());
-       (match recorder with
-        | Some r when check_invariants ->
-          (* TCP segments still in flight at the cut-off are legitimate, so
-             no drain check; delivery is TCP's business, not the trace's. *)
-          let violations =
-            Trace.Invariant.check
-              ~truncated:(Trace.Recorder.overwritten r > 0)
-              (Trace.Recorder.contents r)
-          in
-          if Trace.Recorder.overwritten r > 0 then
-            Printf.printf
-              "invariants: checked last %d events only (%d overwritten)\n"
-              (List.length (Trace.Recorder.contents r))
-              (Trace.Recorder.overwritten r);
-          (match violations with
-           | [] ->
-             Printf.printf "invariants: ok (%d events)\n"
-               (Trace.Recorder.recorded r);
-             `Ok ()
-           | vs ->
-             List.iter
-               (fun v ->
-                 Printf.eprintf "invariant violation: %s\n"
-                   (Format.asprintf "%a" Trace.Invariant.pp_violation v))
-               vs;
-             `Error (false, Printf.sprintf "%d invariant violations" (List.length vs)))
-        | _ -> `Ok ())
-     | Some _, Some _ -> `Error (false, "src and dst must be edge nodes")
-     | _ -> `Error (false, "unknown src or dst label"))
+       if Trace.Recorder.overwritten r > 0 then
+         Printf.printf
+           "invariants: checked last %d events only (%d overwritten)\n"
+           (List.length (Trace.Recorder.contents r))
+           (Trace.Recorder.overwritten r);
+       (match violations with
+        | [] ->
+          Printf.printf "invariants: ok (%d events)\n"
+            (Trace.Recorder.recorded r);
+          `Ok ()
+        | vs ->
+          List.iter
+            (fun v ->
+              Printf.eprintf "invariant violation: %s\n"
+                (Format.asprintf "%a" Trace.Invariant.pp_violation v))
+            vs;
+          `Error (false, Printf.sprintf "%d invariant violations" (List.length vs)))
+     | _ -> `Ok ())
 
 (* --- convert: lossless binary <-> JSONL trace translation --- *)
 
@@ -315,22 +305,6 @@ let convert input output to_format =
     `Ok ()
 
 let sim_term =
-  let topo =
-    Arg.(required & opt (some file) None & info [ "topo" ] ~docv:"FILE"
-           ~doc:"Topology file (Topo.Serial format).")
-  in
-  let src =
-    Arg.(required & opt (some int) None & info [ "src" ] ~docv:"LABEL"
-           ~doc:"Source edge node label.")
-  in
-  let dst =
-    Arg.(required & opt (some int) None & info [ "dst" ] ~docv:"LABEL"
-           ~doc:"Destination edge node label.")
-  in
-  let policy =
-    Arg.(value & opt policy_conv Kar.Policy.Not_input_port
-         & info [ "policy" ] ~docv:"P" ~doc:"Deflection policy: none|hp|avp|nip.")
-  in
   let fail =
     Arg.(value & opt (some link_conv) None & info [ "fail" ] ~docv:"A:B"
            ~doc:"Link to fail, by node labels.  Shorthand for the scenario \
@@ -339,45 +313,34 @@ let sim_term =
                  $(b,--scenario).  A pair that is not a link is an error.")
   in
   let fail_at =
-    Arg.(value & opt float 3.0 & info [ "fail-at" ] ~docv:"S"
+    Arg.(value & opt Cli.nonneg_float 3.0 & info [ "fail-at" ] ~docv:"S"
            ~doc:"Failure time of $(b,--fail).")
   in
   let fail_for =
-    Arg.(value & opt float 3.0 & info [ "fail-for" ] ~docv:"S"
-           ~doc:"Failure duration of $(b,--fail); must be positive.")
-  in
-  let scenario =
-    Arg.(value & opt (some string) None & info [ "scenario" ] ~docv:"SPEC"
-           ~doc:"Failure schedule applied during the run: \
-                 $(b,flap:links=N,period=S,duty=D,seed=K), \
-                 $(b,regional:groups=N,mtbf=S,mttr=S,seed=K), \
-                 $(b,adversarial:k=N,period=S,hold=S,level=L) or \
-                 $(b,events:fail@T=A-B,...).  Applied at region barriers, \
-                 so results are identical at any $(b,--regions)/$(b,-j).")
+    Arg.(value & opt Cli.positive_float 3.0 & info [ "fail-for" ] ~docv:"S"
+           ~doc:"Failure duration of $(b,--fail).")
   in
   let duration =
-    Arg.(value & opt float 9.0 & info [ "duration" ] ~docv:"S" ~doc:"Total simulated time.")
+    Arg.(value & opt Cli.positive_float 9.0 & info [ "duration" ] ~docv:"S"
+           ~doc:"Total simulated time.")
   in
   let protect_bits =
-    Arg.(value & opt int 64 & info [ "protect-bits" ] ~docv:"N"
-           ~doc:"Header budget, in bits, for optimizer-placed protection \
-                 (0 = none); at most the header's 992-bit route-ID width.")
+    Arg.(value & opt (Cli.int_from 0 ~max:Wire.Header.max_route_bits) 64
+         & info [ "protect-bits" ] ~docv:"N"
+             ~doc:"Header budget, in bits, for optimizer-placed protection \
+                   (0 = none); at most the header's 992-bit route-ID width.")
   in
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Deflection PRNG seed.")
   in
   let regions =
-    Arg.(value & opt int 0 & info [ "regions" ] ~docv:"R"
+    Arg.(value & opt (Cli.int_from 0) 0 & info [ "regions" ] ~docv:"R"
            ~doc:"Partition the network into $(docv) regions and simulate \
-                 them in parallel (conservative synchronisation; the trace \
-                 and flow results are byte-identical to a serial run).  \
-                 0 (the default) keeps the single-engine simulator.")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Domains to run regions on (clamped to 1-16).  Defaults to \
-                 $(b,KAR_JOBS) or the machine's core count; never more \
-                 domains than regions are used.")
+                 them in parallel on up to $(b,-j) domains (conservative \
+                 synchronisation; the trace and flow results are \
+                 byte-identical to a serial run).  $(docv) is at most the \
+                 node count, and no cut link may have zero delay.  0 (the \
+                 default) keeps the single-engine simulator.")
   in
   let trace =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
@@ -416,9 +379,10 @@ let sim_term =
   in
   Term.(
     ret
-      (const run $ topo $ src $ dst $ policy $ fail $ fail_at $ fail_for
-      $ scenario $ duration $ protect_bits $ seed $ regions $ jobs $ trace
-      $ trace_format $ stats $ metrics $ metrics_prom $ check_invariants))
+      (const run $ Cli.jobs $ Cli.topology "topo" $ Cli.src $ Cli.dst
+      $ Cli.policy $ fail $ fail_at $ fail_for $ Cli.scenario $ duration
+      $ protect_bits $ seed $ regions $ trace $ trace_format $ stats $ metrics
+      $ metrics_prom $ check_invariants))
 
 let convert_cmd =
   let input =

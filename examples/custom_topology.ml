@@ -70,7 +70,6 @@ let () =
   let optimized =
     Kar.Optimizer.optimize g ~plan:base ~policy:Kar.Policy.Not_input_port
       ~failures ~src ~dst ~bits:96
-      ~objective:Kar.Optimizer.Worst_delivery
   in
   Printf.printf "route %s  (%d bits unprotected)\n"
     (String.concat "->"

@@ -14,6 +14,9 @@ let level_to_string = function
   | Partial -> "partial"
   | Full -> "full"
 
+let level_of_string s =
+  List.find_opt (fun l -> level_to_string l = s) all_levels
+
 let scenario_hops sc level =
   match level with
   | Unprotected -> []

@@ -19,6 +19,9 @@ type level =
 val all_levels : level list
 val level_to_string : level -> string
 
+(** Inverse of {!level_to_string}. *)
+val level_of_string : string -> level option
+
 (** [scenario_hops sc level] is the protection hop set a scenario uses at
     [level]: [[]] / the scenario's partial hops / partial plus full. *)
 val scenario_hops : Topo.Nets.scenario -> level -> (int * int) list

@@ -1,15 +1,5 @@
 module Graph = Topo.Graph
 
-type objective =
-  | Worst_delivery
-  | Mean_delivery
-  | Expected_hops
-
-let objective_to_string = function
-  | Worst_delivery -> "worst-case delivery"
-  | Mean_delivery -> "mean delivery"
-  | Expected_hops -> "expected hops"
-
 type step = {
   hop : int * int;
   score_before : float;
@@ -23,34 +13,13 @@ type result = {
   score : float;
 }
 
-let score g ~plan ~policy ~failures ~src ~dst ~objective =
-  let analyses =
-    List.map
-      (fun link -> Markov.analyze g ~plan ~policy ~failed:[ link ] ~src ~dst)
-      failures
-  in
-  match analyses with
-  | [] -> 1.0
-  | _ ->
-    let deliveries = List.map (fun a -> a.Markov.p_delivered) analyses in
-    (match objective with
-     | Worst_delivery -> List.fold_left Stdlib.min 1.0 deliveries
-     | Mean_delivery ->
-       List.fold_left ( +. ) 0.0 deliveries /. float_of_int (List.length deliveries)
-     | Expected_hops ->
-       (* higher is better: negative hops, with undelivered mass heavily
-          penalised so delivery still dominates *)
-       let total =
-         List.fold_left
-           (fun acc a ->
-             let hops =
-               if Float.is_nan a.Markov.expected_hops_delivered then 1000.0
-               else a.Markov.expected_hops_delivered
-             in
-             acc -. hops -. (1000.0 *. (1.0 -. a.Markov.p_delivered)))
-           0.0 analyses
-       in
-       total /. float_of_int (List.length analyses))
+let score g ~plan ~policy ~failures ~src ~dst =
+  List.fold_left
+    (fun worst link ->
+      Stdlib.min worst
+        (Markov.analyze g ~plan ~policy ~failed:[ link ] ~src ~dst)
+          .Markov.p_delivered)
+    1.0 failures
 
 (* Every off-path switch's hop on the shortest-path tree toward the
    plan's egress switch. *)
@@ -63,8 +32,8 @@ let candidates g plan =
   let members = Protection.off_path_members g ~path:plan.Route.core_path ~radius:max_int in
   Protection.tree_hops g ~dest members
 
-let optimize g ~plan ~policy ~failures ~src ~dst ~bits ~objective =
-  let evaluate plan = score g ~plan ~policy ~failures ~src ~dst ~objective in
+let optimize g ~plan ~policy ~failures ~src ~dst ~bits =
+  let evaluate plan = score g ~plan ~policy ~failures ~src ~dst in
   let rec loop plan current steps remaining =
     (* try every remaining hop; keep the best strict improvement *)
     let best =

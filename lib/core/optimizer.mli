@@ -4,25 +4,15 @@
     bit budget in distance-from-path order — the natural heuristic, but (as
     the budget ablation shows) early hops can even {e hurt} when they
     funnel deflected packets back toward the failure.  This module plans protection using
-    the exact {!Markov} analysis as the objective: each greedy step adds
-    the hop that most improves the chosen objective over a set of failure
-    cases, and steps that do not improve it are skipped rather than
-    blindly included.
+    the exact {!Markov} analysis as the objective — the worst-case
+    delivery probability over a set of failure cases: each greedy step
+    adds the hop that most improves it, and steps that do not improve it
+    are skipped rather than blindly included.
 
-    Objectives are evaluated exactly (no sampling), so optimization is
+    The objective is evaluated exactly (no sampling), so optimization is
     deterministic and reproducible. *)
 
 module Graph = Topo.Graph
-
-(** What to optimize, aggregated over the given failure cases. *)
-type objective =
-  | Worst_delivery (** maximize the minimum delivery probability *)
-  | Mean_delivery (** maximize the average delivery probability *)
-  | Expected_hops
-      (** minimize the average expected hop count of delivered packets
-          (ties broken by delivery probability) *)
-
-val objective_to_string : objective -> string
 
 type step = {
   hop : int * int; (** the protection hop added *)
@@ -37,14 +27,12 @@ type result = {
   score : float; (** final objective value *)
 }
 
-(** [optimize g ~plan ~policy ~failures ~src ~dst ~bits ~objective]
-    greedily folds candidate hops into [plan], keeping only hops that
-    strictly improve the objective (scores are "higher is better"
-    internally; for {!Expected_hops} the score is negated hops weighted by
-    delivery).  The candidates are the tree hops of every off-path switch
-    toward the plan's egress switch; each is tried with
-    {!Route.protect_skipping} [~max_bits:bits], so a hop that would push
-    the plan's Eq. 9 bound past [bits] is never taken.
+(** [optimize g ~plan ~policy ~failures ~src ~dst ~bits] greedily folds
+    candidate hops into [plan], keeping only hops that strictly improve
+    the worst-case delivery probability.  The candidates are the tree hops
+    of every off-path switch toward the plan's egress switch; each is
+    tried with {!Route.protect_skipping} [~max_bits:bits], so a hop that
+    would push the plan's Eq. 9 bound past [bits] is never taken.
     O(|candidates|^2) exact analyses — fine for the paper-scale topologies
     this targets. *)
 val optimize :
@@ -55,11 +43,11 @@ val optimize :
   src:Graph.node ->
   dst:Graph.node ->
   bits:int ->
-  objective:objective ->
   result
 
-(** [score g ~plan ~policy ~failures ~src ~dst ~objective] evaluates a plan
-    (exposed for tests and for comparing planners). *)
+(** [score g ~plan ~policy ~failures ~src ~dst] is a plan's minimum
+    delivery probability over [failures] (1 when there are none), exposed
+    for tests and for comparing planners. *)
 val score :
   Graph.t ->
   plan:Route.plan ->
@@ -67,5 +55,4 @@ val score :
   failures:Graph.link_id list ->
   src:Graph.node ->
   dst:Graph.node ->
-  objective:objective ->
   float

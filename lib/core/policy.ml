@@ -21,6 +21,8 @@ let of_string = function
   | "nip" -> Some Not_input_port
   | _ -> None
 
+let ttl = 128
+
 let computed_port ~switch_id ~route_id = Bignum.Z.rem_int route_id switch_id
 
 (* Same kernel over a flat packet image: the remainder fold runs directly on

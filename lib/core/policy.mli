@@ -32,6 +32,11 @@ val all : t list
 val to_string : t -> string
 val of_string : string -> t option
 
+(** Switch hops a packet may take before it is dropped (128): the initial
+    TTL of a simulated packet and the hop bound of the walker and the
+    verifier. *)
+val ttl : int
+
 (** {2 The forwarding decision}
 
     [choose policy ~computed ~in_port ~deflected ~degree ~live] is the one

@@ -116,7 +116,7 @@ let walk g ~plan ~policy ~failed ~src ~dst ~ttl ?recorder ?(uid = 0) ?rng_for
     in
     step entry.Graph.node entry.Graph.port 0 false
 
-let run g ~plan ~policy ~failed ~src ~dst ~trials ~seed ?(ttl = 128) () =
+let run g ~plan ~policy ~failed ~src ~dst ~trials ~seed =
   if trials <= 0 then invalid_arg "Walk.run: trials must be positive";
   let rng = Util.Prng.of_int seed in
   let delivered = ref 0
@@ -126,7 +126,7 @@ let run g ~plan ~policy ~failed ~src ~dst ~trials ~seed ?(ttl = 128) () =
   and hop_total = ref 0
   and hop_max = ref 0 in
   for _ = 1 to trials do
-    match walk g ~plan ~policy ~failed ~src ~dst ~ttl rng with
+    match walk g ~plan ~policy ~failed ~src ~dst ~ttl:Policy.ttl rng with
     | Delivered h ->
       incr delivered;
       hop_total := !hop_total + h;
@@ -148,11 +148,11 @@ let run g ~plan ~policy ~failed ~src ~dst ~trials ~seed ?(ttl = 128) () =
     p_delivery = float_of_int !delivered /. float_of_int trials;
   }
 
-let hop_histogram g ~plan ~policy ~failed ~src ~dst ~trials ~seed ?(ttl = 128) () =
+let hop_histogram g ~plan ~policy ~failed ~src ~dst ~trials ~seed =
   let rng = Util.Prng.of_int seed in
-  let hist = Array.make (ttl + 1) 0 in
+  let hist = Array.make (Policy.ttl + 1) 0 in
   for _ = 1 to trials do
-    match walk g ~plan ~policy ~failed ~src ~dst ~ttl rng with
+    match walk g ~plan ~policy ~failed ~src ~dst ~ttl:Policy.ttl rng with
     | Delivered h -> hist.(h) <- hist.(h) + 1
     | Stranded _ | Dropped _ | Ttl_exceeded -> ()
   done;

@@ -55,8 +55,8 @@ val walk :
   Util.Prng.t ->
   outcome
 
-(** [run g ~plan ~policy ~failed ~src ~dst ~trials ~seed ()] aggregates
-    [trials] independent walks.  [ttl] defaults to 128. *)
+(** [run g ~plan ~policy ~failed ~src ~dst ~trials ~seed] aggregates
+    [trials] independent walks of {!Policy.ttl} hops at most. *)
 val run :
   Graph.t ->
   plan:Route.plan ->
@@ -66,11 +66,9 @@ val run :
   dst:Graph.node ->
   trials:int ->
   seed:int ->
-  ?ttl:int ->
-  unit ->
   result
 
-(** [hop_histogram g ~plan ~policy ~failed ~src ~dst ~trials ~seed ()] is
+(** [hop_histogram g ~plan ~policy ~failed ~src ~dst ~trials ~seed] is
     the hop-count histogram of delivered walks (index = hops). *)
 val hop_histogram :
   Graph.t ->
@@ -81,6 +79,4 @@ val hop_histogram :
   dst:Graph.node ->
   trials:int ->
   seed:int ->
-  ?ttl:int ->
-  unit ->
   int array

@@ -29,7 +29,7 @@ let policy_hops_table () =
         in
         let mc =
           Kar.Walk.run sc.Nets.graph ~plan ~policy ~failed:[ fc.Nets.link ]
-            ~src:sc.Nets.ingress ~dst:sc.Nets.egress ~trials:5000 ~seed:3 ()
+            ~src:sc.Nets.ingress ~dst:sc.Nets.egress ~trials:5000 ~seed:3
         in
         [
           name;
@@ -141,7 +141,6 @@ let planner_table () =
   let evaluate plan =
     Kar.Optimizer.score g ~plan ~policy:Kar.Policy.Not_input_port ~failures
       ~src:sc.Nets.ingress ~dst:sc.Nets.egress
-      ~objective:Kar.Optimizer.Worst_delivery
   in
   let rows =
     Util.Pool.run [| 20; 28; 43; 64 |] ~f:(fun ~idx:_ bits ->
@@ -149,7 +148,6 @@ let planner_table () =
         let optimized =
           Kar.Optimizer.optimize g ~plan:base ~policy:Kar.Policy.Not_input_port
             ~failures ~src:sc.Nets.ingress ~dst:sc.Nets.egress ~bits
-            ~objective:Kar.Optimizer.Worst_delivery
         in
         [
           string_of_int bits;

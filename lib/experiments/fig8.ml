@@ -36,7 +36,7 @@ let run ?(profile = Profile.from_env ()) () =
     Kar.Walk.hop_histogram sc.Topo.Nets.graph ~plan
       ~policy:Kar.Policy.Not_input_port ~failed:[ fc.Topo.Nets.link ]
       ~src:sc.Topo.Nets.ingress ~dst:sc.Topo.Nets.egress
-      ~trials:profile.Profile.walk_trials ~seed:11 ()
+      ~trials:profile.Profile.walk_trials ~seed:11
   in
   {
     nominal;

@@ -122,11 +122,3 @@ let install_edge net node ~reencode ~receive () =
     end
   in
   Net.set_node_handler net node handler
-
-let install_standard_edges net ~controller_reencode =
-  List.iter
-    (fun v ->
-      install_edge net v ~reencode:controller_reencode
-        ~receive:(fun _ _ -> ())
-        ())
-    (Graph.edge_nodes (Net.graph net))

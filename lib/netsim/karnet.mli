@@ -43,10 +43,3 @@ val install_edge :
   receive:receive ->
   unit ->
   unit
-
-(** [install_standard_edges net ~controller_reencode] installs every edge
-    node of the graph with {!install_edge}, using a shared re-encoding
-    function and a [receive] that just counts delivery (suitable for
-    non-TCP workloads; TCP installs its own edges). *)
-val install_standard_edges :
-  Net.t -> controller_reencode:(Packet.t -> Bignum.Z.t option) -> unit

@@ -507,8 +507,8 @@ let inject net ~at packet =
    region gets a private metrics shard and packet pool, and the
    [engine/*] probes aggregate over every region's engine. *)
 let build ~who ~graph ~engines ~region_of_node ~lookahead ?registry
-    ?(queue_capacity_bytes = 1_048_576) ?(ttl = 128) ?(detection_delay_s = 0.0)
-    () =
+    ?(queue_capacity_bytes = 1_048_576) ?(ttl = Kar.Policy.ttl)
+    ?(detection_delay_s = 0.0) () =
   let live = build_live ~who graph in
   let n_links = Graph.n_links graph in
   let n_nodes = Graph.n_nodes graph in

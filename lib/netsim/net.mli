@@ -50,7 +50,8 @@ type handler = t -> Topo.Graph.node -> Packet.t -> in_port:int -> unit
 
 (** [create ~graph ~engine ()] builds an idle network; all links start up.
     [queue_capacity_bytes] defaults to 1 MiB per channel (Mininet-like deep
-    queues); [ttl] (maximum switch hops per packet) defaults to 128.
+    queues); [ttl] (maximum switch hops per packet) defaults to
+    {!Kar.Policy.ttl}.
     [detection_delay_s] (default 0: oracle detection, the paper's implicit
     assumption) delays the moment switches {e observe} a liveness change:
     until then they keep forwarding into a dead link and those packets are

@@ -243,8 +243,6 @@ let compile g ~horizon ?pairs ~explicit scenario =
   let* generated =
     match scenario with
     | None -> Ok []
-    | Some s ->
-      let* spec = Spec.parse s in
-      generate g ~horizon ?pairs spec
+    | Some spec -> generate g ~horizon ?pairs spec
   in
   Ok (Event.normalize (explicit @ generated))

@@ -44,13 +44,12 @@ val plan_links : Graph.t -> Kar.Route.plan -> Graph.link_id list
 (** [compile g ~horizon ?pairs ~explicit scenario] is the one stream a
     binary arms: the [explicit] events (what its repeatable failure flags
     compile to — the same triples as {!Spec.Events}) merged with the
-    [scenario] string parsed by {!Spec.parse} and generated over
-    [horizon], normalized.  [Error] carries the parser's or the
+    [scenario] generated over [horizon], normalized.  [Error] carries the
     generator's message, e.g. for an explicit link that is not in [g]. *)
 val compile :
   Graph.t ->
   horizon:float ->
   ?pairs:(Graph.node * Graph.node) list ->
   explicit:(float * Event.action * Spec.link_ref) list ->
-  string option ->
+  Spec.t option ->
   (Event.t list, string) result

@@ -34,13 +34,6 @@ let parse_float key v =
   | Some f -> Ok f
   | None -> Error (Printf.sprintf "%s: bad number %S" key v)
 
-let parse_level v =
-  match v with
-  | "unprotected" -> Ok Kar.Controller.Unprotected
-  | "partial" -> Ok Kar.Controller.Partial
-  | "full" -> Ok Kar.Controller.Full
-  | _ -> Error (Printf.sprintf "level: unknown %S" v)
-
 (* fold key=value fields over a record-updating step function *)
 let fold_kv fields init step =
   List.fold_left
@@ -97,7 +90,10 @@ let parse_adversarial body =
         | "k" -> let* n = parse_int key v in Ok (n, period, hold, level)
         | "period" -> let* x = parse_float key v in Ok (k_, x, hold, level)
         | "hold" -> let* x = parse_float key v in Ok (k_, period, x, level)
-        | "level" -> let* l = parse_level v in Ok (k_, period, hold, l)
+        | "level" ->
+          (match Kar.Controller.level_of_string v with
+           | Some l -> Ok (k_, period, hold, l)
+           | None -> Error (Printf.sprintf "level: unknown %S" v))
         | _ -> Error (Printf.sprintf "adversarial: unknown key %S" key))
   in
   let k, period, hold, level = f in

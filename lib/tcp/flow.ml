@@ -550,7 +550,7 @@ let handle_data t net ~seq =
   if not duplicate then emit_ack t ~ackno:t.rcv_nxt ~dsack:None
 
 let start ~net ~id ~src ~dst ~fwd_route ~rev_route ?(config = default_config)
-    ?sampler ?at () =
+    ?sampler () =
   let t =
     {
       flow_id = id;
@@ -601,16 +601,11 @@ let start ~net ~id ~src ~dst ~fwd_route ~rev_route ?(config = default_config)
       max_reorder_gap = 0;
     }
   in
-  let begin_at =
-    match at with
-    | None -> Engine.now (Net.engine net)
-    | Some time -> time
-  in
   let kickoff () = send_available t in
   (* The kickoff must run on the region owning [src]: on a sharded net the
      flow's timers and segments belong to that timeline.  On a solo net
-     this is the historical immediate-call / schedule_at behaviour. *)
-  Net.schedule_at_node net src ~at:begin_at kickoff;
+     it runs immediately. *)
+  Net.schedule_at_node net src ~at:(Engine.now (Net.engine net)) kickoff;
   t
 
 let set_fwd_route t route = t.fwd_route <- route

@@ -60,7 +60,7 @@ type t
 
 (** [start ~net ~id ~src ~dst ~fwd_route ~rev_route ~sampler ()] creates
     sender state at edge [src] and receiver state at edge [dst], and begins
-    transmitting at time [at] (default: now).  Data packets carry
+    transmitting now.  Data packets carry
     [fwd_route]; ACKs carry [rev_route].  In-order deliveries are credited
     to [sampler].  The flow must be registered in a {!Stack} that owns the
     two edge nodes before any packet arrives. *)
@@ -73,7 +73,6 @@ val start :
   rev_route:Z.t ->
   ?config:config ->
   ?sampler:Sampler.t ->
-  ?at:float ->
   unit ->
   t
 

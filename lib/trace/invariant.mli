@@ -11,8 +11,8 @@
       [~drained:true], every injected packet must have reached a terminal
       (injected = delivered + dropped, zero in flight).
     + {b ttl}: the remaining hop budget strictly decreases over the
-      injection and every forwarding decision, and every recorded value is
-      representable and round-trips through {!Wire.Header}.
+      injection and every forwarding decision, and every recorded value
+      fits the wire header's 8-bit TTL field ([0 <= ttl <= 255]).
     + {b fifo}: for each outgoing queue [(switch, out_port)], packets
       arrive at the next hop in the order they were sent.
     + {b delivery}: with [~expect_delivery:true], every injected packet has

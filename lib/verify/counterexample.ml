@@ -13,7 +13,7 @@ let uid = 0
 let events (inst : Verifier.instance) (r : Verifier.refutation)
     ~init_stranded =
   let g = inst.graph in
-  let ttl0 = inst.ttl in
+  let ttl0 = Kar.Policy.ttl in
   let seq = ref 0 in
   let acc = ref [] in
   let emit ~switch ~in_port ~out_port ~hops action =

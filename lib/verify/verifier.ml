@@ -45,7 +45,6 @@ type instance = {
   src : Graph.node;
   dst : Graph.node;
   policy : Kar.Policy.t;
-  ttl : int;
   plan : Kar.Route.plan;
   primary : int array array;
   plan_of_edge : int array;
@@ -90,7 +89,7 @@ let flatten g ~n_plans =
     n_slots = n_plans * ports * 2;
   }
 
-let prepare ?(ttl = 128) g ~plan ~policy ~src ~dst () =
+let prepare g ~plan ~policy ~src ~dst () =
   if Graph.degree g src = 0 then
     invalid_arg "Verifier.prepare: the source edge has no port";
   let primary = ref [ primary_ports g plan ] in
@@ -113,7 +112,6 @@ let prepare ?(ttl = 128) g ~plan ~policy ~src ~dst () =
     src;
     dst;
     policy;
-    ttl;
     plan;
     primary = Array.of_list (List.rev !primary);
     plan_of_edge;
@@ -445,10 +443,12 @@ let verify inst ~failed =
      data plane, and an acyclic run longer than the TTL still dies of TTL
      exhaustion (counted in the loop class — TTL death is how loops
      manifest in the engine). *)
-  let can_deliver = min_deliver_hops >= 0 && min_deliver_hops <= inst.ttl in
+  let can_deliver =
+    min_deliver_hops >= 0 && min_deliver_hops <= Kar.Policy.ttl
+  in
   let can_drop = can_drop s init in
   let run = kahn s in
-  let can_loop = run < 0 || run > inst.ttl in
+  let can_loop = run < 0 || run > Kar.Policy.ttl in
   let outcome =
     { can_deliver; can_drop; can_loop; states = s.n; min_deliver_hops }
   in

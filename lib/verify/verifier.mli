@@ -76,7 +76,6 @@ type instance = {
   src : Graph.node;
   dst : Graph.node;
   policy : Kar.Policy.t;
-  ttl : int;
   plan : Kar.Route.plan;  (** the primary plan *)
   primary : int array array;
       (** per plan index, per node: the port the plan computes there
@@ -85,13 +84,12 @@ type instance = {
   flat : flat;
 }
 
-(** [prepare ?ttl g ~plan ~policy ~src ~dst ()] plans every re-encode
-    once, records each plan's per-node computed port and flattens [g];
-    [ttl] defaults to 128 (Karnet's default).
+(** [prepare g ~plan ~policy ~src ~dst ()] plans every re-encode once,
+    records each plan's per-node computed port and flattens [g].  Packets
+    live {!Kar.Policy.ttl} hops, as in Karnet.
     @raise Invalid_argument when a core switch has more than
     {!Kar.Policy.max_degree} ports, or [src] has none. *)
 val prepare :
-  ?ttl:int ->
   Graph.t ->
   plan:Kar.Route.plan ->
   policy:Kar.Policy.t ->

@@ -225,7 +225,7 @@ let test_markov_walk_random_topologies () =
         in
         let mc =
           Kar.Walk.run g ~plan ~policy:Kar.Policy.Not_input_port ~failed ~src
-            ~dst ~trials:8000 ~seed:(seed * 7) ()
+            ~dst ~trials:8000 ~seed:(seed * 7)
         in
         Alcotest.(check (float 0.03))
           (Printf.sprintf "seed %d delivery" seed)

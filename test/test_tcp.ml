@@ -116,21 +116,23 @@ let test_blackout_recovery () =
   Alcotest.(check bool) (Printf.sprintf "recovered to %.2f Mb/s" after) true
     (after > 8.0)
 
+(* A flow started from an event at t=1 sends from then on, and not
+   before: it begins at the engine's current time. *)
 let test_no_data_before_start_time () =
   let fx = fixture () in
-  let net, engine, _, _, _, _ = fx in
-  let _, _, stack, a, h, _ = fx in
-  let flow =
-    Tcp.Flow.start ~net ~id:1 ~src:a ~dst:h ~fwd_route:fwd ~rev_route:rev
-      ~at:1.0 ()
+  let _, engine, _, _, _, _ = fx in
+  let flow = ref None in
+  ignore (Engine.schedule_at engine 1.0 (fun () -> flow := Some (start_flow fx)));
+  let sent () =
+    match !flow with
+    | None -> 0
+    | Some f -> (Tcp.Flow.stats f).Tcp.Flow.segments_sent
   in
-  Tcp.Stack.register stack flow;
   Engine.run_until engine 0.9;
-  Alcotest.(check int) "nothing sent yet" 0 (Tcp.Flow.stats flow).Tcp.Flow.segments_sent;
+  Alcotest.(check int) "nothing sent yet" 0 (sent ());
   Engine.run_until engine 2.0;
-  Alcotest.(check bool) "sending after start" true
-    ((Tcp.Flow.stats flow).Tcp.Flow.segments_sent > 0);
-  Tcp.Flow.stop flow
+  Alcotest.(check bool) "sending after start" true (sent () > 0);
+  Option.iter Tcp.Flow.stop !flow
 
 let test_stop_halts () =
   let fx = fixture () in

@@ -157,11 +157,16 @@ let test_ttl_violations_detected () =
   in
   Alcotest.(check (list string)) "not strictly decreasing" [ "ttl" ]
     (names (Invariant.check stuck));
-  let unrepresentable =
-    [ ev ~seq:0 ~switch:100 ~in_port:(-1) ~ttl:300 Event.Inject ]
-  in
-  Alcotest.(check (list string)) "not a Wire.Header ttl" [ "ttl" ]
-    (names (Invariant.check unrepresentable))
+  (* the header's TTL is one byte: 0..255 are representable *)
+  List.iter
+    (fun (ttl, expected) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "ttl %d against the Wire.Header range" ttl)
+        expected
+        (names
+           (Invariant.check
+              [ ev ~seq:0 ~switch:100 ~in_port:(-1) ~ttl Event.Inject ])))
+    [ (-1, [ "ttl" ]); (0, []); (255, []); (256, [ "ttl" ]); (300, [ "ttl" ]) ]
 
 let test_fifo_violation_detected () =
   (* Two packets through queue (switch 7, port 1): uid 0 sent first but

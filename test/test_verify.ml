@@ -308,7 +308,7 @@ module Reference = struct
       in
       bfs [ src ] [ src ]
     in
-    let ttl = inst.Verifier.ttl in
+    let ttl = Kar.Policy.ttl in
     let can_deliver = min_deliver_hops >= 0 && min_deliver_hops <= ttl in
     let can_drop = reaches Drop in
     let can_loop = cycle || longest () > ttl in
@@ -455,7 +455,10 @@ let empirical g ~plan ~policy ~src ~dst ~failed ~packets ~seed =
    into a pooled packet, the verifier must classify three single-link
    failures, and that packet, injected with the first of those links down,
    must leave a trace that passes every invariant and return to the pool.
-   Any exception fails the case. *)
+   The simulated run must agree with the verdict on its failure set in the
+   direction test_k1_agreement checks: Guaranteed means delivered, and
+   Loop, Blackhole or Disconnected mean not delivered.  Any exception
+   fails the case. *)
 let pipeline_net ~n ~seed ~strategy =
   let core =
     Kar.Ids.assign
@@ -486,7 +489,10 @@ let pipeline_problems ~n ~seed ~strategy ~policy =
           ~route_id:plan.Kar.Route.route_id Netsim.Packet.Raw
       in
       let inst = Verifier.prepare g ~plan ~policy ~src ~dst () in
-      List.iter (fun failed -> ignore (Verifier.verify inst ~failed)) sets;
+      (* all three sets are classified; the run below simulates the first *)
+      let verdict =
+        List.hd (List.map (fun failed -> fst (Verifier.verify inst ~failed)) sets)
+      in
       let recorder =
         Trace.Recorder.create
           ~protected_switches:
@@ -496,17 +502,33 @@ let pipeline_problems ~n ~seed ~strategy ~policy =
       Netsim.Net.set_recorder net (Some recorder);
       Netsim.Karnet.install_switches ~plan net ~policy ~seed;
       let cache = Kar.Controller.create_cache g in
-      Netsim.Karnet.install_standard_edges net
-        ~controller_reencode:(fun p ->
-          Kar.Controller.reencode cache ~at:(Netsim.Packet.src p)
-            ~dst:(Netsim.Packet.dst p));
+      List.iter
+        (fun v ->
+          Netsim.Karnet.install_edge net v
+            ~reencode:(fun p ->
+              Kar.Controller.reencode cache ~at:v ~dst:(Netsim.Packet.dst p))
+            ~receive:(fun _ _ -> ())
+            ())
+        (Graph.edge_nodes g);
       List.iter (Netsim.Net.fail_link net) (List.hd sets);
       Netsim.Net.inject net ~at:src packet;
       Netsim.Engine.run engine;
+      let delivered = (Netsim.Net.stats net).Netsim.Net.delivered = 1 in
+      let agrees =
+        match verdict with
+        | Verifier.Guaranteed -> delivered
+        | Verifier.Loop | Verifier.Blackhole | Verifier.Disconnected ->
+          not delivered
+        | Verifier.Policy_dependent -> true
+      in
       let checks =
         [ (plan.Kar.Route.bit_length <= Wire.Header.max_route_bits,
            "plan wider than the header");
-          (Netsim.Net.pool_in_flight net = 0, "packet not returned to the pool") ]
+          (Netsim.Net.pool_in_flight net = 0, "packet not returned to the pool");
+          (agrees,
+           Printf.sprintf "%s verdict, but the packet was%s delivered"
+             (Verifier.classification_to_string verdict)
+             (if delivered then "" else " not")) ]
       in
       List.filter_map
         (fun (ok, msg) -> if ok then None else Some (what ^ ": " ^ msg))

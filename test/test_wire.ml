@@ -183,15 +183,19 @@ let graphs_equal g1 g2 =
          && Topo.Graph.kind g1 v = Topo.Graph.kind g2 v)
        (List.init (Topo.Graph.n_nodes g1) (fun i -> i))
 
+(* Every topology the CLIs accept by name, so a name and its exported file
+   simulate the same network. *)
 let test_serial_roundtrip_paper_nets () =
   List.iter
-    (fun (name, sc) ->
-      let g = sc.Topo.Nets.graph in
+    (fun (name, g) ->
       match Topo.Serial.of_string (Topo.Serial.to_string g) with
       | Ok g' -> Alcotest.(check bool) name true (graphs_equal g g')
       | Error e -> Alcotest.failf "%s: %a" name Topo.Serial.pp_error e)
-    [ ("fig1", Topo.Nets.fig1_six); ("net15", Topo.Nets.net15);
-      ("rnp28", Topo.Nets.rnp28) ]
+    [ ("fig1", Topo.Nets.fig1_six.Topo.Nets.graph);
+      ("net15", Topo.Nets.net15.Topo.Nets.graph);
+      ("rnp28", Topo.Nets.rnp28.Topo.Nets.graph);
+      ("fig8", Topo.Nets.rnp_fig8.Topo.Nets.graph);
+      ("gen:32", Experiments.Service.testbed ~n_core:32 ()) ]
 
 let test_serial_comments_and_blank_lines () =
   let text =
