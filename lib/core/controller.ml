@@ -83,9 +83,11 @@ let scenario_reverse_plan sc level =
 (* Paths may only transit core switches: a link incident to an edge node is
    usable only when that edge node is one of the endpoints (multi-homed
    hosts in user-supplied topologies must not become transit). *)
+let transit_ok g ~src ~dst v = Graph.is_core g v || v = src || v = dst
+
 let no_edge_transit g ~src ~dst l =
-  let ok v = Graph.is_core g v || v = src || v = dst in
-  ok l.Graph.ep0.Graph.node && ok l.Graph.ep1.Graph.node
+  transit_ok g ~src ~dst l.Graph.ep0.Graph.node
+  && transit_ok g ~src ~dst l.Graph.ep1.Graph.node
 
 let core_route ?(usable = fun _ -> true) g ~src ~dst =
   let usable l = no_edge_transit g ~src ~dst l && usable l in
@@ -101,8 +103,8 @@ let encode_core g core ~dst =
     ~egress_label:(Graph.label g dst)
 
 let route ?usable g ~src ~dst ~protection =
-  Route.protect_exn g (encode_core g (core_route ?usable g ~src ~dst) ~dst)
-    protection
+  let base = encode_core g (core_route ?usable g ~src ~dst) ~dst in
+  match protection with [] -> base | _ -> Route.protect_exn g base protection
 
 (* Per-pair protection planning for arbitrary (src, dst) pairs — the
    scenario bundles pin their protection hops by hand to match the paper's

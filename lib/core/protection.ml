@@ -16,33 +16,58 @@ let tree_hops g ~dest members =
         else Some (m_label, Graph.label g parent.(m)))
     members
 
+(* A multi-source BFS from the path over core-core links, each path node
+   enqueued once and no node expanded at [radius]: the nodes it reaches
+   are those within [radius], at the same distances as an unbounded
+   search gives them. *)
 let off_path_members g ~path ~radius =
-  let on_path v = List.mem v path in
-  let usable l = core_link l g in
-  (* Multi-source BFS from the path. *)
   let n = Graph.n_nodes g in
   let dist = Array.make n max_int in
-  let q = Queue.create () in
+  let on_path = Array.make n false in
+  let queue = Array.make n 0 in
+  let tail = ref 0 in
   List.iter
     (fun v ->
-      dist.(v) <- 0;
-      Queue.add v q)
+      if not on_path.(v) then begin
+        on_path.(v) <- true;
+        dist.(v) <- 0;
+        queue.(!tail) <- v;
+        incr tail
+      end)
     path;
-  while not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    List.iter
-      (fun (_, l, far) ->
-        if usable l && dist.(far) = max_int then begin
+  let sources = !tail in
+  let head = ref 0 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    if dist.(v) < radius && Graph.is_core g v then
+      for p = 0 to Graph.degree g v - 1 do
+        let far = Graph.far g v p in
+        if dist.(far) = max_int && Graph.is_core g far then begin
           dist.(far) <- dist.(v) + 1;
-          Queue.add far q
-        end)
-      (Graph.ports g v)
+          queue.(!tail) <- far;
+          incr tail
+        end
+      done
   done;
-  Graph.core_nodes g
-  |> List.filter (fun v -> (not (on_path v)) && dist.(v) <> max_int && dist.(v) <= radius)
-  |> List.map (fun v -> (dist.(v), Graph.label g v))
-  |> List.sort Stdlib.compare
-  |> List.map snd
+  let found = ref [] in
+  for i = !tail - 1 downto sources do
+    let v = queue.(i) in
+    found := (dist.(v), Graph.label g v) :: !found
+  done;
+  List.map snd (List.sort Stdlib.compare !found)
+
+(* The core nodes across [v]'s ports, in port order, leaving out the link
+   [failed] and the node [except]. *)
+let core_exits g v ~failed ~except =
+  List.filter_map
+    (fun p ->
+      let far = Graph.far g v p in
+      if (Graph.link_at g v p).Graph.id = failed || far = except
+         || not (Graph.is_core g far)
+      then None
+      else Some far)
+    (List.init (Graph.degree g v) Fun.id)
 
 let coverage g ~plan ~failed =
   let failed_link = Graph.link g failed in
@@ -91,16 +116,9 @@ let coverage g ~plan ~failed =
           | Some _ -> None
           | None ->
             (* unprotected: only a forced move counts as driven *)
-            let candidates =
-              List.filter_map
-                (fun (_, l, far) ->
-                  if l.Graph.id = failed || far = from_node
-                     || not (Graph.is_core g far)
-                  then None
-                  else Some far)
-                (Graph.ports g node)
-            in
-            (match candidates with [ only ] -> Some only | _ -> None)
+            (match core_exits g node ~failed ~except:from_node with
+             | [ only ] -> Some only
+             | _ -> None)
         in
         match next with
         | Some far -> driven (node :: visited) far node
@@ -108,16 +126,8 @@ let coverage g ~plan ~failed =
       end
     in
     let alternatives =
-      List.filter_map
-        (fun (_, l, far) ->
-          let excluded_in =
-            match in_node with Some p -> far = p | None -> false
-          in
-          if l.Graph.id = failed_link.Graph.id || excluded_in
-             || not (Graph.is_core g far)
-          then None
-          else Some far)
-        (Graph.ports g v)
+      core_exits g v ~failed:failed_link.Graph.id
+        ~except:(Option.value in_node ~default:(-1))
     in
     match alternatives with
     | [] -> 0.0

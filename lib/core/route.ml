@@ -119,41 +119,42 @@ let protect g plan hops =
   let* () = check_no_duplicates residues in
   encode_plan ~core_path:plan.core_path ~protection:(plan.protection @ hops) residues
 
-(* [protect] applied one hop at a time, without re-encoding per hop: a hop
-   is kept when its residue is valid, its switch ID is > 1 and coprime
-   with every modulus already in the plan (a repeated switch included),
-   which is everything [protect] checks, and the modulus product with it
-   keeps the Eq. 9 bound within [max_bits]; the kept residues are encoded
-   once. *)
+(* [protect] applied one hop at a time, continuing the plan's own CRT
+   state: a hop is kept when its residue is valid, its switch ID is > 1
+   and the CRT step finds it coprime with the plan's modulus (so with
+   every switch already in the plan, a repeated switch included), which
+   is everything [protect] checks, and the grown modulus keeps the Eq. 9
+   bound within [max_bits].  A kept residue is folded in once, when it is
+   kept. *)
 let protect_skipping ?(max_bits = Wire.Header.max_route_bits) g plan hops =
-  let rec select moduli product kept extra = function
-    | [] -> (List.rev kept, List.rev extra)
+  let rec select state bits kept extra = function
+    | [] -> (state, bits, List.rev kept, List.rev extra)
     | hop :: rest ->
       let grown =
         match hop_residue g hop with
-        | Ok r
-          when r.Rns.modulus > 1 && List.for_all (Rns.coprime r.Rns.modulus) moduli
-          ->
-          let product = Z.mul product (Z.of_int r.Rns.modulus) in
-          if Rns.bit_length_bound product <= max_bits then Some (r, product)
-          else None
+        | Ok r when r.Rns.modulus > 1 ->
+          (match Rns.step state r with
+           | Some ((_, modulus) as state) ->
+             let bits = Rns.bit_length_bound modulus in
+             if bits <= max_bits then Some (r, state, bits) else None
+           | None -> None)
         | Ok _ | Error _ -> None
       in
       (match grown with
-       | Some (r, product) ->
-         select (r.Rns.modulus :: moduli) product (hop :: kept) (r :: extra) rest
-       | None -> select moduli product kept extra rest)
+       | Some (r, state, bits) -> select state bits (hop :: kept) (r :: extra) rest
+       | None -> select state bits kept extra rest)
   in
-  let moduli = List.map (fun r -> r.Rns.modulus) plan.residues in
-  match select moduli plan.modulus [] [] hops with
-  | [], _ -> plan
-  | kept, extra ->
-    (match
-       encode_plan ~core_path:plan.core_path ~protection:(plan.protection @ kept)
-         (plan.residues @ extra)
-     with
-     | Ok p -> p
-     | Error e -> raise_error e)
+  match select (plan.route_id, plan.modulus) plan.bit_length [] [] hops with
+  | _, _, [], _ -> plan
+  | (route_id, modulus), bit_length, kept, extra ->
+    {
+      route_id;
+      modulus;
+      residues = plan.residues @ extra;
+      core_path = plan.core_path;
+      protection = plan.protection @ kept;
+      bit_length;
+    }
 
 let of_labels_exn g labels ~egress_label =
   match of_labels g labels ~egress_label with

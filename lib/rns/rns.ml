@@ -50,49 +50,66 @@ let modulus_product ids = Z.product (List.map Z.of_int ids)
    63-bit int, and keep [Z.rem_int] on its machine-int limb fold. *)
 let max_modulus = 1 lsl 31
 
-let validate residues =
-  if residues = [] then Error Empty_system
-  else begin
-    let rec check = function
-      | [] -> pairwise_coprime (List.map (fun r -> r.modulus) residues)
-      | r :: rest ->
-        if r.modulus <= 1 then Error (Nonpositive_modulus r.modulus)
-        else if r.modulus >= max_modulus then Error (Modulus_too_large r.modulus)
-        else if r.value < 0 || r.value >= r.modulus then Error (Residue_out_of_range r)
-        else check rest
-    in
-    check residues
-  end
+let range_error r =
+  if r.modulus <= 1 then Some (Nonpositive_modulus r.modulus)
+  else if r.modulus >= max_modulus then Some (Modulus_too_large r.modulus)
+  else if r.value < 0 || r.value >= r.modulus then Some (Residue_out_of_range r)
+  else None
 
-(* [inverse a s] is a^-1 mod s for gcd a s = 1 and 0 <= a < s < 2^31:
-   extended Euclid tracking only a's coefficient (r_i = a*u_i mod s). *)
-let inverse a s =
+(* [inverse_mod a s] is a^-1 mod s, or -1 when gcd a s > 1, for
+   0 <= a < s < 2^31: extended Euclid tracking only a's coefficient
+   (r_i = a*u_i mod s), so the gcd and the inverse come from one pass. *)
+let inverse_mod a s =
   let rec go r0 u0 r1 u1 =
-    if r1 = 0 then u0
+    if r1 = 0 then if r0 <> 1 then -1 else if u0 < 0 then u0 + s else u0
     else begin
       let q = r0 / r1 in
       go r1 u1 (r0 - (q * r1)) (u0 - (q * u1))
     end
   in
-  let u = go a 1 s 0 in
-  if u < 0 then u + s else u
+  go a 1 s 0
 
 (* One incremental CRT step (paper Eq. 4-8 folded one residue at a time):
    given R < M solving the residues so far, R' = R + M*t with
    t = (p - R mod s) * (M mod s)^-1 mod s solves them and R' = p mod s,
-   and R' < M*s.  Both factors of the product are below s < 2^31, so it
-   fits a 63-bit int. *)
-let step (r, m) { modulus = s; value = p } =
-  let d = (p - Z.rem_int r s + s) mod s in
-  let t = (d * inverse (Z.rem_int m s) s) mod s in
-  (Z.add r (Z.mul m (Z.of_int t)), Z.mul m (Z.of_int s))
+   and R' < M*s.  M mod s is reduced once: s is coprime with every
+   modulus folded into M exactly when gcd (s, M mod s) = 1, and the same
+   Euclid pass gives the inverse.  Both factors of the product are below
+   s < 2^31, so it fits a 63-bit int. *)
+let step (r, m) ({ modulus = s; value = p } as res) =
+  (match range_error res with
+   | Some e -> invalid_arg ("Rns.step: " ^ error_to_string e)
+   | None -> ());
+  let inv = inverse_mod (Z.rem_int m s) s in
+  if inv < 0 then None
+  else begin
+    let t = (p - Z.rem_int r s + s) mod s * inv mod s in
+    Some (Z.add r (Z.mul m (Z.of_int t)), Z.mul m (Z.of_int s))
+  end
 
 (* R is unique below M, so folding the residues in any order gives the
-   same (R, M). *)
+   same (R, M).  Every range check runs before the first step.  A step
+   that finds a shared factor only knows that some earlier modulus shares
+   it, so [pairwise_coprime] then names the first offending pair in list
+   order; it always finds one. *)
 let encode residues =
-  match validate residues with
-  | Error _ as e -> e
-  | Ok () -> Ok (List.fold_left step (Z.zero, Z.one) residues)
+  match residues with
+  | [] -> Error Empty_system
+  | _ ->
+    (match List.find_map range_error residues with
+     | Some e -> Error e
+     | None ->
+       let rec fold acc = function
+         | [] -> Ok acc
+         | res :: rest ->
+           (match step acc res with
+            | Some acc -> fold acc rest
+            | None ->
+              (match pairwise_coprime (List.map (fun r -> r.modulus) residues) with
+               | Error e -> Error e
+               | Ok () -> assert false))
+       in
+       fold (Z.zero, Z.one) residues)
 
 let encode_exn residues =
   match encode residues with

@@ -32,19 +32,33 @@ val error_to_string : error -> string
 val coprime : int -> int -> bool
 
 (** [pairwise_coprime ids] is [Ok ()] or the first offending pair.  O(n^2)
-    gcds; the sets here are small (path lengths). *)
+    gcds; {!encode} runs it only once a step has already failed. *)
 val pairwise_coprime : int list -> (unit, error) result
 
 (** [modulus_product ids] is [M = prod ids] (Eq. 1). *)
 val modulus_product : int list -> Z.t
 
+(** [step (r, m) res] folds one residue [(s, p)] into the CRT state of
+    the residues so far ([r < m], [m] their modulus product): [Some] the
+    pair [(r + m*t, m*s)], [t = (p - r mod s) * (m mod s)^-1 mod s] in
+    machine ints, or [None] when [s] shares a factor with [m], i.e. with
+    some modulus already folded in.  [m mod s] is reduced once and one
+    extended-Euclid pass over it gives both the gcd that decides
+    coprimality and the inverse, so a step costs one gcd however many
+    residues came before.
+    @raise Invalid_argument when [res] fails {!encode}'s range checks. *)
+val step : Z.t * Z.t -> residue -> (Z.t * Z.t) option
+
 (** [encode residues] is [Ok (route_id, m)] where [route_id] is the CRT
     reconstruction (Eq. 4) and [m] the modulus product, or an [error] when
-    the system is invalid.  It folds the residues left to right from
-    [(R, M) = (0, 1)]: each [(s, p)] gives
-    [t = (p - R mod s) * (M mod s)^-1 mod s] in machine ints and the next
-    pair [(R + M*t, M*s)].  [R] is unique below [M], so the result equals
-    Eq. 4's sum and does not depend on the order of [residues]. *)
+    the system is invalid.  It runs the range checks over the whole list
+    (in list order: [Nonpositive_modulus], [Modulus_too_large],
+    [Residue_out_of_range]), then folds {!step} left to right from
+    [(R, M) = (0, 1)], so a valid system of n residues costs n gcds.  At
+    the first step that finds a shared factor it runs {!pairwise_coprime}
+    to name the first offending pair in list order.  [R] is unique below
+    [M], so the result equals Eq. 4's sum and does not depend on the order
+    of [residues]. *)
 val encode : residue list -> (Z.t * Z.t, error) result
 
 (** [encode_exn residues] is [encode], raising [Invalid_argument] with the

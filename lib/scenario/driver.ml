@@ -3,6 +3,16 @@ module Registry = Kar_obs.Registry
 module Span = Kar_obs.Span
 
 let arm net ?spans events =
+  let n_links = Topo.Graph.n_links (Net.graph net) in
+  List.iter
+    (fun (e : Event.t) ->
+      if e.Event.link < 0 || e.Event.link >= n_links then
+        invalid_arg
+          (Printf.sprintf
+             "Driver.arm: event at t=%g names link %d, which is not in the graph \
+              (it has %d links)"
+             e.Event.at e.Event.link n_links))
+    events;
   let reg = Net.registry net in
   let events_c = Registry.counter reg "scenario/events" in
   let flap_c = Registry.counter reg "scenario/flaps" in

@@ -15,6 +15,10 @@
     the generator's well-formed-stream guarantee.
 
     With [?spans], each applied event records one
-    {!Kar_obs.Span.Scenario_event} span ([detail] = link id). *)
+    {!Kar_obs.Span.Scenario_event} span ([detail] = link id).
+
+    @raise Invalid_argument before anything is scheduled or registered when
+    an event names a link id outside [\[0, Graph.n_links)]; the message
+    names the id and the link count. *)
 
 val arm : Netsim.Net.t -> ?spans:Kar_obs.Span.t -> Event.t list -> unit

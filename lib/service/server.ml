@@ -51,7 +51,7 @@ type t = {
   max_waiting_g : Registry.gauge;
   topo_fail_c : Registry.counter;
   topo_repair_c : Registry.counter;
-  failed : (Graph.link_id, unit) Hashtbl.t;
+  failed : bool array; (* by link id *)
   mutable ran : bool;
 }
 
@@ -92,27 +92,35 @@ let create ?(config = default_config) ?pool ?registry ~graph () =
     max_waiting_g;
     topo_fail_c;
     topo_repair_c;
-    failed = Hashtbl.create 16;
+    failed = Array.make (Graph.n_links graph) false;
     ran = false;
   }
 
 let registry t = t.registry
 let spans t = t.spans
 
+let check_link fn t l =
+  let n = Array.length t.failed in
+  if l < 0 || l >= n then
+    invalid_arg
+      (Printf.sprintf "Server.%s: link %d is not in the graph (it has %d links)" fn l n)
+
 let fail_link t l =
+  check_link "fail_link" t l;
   Registry.incr t.topo_fail_c;
-  Hashtbl.replace t.failed l ();
+  t.failed.(l) <- true;
   Cache.bump_epoch t.cache
 
 let repair_link t l =
+  check_link "repair_link" t l;
   Registry.incr t.topo_repair_c;
-  Hashtbl.remove t.failed l;
+  t.failed.(l) <- false;
   Cache.bump_epoch t.cache
 
 (* Plan for a key on the current topology view: the controller's protected
    route with the primary path over the surviving links. *)
 let plan_for t key =
-  let usable l = not (Hashtbl.mem t.failed l.Graph.id) in
+  let usable l = not t.failed.(l.Graph.id) in
   match
     Kar.Controller.protected_route ~usable t.graph ~src:key.src ~dst:key.dst
       ~level:key.level
@@ -166,6 +174,10 @@ let q_s h p = float_of_int (Registry.h_quantile h p) /. 1e9
 let run t ?(sink = fun _ -> ()) ?(failures = []) ?(keep_records = false)
     ?metrics_every ?metrics_sink requests =
   if t.ran then invalid_arg "Server.run: a server instance runs one workload";
+  (* the whole schedule is checked before anything runs *)
+  List.iter
+    (fun (_, (`Fail l | `Repair l)) -> check_link "run" t l)
+    failures;
   t.ran <- true;
   let cfg = t.config in
   let g = t.graph in

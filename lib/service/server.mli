@@ -69,7 +69,9 @@ val registry : t -> Kar_obs.Registry.t
 val spans : t -> Kar_obs.Span.t
 
 (** Mark a link failed / repaired and bump the cache epoch.  Used directly
-    for set-up; during a run prefer the [failures] schedule. *)
+    for set-up; during a run prefer the [failures] schedule.
+    @raise Invalid_argument, naming the id and the graph's link count, when
+    the link id is outside [\[0, Graph.n_links)]. *)
 val fail_link : t -> Graph.link_id -> unit
 
 val repair_link : t -> Graph.link_id -> unit
@@ -126,7 +128,10 @@ type report = {
     {!Kar_obs.Export.snapshot_line} per [metrics_every] virtual seconds
     (default: arrival horizon / 64) — a sim-clock time series that is
     byte-identical at any pool width.  Single-shot: a server instance
-    runs one workload. *)
+    runs one workload.
+    @raise Invalid_argument before any request is served when a
+    [failures] entry names a link id outside [\[0, Graph.n_links)] (the
+    message names the id and the link count). *)
 val run :
   t ->
   ?sink:(Event.t -> unit) ->

@@ -19,6 +19,7 @@ type t = {
   labels : int array;
   kinds : node_kind array;
   ports : link_id array array; (* ports.(v).(p) = link id *)
+  far : node array array; (* far.(v).(p) = the node across port p of v *)
   link_arr : link array;
   by_label : (int, node) Hashtbl.t;
 }
@@ -143,13 +144,18 @@ module Builder = struct
     in
     let by_label = Hashtbl.create (Array.length labels) in
     Array.iteri (fun v l -> Hashtbl.replace by_label l v) labels;
-    {
-      labels;
-      kinds;
-      ports;
-      link_arr = Array.of_list (List.rev b.links);
-      by_label;
-    }
+    let link_arr = Array.of_list (List.rev b.links) in
+    let far =
+      Array.mapi
+        (fun v arr ->
+          Array.map
+            (fun l ->
+              let l = link_arr.(l) in
+              if l.ep0.node = v then l.ep1.node else l.ep0.node)
+            arr)
+        ports
+    in
+    { labels; kinds; ports; far; link_arr; by_label }
 end
 
 let n_nodes g = Array.length g.labels
@@ -189,18 +195,18 @@ let peer g v p =
   let e = other_end l v in
   (e.node, e.port)
 
-let neighbors g v =
-  List.init (degree g v) (fun p -> fst (peer g v p))
+let far g v p = g.far.(v).(p)
+
+let neighbors g v = Array.to_list g.far.(v)
 
 let ports g v =
-  List.init (degree g v) (fun p ->
-      let l = link_at g v p in
-      (p, l, (other_end l v).node))
+  List.init (degree g v) (fun p -> (p, link_at g v p, g.far.(v).(p)))
 
 let port_towards g v u =
+  let far = g.far.(v) in
   let rec go p =
-    if p >= degree g v then None
-    else if fst (peer g v p) = u then Some p
+    if p >= Array.length far then None
+    else if far.(p) = u then Some p
     else go (p + 1)
   in
   go 0

@@ -98,6 +98,13 @@ val link_at : t -> node -> int -> link
 (** [peer g v p] is [(u, q)]: the far node of port [p] and the far port. *)
 val peer : t -> node -> int -> node * int
 
+(** [far g v p] is [fst (peer g v p)], the node across port [p] of [v],
+    read from a per-node array that {!Builder.finish} fills (and
+    {!relabel} keeps), so it allocates nothing: searches scan a node's
+    ports with it.
+    @raise Invalid_argument if [p] is out of range. *)
+val far : t -> node -> int -> node
+
 (** [neighbors g v] lists far nodes over all ports, in port order
     (duplicates possible on multigraphs). *)
 val neighbors : t -> node -> node list

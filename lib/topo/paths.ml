@@ -2,22 +2,30 @@ type path = Graph.node list
 
 let always_usable (_ : Graph.link) = true
 
+(* The FIFO is an int array: each node is enqueued at most once, when it
+   is discovered.  [usable] is asked only about a link to an undiscovered
+   node; since it is pure, skipping the other questions cannot change
+   which port a node is first discovered over, so every distance, parent
+   and port-order tie-break is the plain search's. *)
 let bfs g ?(usable = always_usable) src =
   let n = Graph.n_nodes g in
   let dist = Array.make n max_int and parent = Array.make n (-1) in
+  let queue = Array.make n src in
   dist.(src) <- 0;
-  let q = Queue.create () in
-  Queue.add src q;
-  while not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    List.iter
-      (fun (_, l, far) ->
-        if usable l && dist.(far) = max_int then begin
-          dist.(far) <- dist.(v) + 1;
-          parent.(far) <- v;
-          Queue.add far q
-        end)
-      (Graph.ports g v)
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    let d = dist.(v) + 1 in
+    for p = 0 to Graph.degree g v - 1 do
+      let far = Graph.far g v p in
+      if dist.(far) = max_int && usable (Graph.link_at g v p) then begin
+        dist.(far) <- d;
+        parent.(far) <- v;
+        queue.(!tail) <- far;
+        incr tail
+      end
+    done
   done;
   (dist, parent)
 

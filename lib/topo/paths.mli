@@ -8,7 +8,12 @@ type path = Graph.node list
 
 (** [bfs g ?usable src] is [(dist, parent)]: hop distances (or [max_int]
     when unreachable) and BFS parents ([-1] for the source and unreachable
-    nodes). *)
+    nodes).  Nodes are expanded in FIFO order and each node's ports in port
+    order, so among equal-length paths the parent is the first discoverer.
+    [usable] must be pure: it is asked only about a link to a node not yet
+    discovered, and at most once per such port.  The search allocates
+    its two result arrays and one queue array, and nothing per visited
+    node. *)
 val bfs :
   Graph.t -> ?usable:(Graph.link -> bool) -> Graph.node -> int array * int array
 

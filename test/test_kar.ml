@@ -444,6 +444,9 @@ let prop_protect_skipping_matches_fold =
           g base hops
       in
       Z.equal got.Kar.Route.route_id want.Kar.Route.route_id
+      && Z.equal got.Kar.Route.modulus want.Kar.Route.modulus
+      && got.Kar.Route.bit_length = want.Kar.Route.bit_length
+      && got.Kar.Route.core_path = want.Kar.Route.core_path
       && got.Kar.Route.residues = want.Kar.Route.residues
       && got.Kar.Route.protection = want.Kar.Route.protection
       && Kar.Route.verify got = [])
@@ -489,6 +492,62 @@ let test_off_path_members_ordering () =
         true
         (List.exists (fun p -> Graph.link_between g v p <> None) path))
     members
+
+(* A plain reference for [off_path_members]: a multi-source BFS from the
+   path over every core-core link of the component, with no radius
+   cut-off, then the core nodes off the path within [radius], by distance
+   and label. *)
+let reference_off_path_members g ~path ~radius =
+  let core_link l =
+    Graph.is_core g l.Graph.ep0.Graph.node && Graph.is_core g l.Graph.ep1.Graph.node
+  in
+  let dist = Array.make (Graph.n_nodes g) max_int in
+  let q = Queue.create () in
+  List.iter
+    (fun v ->
+      dist.(v) <- 0;
+      Queue.add v q)
+    path;
+  while not (Queue.is_empty q) do
+    let v = Queue.pop q in
+    List.iter
+      (fun (_, l, far) ->
+        if core_link l && dist.(far) = max_int then begin
+          dist.(far) <- dist.(v) + 1;
+          Queue.add far q
+        end)
+      (Graph.ports g v)
+  done;
+  Graph.core_nodes g
+  |> List.filter (fun v ->
+         (not (List.mem v path)) && dist.(v) <> max_int && dist.(v) <= radius)
+  |> List.map (fun v -> (dist.(v), Graph.label g v))
+  |> List.sort Stdlib.compare
+  |> List.map snd
+
+(* Waxman cores of 6-30 switches with hosts on a few of them; the path is
+   the core interior of a shortest path between two hosts. *)
+let prop_off_path_members_reference =
+  qtest ~count:200 "off_path_members = full BFS then filter"
+    QCheck2.Gen.(triple (6 -- 30) (1 -- 10_000) (pair nat nat))
+    (fun (n, seed, (a, b)) ->
+      let core = Topo.Gen.waxman ~n ~alpha:0.9 ~beta:0.3 ~seed in
+      let g, hosts =
+        Topo.Gen.with_edge_hosts core (List.init (min n 5) (fun i -> i * (n / 5)))
+      in
+      let hosts = Array.of_list hosts in
+      let src = hosts.(a mod Array.length hosts)
+      and dst = hosts.(b mod Array.length hosts) in
+      let path =
+        match Topo.Paths.shortest_path g src dst with
+        | Some (_ :: (_ :: _ as rest)) -> List.filter (Graph.is_core g) rest
+        | Some _ | None -> []
+      in
+      List.for_all
+        (fun radius ->
+          Kar.Protection.off_path_members g ~path ~radius
+          = reference_off_path_members g ~path ~radius)
+        [ 0; 1; 2; max_int ])
 
 let test_budget_monotone () =
   let sc = Nets.net15 in
@@ -912,6 +971,41 @@ let test_protected_route_advisory_labels () =
   Alcotest.(check int) "server planned it" 1 report.Kar_service.Server.planned;
   Alcotest.(check int) "server routed it" 0 report.Kar_service.Server.unroutable
 
+(* The planner's allocation budget: on the 32-switch serving testbed,
+   after a warm-up sweep, [protected_route] averages at most 6,000 minor
+   words per partial plan and 1,500 per unprotected plan over all 992
+   ordered edge pairs.  A plan allocates its result and the CRT's bignum
+   steps; the graph searches allocate their arrays and nothing per
+   visited node. *)
+let test_plan_minor_words () =
+  let g = Experiments.Service.testbed ~n_core:32 () in
+  let edges = Graph.edge_nodes g in
+  let pairs =
+    List.concat_map
+      (fun src ->
+        List.filter_map (fun dst -> if src = dst then None else Some (src, dst)) edges)
+      edges
+  in
+  Alcotest.(check int) "ordered edge pairs" 992 (List.length pairs);
+  let sweep level =
+    List.iter
+      (fun (src, dst) ->
+        ignore
+          (Sys.opaque_identity (Kar.Controller.protected_route g ~src ~dst ~level)))
+      pairs
+  in
+  List.iter
+    (fun (level, bound) ->
+      sweep level;
+      let w0 = Gc.minor_words () in
+      sweep level;
+      let per_plan = (Gc.minor_words () -. w0) /. float_of_int (List.length pairs) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f minor words per plan (<= %.0f)"
+           (Kar.Controller.level_to_string level) per_plan bound)
+        true (per_plan <= bound))
+    [ (Kar.Controller.Partial, 6_000.0); (Kar.Controller.Unprotected, 1_500.0) ]
+
 (* --- The header budget --- *)
 
 (* On the 128-switch serving testbed a full plan folds in enough tree hops
@@ -1230,6 +1324,7 @@ let () =
         [
           Alcotest.test_case "tree hops reach destination" `Quick test_tree_hops_reach_dest;
           Alcotest.test_case "off-path member selection" `Quick test_off_path_members_ordering;
+          prop_off_path_members_reference;
           Alcotest.test_case "budget selection is monotone" `Quick test_budget_monotone;
           Alcotest.test_case "coverage (paper narrative values)" `Quick test_coverage_values;
         ] );
@@ -1258,6 +1353,8 @@ let () =
             test_disjoint_plans_survive_each_other;
           Alcotest.test_case "protected route = per-hop fold" `Quick
             test_protected_route_matches_fold;
+          Alcotest.test_case "a plan's minor words stay bounded (gen:32)" `Quick
+            test_plan_minor_words;
           Alcotest.test_case "protected route skips advisory-label hops" `Quick
             test_protected_route_advisory_labels;
         ] );

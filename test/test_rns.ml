@@ -217,6 +217,64 @@ let prop_brute_force =
       in
       solutions (Z.to_int_exn m - 1) [] = [ Z.to_int_exn r ])
 
+(* --- any system, valid or not: [encode] against a reference rule ---
+
+   Moduli come from [-2, 60] plus 2^31 - 1 and 2^31, so composites,
+   repeats, 0, 1, negatives and too-large switch IDs all occur; values
+   come from [-2, 62], mostly below their modulus so that valid systems
+   occur too. *)
+
+let gen_any_system =
+  QCheck2.Gen.(
+    let modulus =
+      frequency [ (12, -2 -- 60); (1, oneofl [ (1 lsl 31) - 1; 1 lsl 31 ]) ]
+    in
+    let residue =
+      let* modulus = modulus in
+      let* value =
+        if modulus >= 1 then
+          frequency [ (4, 0 -- (min modulus 63 - 1)); (1, -2 -- 62) ]
+        else -2 -- 62
+      in
+      pure { Rns.modulus; value }
+    in
+    list_size (0 -- 8) residue)
+
+(* The reference rule: an empty system, then the range checks in list
+   order, then the first pair (in list order) that shares a factor. *)
+let reference_error rs =
+  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+  let range { Rns.modulus; value } =
+    if modulus <= 1 then Some (Rns.Nonpositive_modulus modulus)
+    else if modulus >= 1 lsl 31 then Some (Rns.Modulus_too_large modulus)
+    else if value < 0 || value >= modulus then
+      Some (Rns.Residue_out_of_range { Rns.modulus; value })
+    else None
+  in
+  let rec shared = function
+    | [] -> None
+    | a :: rest ->
+      (match List.find_opt (fun b -> gcd a b <> 1) rest with
+       | Some b -> Some (Rns.Not_pairwise_coprime (a, b))
+       | None -> shared rest)
+  in
+  if rs = [] then Some Rns.Empty_system
+  else
+    match List.find_map range rs with
+    | Some e -> Some e
+    | None -> shared (List.map (fun r -> r.Rns.modulus) rs)
+
+let prop_any_system =
+  qtest ~count:2000 "any system: same error as the reference, or a sound R"
+    gen_any_system (fun rs ->
+      match (Rns.encode rs, reference_error rs) with
+      | Error e, want -> want = Some e
+      | Ok (r, m), None ->
+        Z.equal m (Rns.modulus_product (List.map (fun x -> x.Rns.modulus) rs))
+        && Z.sign r >= 0 && Z.compare r m < 0
+        && List.for_all (fun { Rns.modulus; value } -> Rns.port r modulus = value) rs
+      | Ok _, Some _ -> false)
+
 let test_single_residue () =
   let r, m = Rns.encode_exn [ residue 7 3 ] in
   Alcotest.check z "R" (Z.of_int 3) r;
@@ -272,5 +330,6 @@ let () =
           prop_roundtrip; prop_range; prop_unique; prop_order_independent;
           prop_pairwise_coprime_check; prop_modulus_product; prop_wide_systems;
           prop_brute_force;
+          prop_any_system;
         ] );
     ]

@@ -311,6 +311,34 @@ let test_driver_counters () =
   Alcotest.(check int) "peak concurrent outages" 2
     (Registry.read r "scenario/max-links-down")
 
+(* An event naming a link the graph lacks is refused when the stream is
+   armed, by a message naming the id and the graph's link count, and no
+   event of the stream fires. *)
+let test_driver_unknown_link () =
+  let g = net15.Nets.graph in
+  let engine = Netsim.Engine.create () in
+  let net = Netsim.Net.create ~graph:g ~engine () in
+  let evs =
+    [
+      { Event.at = 0.10; action = Event.Fail; link = 0 };
+      { Event.at = 0.20; action = Event.Fail; link = 9999 };
+    ]
+  in
+  (match Driver.arm net evs with
+   | () -> Alcotest.fail "a stream naming link 9999 was armed"
+   | exception Invalid_argument msg ->
+     List.iter
+       (fun affix ->
+         Alcotest.(check bool)
+           (Printf.sprintf "%S names %s" msg affix)
+           true
+           (Astring.String.is_infix ~affix msg))
+       [ "9999"; Printf.sprintf "%d links" (Graph.n_links g) ]);
+  Netsim.Net.run_until net 0.5;
+  Alcotest.(check bool) "link 0 never failed" true (Netsim.Net.link_up net 0);
+  Alcotest.(check int) "no admin event pending or run" 0
+    (Netsim.Engine.processed engine)
+
 (* --- determinism: pool width and region count --- *)
 
 let at_jobs jobs f =
@@ -417,7 +445,11 @@ let () =
         ] );
       ( "events",
         [ t "degenerate CLI schedule" test_events_to_failures ] );
-      ("driver", [ t "counters" test_driver_counters ]);
+      ( "driver",
+        [
+          t "counters" test_driver_counters;
+          t "a link the graph lacks is refused up front" test_driver_unknown_link;
+        ] );
       ( "determinism",
         [
           t "generation at -j1 = -j8" test_generation_deterministic_vs_jobs;

@@ -341,6 +341,41 @@ let test_failed_link_avoided () =
         ((x = a && y = b) || (x = b && y = a)))
     (hops plan.Kar.Route.core_path)
 
+(* A failure schedule naming a link the graph lacks is refused before the
+   first request is served, by a message naming the id and the graph's
+   link count; a direct fail or repair of that link is refused the same
+   way. *)
+let test_unknown_link_rejected () =
+  let g = Topo.Nets.net15.Topo.Nets.graph in
+  let reqs =
+    Workload.generate g
+      { Workload.default with Workload.n = 100; rate = 10_000.0; seed = 5 }
+  in
+  let names_link what msg =
+    List.iter
+      (fun affix ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names %s" what msg affix)
+          true
+          (Astring.String.is_infix ~affix msg))
+      [ "9999"; Printf.sprintf "%d links" (Graph.n_links g) ]
+  in
+  let served = ref 0 in
+  let sink = function Kar_service.Event.Request _ -> incr served | _ -> () in
+  let server = Server.create ~graph:g () in
+  (match
+     Server.run server ~sink ~failures:[ (0.0005, `Repair 3); (0.001, `Fail 9999) ] reqs
+   with
+   | _ -> Alcotest.fail "a schedule naming link 9999 ran"
+   | exception Invalid_argument msg -> names_link "run" msg);
+  Alcotest.(check int) "no request served" 0 !served;
+  List.iter
+    (fun (what, f) ->
+      match f server 9999 with
+      | () -> Alcotest.failf "%s accepted link 9999" what
+      | exception Invalid_argument msg -> names_link what msg)
+    [ ("fail_link", Server.fail_link); ("repair_link", Server.repair_link) ]
+
 let () =
   Alcotest.run "service"
     [
@@ -381,5 +416,7 @@ let () =
             test_storm_invalidation_and_recovery;
           Alcotest.test_case "replans avoid the failed link" `Quick
             test_failed_link_avoided;
+          Alcotest.test_case "a link the graph lacks is refused up front" `Quick
+            test_unknown_link_rejected;
         ] );
     ]

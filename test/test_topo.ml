@@ -126,6 +126,68 @@ let test_components () =
   let g = Graph.Builder.finish b in
   Alcotest.(check bool) "not connected" false (Paths.is_connected g)
 
+(* A plain reference for [Paths.bfs]: a [Queue] over [Graph.ports] lists,
+   asking [usable] about every link before looking at the far node.  The
+   port-order tie-breaks pick every parent, and so every primary path and
+   route ID. *)
+let reference_bfs g ~usable src =
+  let n = Graph.n_nodes g in
+  let dist = Array.make n max_int and parent = Array.make n (-1) in
+  dist.(src) <- 0;
+  let q = Queue.create () in
+  Queue.add src q;
+  while not (Queue.is_empty q) do
+    let v = Queue.pop q in
+    List.iter
+      (fun (_, l, far) ->
+        if usable l && dist.(far) = max_int then begin
+          dist.(far) <- dist.(v) + 1;
+          parent.(far) <- v;
+          Queue.add far q
+        end)
+      (Graph.ports g v)
+  done;
+  (dist, parent)
+
+(* A random Waxman, G(n,p), grid or torus graph and a random set of
+   failed links (each link with probability 1/4), which may disconnect
+   it. *)
+let gen_failed_graph =
+  QCheck2.Gen.(
+    let* family = 0 -- 3 and* seed = 1 -- 10_000 in
+    let* g =
+      match family with
+      | 0 -> map (fun n -> Gen.waxman ~n ~alpha:0.9 ~beta:0.5 ~seed) (4 -- 40)
+      | 1 -> map (fun n -> Gen.gnp ~n ~p:0.2 ~seed) (4 -- 40)
+      | 2 -> map2 (fun w h -> Gen.grid ~w ~h) (1 -- 7) (1 -- 7)
+      | _ -> map2 (fun w h -> Gen.torus ~w ~h) (3 -- 7) (3 -- 7)
+    in
+    let* failed = array_repeat (Graph.n_links g) (map (fun k -> k = 0) (0 -- 3)) in
+    pure (g, failed))
+
+let prop_bfs_matches_reference =
+  qtest ~count:200 "bfs = queue-of-ports reference from every source"
+    gen_failed_graph (fun (g, failed) ->
+      let usable l = not failed.(l.Graph.id) in
+      List.for_all
+        (fun src -> Paths.bfs g ~usable src = reference_bfs g ~usable src)
+        (List.init (Graph.n_nodes g) Fun.id))
+
+let prop_far_matches_peer =
+  qtest ~count:100 "far = fst peer at every port, also after relabel"
+    gen_failed_graph (fun (g, _) ->
+      let n = Graph.n_nodes g in
+      let relabelled = Graph.relabel g (Array.init n (fun v -> 2 * (n - v))) in
+      List.for_all
+        (fun g ->
+          List.for_all
+            (fun v ->
+              List.for_all
+                (fun p -> Graph.far g v p = fst (Graph.peer g v p))
+                (List.init (Graph.degree g v) Fun.id))
+            (List.init n Fun.id))
+        [ g; relabelled ])
+
 (* --- generators --- *)
 
 let test_generator_shapes () =
@@ -341,6 +403,8 @@ let () =
           Alcotest.test_case "bfs on a line" `Quick test_bfs_line;
           Alcotest.test_case "bfs with failed link" `Quick test_bfs_usable_filter;
           Alcotest.test_case "components" `Quick test_components;
+          prop_bfs_matches_reference;
+          prop_far_matches_peer;
         ] );
       ( "generators",
         [
