@@ -4,6 +4,9 @@ type arrival = Packet.t -> int -> unit
    the slot's generation above it, and the engine's id on top. *)
 type event = int
 
+(* A lane is an index into [lane_tail]. *)
+type lane = int
+
 let slot_bits = 24
 let gen_bits = 26
 let id_bits = 12
@@ -11,10 +14,12 @@ let slot_mask = (1 lsl slot_bits) - 1
 let gen_mask = (1 lsl gen_bits) - 1
 let id_mask = (1 lsl id_bits) - 1
 
-(* What a queued slot holds. *)
+(* What a queued slot holds.  [k_lane] is or'ed onto [k_thunk] or
+   [k_arrival] while the slot is queued on a lane. *)
 let k_thunk = 0
 let k_arrival = 1
 let k_cancelled = 2
+let k_lane = 4
 
 type t = {
   (* The heap: entry [i]'s ordering keys and slot, in heap order.  All
@@ -25,12 +30,12 @@ type t = {
   mutable seq : int array;
   mutable slot : int array;
   mutable size : int;
-  (* Slots.  A queued event owns one slot, so the free list is empty
-     exactly when the heap is full.  [kind], [gen] and [next_free] share
-     the heap's capacity; the payload arrays grow on first use, filled
-     with the value at hand, so no dummy packet or closure is needed.  A
-     freed slot keeps its last arrival (a per-channel handler and a
-     packet) until reused. *)
+  (* Slots.  A queued event owns one slot, in the heap or waiting in a
+     lane, so the free list is empty exactly when every slot is queued.
+     [kind], [gen] and [next_free] share the heap's capacity; the payload
+     arrays grow on first use, filled with the value at hand, so no dummy
+     packet or closure is needed.  A freed slot keeps its last arrival (a
+     per-channel handler and a packet) until reused. *)
   mutable kind : int array;
   mutable gen : int array;
   mutable next_free : int array;
@@ -39,6 +44,22 @@ type t = {
   mutable arrival : arrival array;
   mutable packet : Packet.t array;
   mutable tag : int array; (* the int handed to the arrival *)
+  (* Lanes.  A lane is a FIFO of events pushed in key order; only its head
+     sits in the heap.  Its entries are linked through [next_free], which
+     a queued slot does not otherwise use: each holds its successor's
+     slot, and the tail [lnot lane], so every link is a slot exactly when
+     it is non-negative.  A slot queued on a lane carries [k_lane] in its
+     kind and its keys in the [slot_*] arrays, read when a push is
+     compared with the lane's tail and when the slot is promoted into
+     the heap.  These slot-indexed arrays are made at the first push onto
+     a lane and then grow with the slots. *)
+  mutable slot_time : float array;
+  mutable slot_sched : float array;
+  mutable slot_sched2 : float array;
+  mutable slot_seq : int array;
+  mutable lane_tail : int array; (* per lane: last slot, -1 when empty *)
+  mutable n_lanes : int;
+  mutable lane_waiting : int; (* lane entries behind their head *)
   id : int;
   mutable clock : float; (* boxed: [now] hands out this box *)
   cur : float array; (* [| sched; sched2 |] of the executing event *)
@@ -67,6 +88,13 @@ let create () =
     arrival = [||];
     packet = [||];
     tag = [||];
+    slot_time = [||];
+    slot_sched = [||];
+    slot_sched2 = [||];
+    slot_seq = [||];
+    lane_tail = [||];
+    n_lanes = 0;
+    lane_waiting = 0;
     id = Atomic.fetch_and_add next_id 1 land id_mask;
     clock = 0.0;
     cur = [| 0.0; 0.0 |];
@@ -144,7 +172,20 @@ let grow a cap x =
   Array.blit a 0 b 0 (Array.length a);
   b
 
-(* Hand out a free slot, doubling the capacity when the heap is full. *)
+(* The lane arrays start with room for [lane_min_slots] slots, more than
+   the minor heap takes (256 words), so no size of them allocates minor
+   words: a run allocates exactly the minor words it would without
+   lanes. *)
+let lane_min_slots = 512
+
+let grow_lane_slots e cap =
+  e.slot_time <- grow e.slot_time cap 0.0;
+  e.slot_sched <- grow e.slot_sched cap 0.0;
+  e.slot_sched2 <- grow e.slot_sched2 cap 0.0;
+  e.slot_seq <- grow e.slot_seq cap 0
+
+(* Hand out a free slot, doubling the capacity when every slot is
+   queued. *)
 let claim e =
   if e.free < 0 then begin
     let old = Array.length e.seq in
@@ -160,6 +201,8 @@ let claim e =
     e.kind <- grow e.kind cap 0;
     e.gen <- grow e.gen cap 0;
     e.next_free <- grow e.next_free cap 0;
+    let lane_cap = Array.length e.slot_seq in
+    if lane_cap > 0 && cap > lane_cap then grow_lane_slots e cap;
     for s = cap - 1 downto old do
       Array.unsafe_set e.next_free s e.free;
       e.free <- s
@@ -196,6 +239,10 @@ let set_arrival e s h p tag =
   Array.unsafe_set e.packet s p;
   Array.unsafe_set e.tag s tag
 
+(* [heap_peak] and the purge count every queued event, in the heap or
+   waiting in a lane: the same count a heap holding every event has. *)
+let[@inline] queued e = e.size + e.lane_waiting
+
 (* Insert slot [sl] under key (time, sched, sched2, next seq), sifting the
    hole up.  Inlined into every entry point so the float keys stay
    unboxed. *)
@@ -204,7 +251,7 @@ let[@inline] enqueue e time sched sched2 sl =
   e.next_seq <- q + 1;
   let i = ref e.size in
   e.size <- e.size + 1;
-  if e.size > e.heap_peak then e.heap_peak <- e.size;
+  if queued e > e.heap_peak then e.heap_peak <- queued e;
   let continue = ref true in
   while !continue && !i > 0 do
     let p = (!i - 1) / 2 in
@@ -220,6 +267,59 @@ let[@inline] enqueue e time sched sched2 sl =
   Array.unsafe_set e.sched2 i sched2;
   Array.unsafe_set e.seq i q;
   Array.unsafe_set e.slot i sl
+
+let lane e =
+  let l = e.n_lanes in
+  if l = Array.length e.lane_tail then
+    e.lane_tail <- grow e.lane_tail (max 64 (2 * l)) (-1);
+  e.n_lanes <- l + 1;
+  l
+
+(* Make slot [sl] the tail of lane [l]. *)
+let[@inline] join_lane e l time sched sched2 q sl =
+  Array.unsafe_set e.kind sl (Array.unsafe_get e.kind sl lor k_lane);
+  Array.unsafe_set e.slot_time sl time;
+  Array.unsafe_set e.slot_sched sl sched;
+  Array.unsafe_set e.slot_sched2 sl sched2;
+  Array.unsafe_set e.slot_seq sl q;
+  Array.unsafe_set e.next_free sl (lnot l);
+  Array.unsafe_set e.lane_tail l sl
+
+(* Does a push with key (time, sched, sched2, next seq) sort after the
+   lane entry in slot [tl]?  Its seq is the larger, so equal times and
+   scheduling keys count as after. *)
+let[@inline] after_slot e time sched sched2 tl =
+  let tt = Array.unsafe_get e.slot_time tl in
+  time > tt
+  || time = tt
+     &&
+     let ts = Array.unsafe_get e.slot_sched tl in
+     sched > ts || (sched = ts && sched2 >= Array.unsafe_get e.slot_sched2 tl)
+
+(* Push slot [sl] onto lane [l] under key (time, sched, sched2, next seq).
+   A key at or after the lane's tail waits behind it, out of the heap.  A
+   key before the tail goes into the heap as an ordinary entry: the lane
+   stays sorted, so its head is its least key and the heap top is still
+   the least queued key.  An empty lane's push becomes its head, in the
+   heap. *)
+let[@inline] enqueue_lane e l time sched sched2 sl =
+  let tl = Array.unsafe_get e.lane_tail l in
+  if tl >= 0 && after_slot e time sched sched2 tl then begin
+    let q = e.next_seq in
+    e.next_seq <- q + 1;
+    join_lane e l time sched sched2 q sl;
+    Array.unsafe_set e.next_free tl sl;
+    e.lane_waiting <- e.lane_waiting + 1;
+    if queued e > e.heap_peak then e.heap_peak <- queued e
+  end
+  else begin
+    if tl < 0 then begin
+      if Array.length e.slot_seq = 0 then
+        grow_lane_slots e (max lane_min_slots (Array.length e.seq));
+      join_lane e l time sched sched2 e.next_seq sl
+    end;
+    enqueue e time sched sched2 sl
+  end
 
 let handle e s =
   (e.id lsl (slot_bits + gen_bits))
@@ -241,11 +341,28 @@ let[@inline] schedule_arrival_keyed e ~time ~sched ~sched2 h p tag =
   set_arrival e s h p tag;
   enqueue e time sched sched2 s
 
-let schedule_at e t f =
-  if t < e.clock then
+let check_time fn e t =
+  if not (t >= e.clock) then
     invalid_arg
-      (Printf.sprintf "Engine.schedule_at: time %g is before now (%g)" t e.clock);
+      (if Float.is_nan t then "Engine: event time is NaN"
+       else Printf.sprintf "%s: time %g is before now (%g)" fn t e.clock)
+
+let schedule_at e t f =
+  check_time "Engine.schedule_at" e t;
   schedule_keyed e ~time:t ~sched:e.clock ~sched2:(Array.unsafe_get e.cur 0) f
+
+(* A lane another engine made may lie beyond this one's lanes; one within
+   them only shares a FIFO, which the tail check keeps in order. *)
+let check_lane fn e l =
+  if l >= e.n_lanes then
+    invalid_arg (fn ^ ": the lane belongs to another engine")
+
+let schedule_lane_at e l t f =
+  check_lane "Engine.schedule_lane_at" e l;
+  check_time "Engine.schedule_lane_at" e t;
+  let s = claim e in
+  set_thunk e s f;
+  enqueue_lane e l t e.clock (Array.unsafe_get e.cur 0) s
 
 let check_delay fn dt =
   if not (dt >= 0.0) then
@@ -257,20 +374,47 @@ let schedule_in e dt f =
   schedule_keyed e ~time:(e.clock +. dt) ~sched:e.clock
     ~sched2:(Array.unsafe_get e.cur 0) f
 
-let schedule_arrival e dt h p tag =
+let schedule_arrival e l dt h p tag =
+  check_lane "Engine.schedule_arrival" e l;
   check_delay "Engine.schedule_arrival" dt;
-  schedule_arrival_keyed e ~time:(e.clock +. dt) ~sched:e.clock
-    ~sched2:(Array.unsafe_get e.cur 0) h p tag
+  let s = claim e in
+  set_arrival e s h p tag;
+  enqueue_lane e l (e.clock +. dt) e.clock (Array.unsafe_get e.cur 0) s
 
-(* Remove the heap top and return its slot (the caller reads its keys
-   first). *)
-let pop_top e =
-  let s = Array.unsafe_get e.slot 0 in
+(* Replace the heap top by the last entry. *)
+let[@inline] drop_top e =
   let n = e.size - 1 in
   e.size <- n;
   if n > 0 then begin
     move e ~src:n ~dst:0;
     sift_down e 0
+  end
+
+(* Remove the heap top and return its slot (the caller reads its keys
+   first).  The head of a lane gives its place to its successor, sifted
+   down once; any other top gives it to the last heap entry.  Every
+   removal of a top goes through here, and leaves the slot's kind without
+   [k_lane]. *)
+let pop_top e =
+  let s = Array.unsafe_get e.slot 0 in
+  let kind = Array.unsafe_get e.kind s in
+  if kind < k_lane then drop_top e
+  else begin
+    Array.unsafe_set e.kind s (kind land lnot k_lane);
+    let nx = Array.unsafe_get e.next_free s in
+    if nx < 0 then begin
+      Array.unsafe_set e.lane_tail (lnot nx) (-1);
+      drop_top e
+    end
+    else begin
+      e.lane_waiting <- e.lane_waiting - 1;
+      Array.unsafe_set e.time 0 (Array.unsafe_get e.slot_time nx);
+      Array.unsafe_set e.sched 0 (Array.unsafe_get e.slot_sched nx);
+      Array.unsafe_set e.sched2 0 (Array.unsafe_get e.slot_sched2 nx);
+      Array.unsafe_set e.seq 0 (Array.unsafe_get e.slot_seq nx);
+      Array.unsafe_set e.slot 0 nx;
+      sift_down e 0
+    end
   end;
   s
 
@@ -312,7 +456,7 @@ let cancel e ev =
     (* Long runs accumulate cancelled retransmit timers that bloat the
        heap and slow every sift; drop them all once they outnumber the
        live events. *)
-    if e.size >= purge_min_size && e.cancelled_in_heap > e.size / 2 then
+    if queued e >= purge_min_size && e.cancelled_in_heap > queued e / 2 then
       purge e
   end
 
@@ -398,7 +542,7 @@ let set_context_sched e ~sched ~sched2 =
 
 let stop e = e.stopped <- true
 
-let pending e = e.size - e.cancelled_in_heap
+let pending e = queued e - e.cancelled_in_heap
 
 let processed e = e.done_count
 let heap_peak e = e.heap_peak

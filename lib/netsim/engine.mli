@@ -9,12 +9,25 @@
     recycled through a free list: either a thunk, or a packet arrival — a
     per-channel {!arrival} handler, the packet and an int tag — which the
     network schedules without allocating a closure.  An {!event} handle is
-    an immediate int naming (slot, slot generation, engine). *)
+    an immediate int naming (slot, slot generation, engine).
+
+    A {!lane} is a FIFO of events whose keys are pushed in order, such as
+    one channel's arrivals: only its head sits in the heap, and when the
+    head fires its successor takes its place with one sift-down instead
+    of a pop and a push.  A push whose key is below its lane's tail goes
+    straight into the heap, so lanes never change which event fires
+    next. *)
 
 type t
 
 (** A handle for cancelling a scheduled event. *)
 type event [@@immediate]
+
+(** A lane of one engine (see above).  A lane belongs to the engine that
+    made it: another engine refuses it if it has fewer lanes, and
+    otherwise takes it for one of its own, which keeps the order of
+    events but may cost them their place in a lane. *)
+type lane [@@immediate]
 
 (** A packet-arrival handler, called as [h packet tag] with the packet and
     the int tag it was scheduled with.  The network builds one per channel
@@ -30,6 +43,16 @@ val now : t -> float
 (** [schedule_at e t f] runs [f] at absolute time [t].
     @raise Invalid_argument if [t] is NaN or in the past. *)
 val schedule_at : t -> float -> (unit -> unit) -> event
+
+(** [lane e] makes a new, empty lane on [e]. *)
+val lane : t -> lane
+
+(** [schedule_lane_at e l t f] runs [f] at absolute time [t], keyed like
+    {!schedule_at}, and queues it on lane [l].  It returns no handle:
+    lane events cannot be cancelled.
+    @raise Invalid_argument if [t] is NaN or in the past, or if [l] is
+    beyond [e]'s lanes. *)
+val schedule_lane_at : t -> lane -> float -> (unit -> unit) -> unit
 
 (** [schedule_in e dt f] runs [f] after [dt >= 0] seconds.
     @raise Invalid_argument if [dt] is NaN or negative. *)
@@ -52,16 +75,18 @@ val schedule_in : t -> float -> (unit -> unit) -> event
 val schedule_keyed :
   t -> time:float -> sched:float -> sched2:float -> (unit -> unit) -> event
 
-(** [schedule_arrival e dt h packet tag] calls [h packet tag] after
-    [dt >= 0] seconds, keyed like {!schedule_in}.  It stores the three
-    values in a slot instead of a closure, so scheduling an arrival
-    allocates nothing beyond the boxed [dt].  Arrivals cannot be
-    cancelled: the handler checks the tag instead.
-    @raise Invalid_argument if [dt] is NaN or negative. *)
-val schedule_arrival : t -> float -> arrival -> Packet.t -> int -> unit
+(** [schedule_arrival e l dt h packet tag] calls [h packet tag] after
+    [dt >= 0] seconds, keyed like {!schedule_in}, and queues it on lane
+    [l].  It stores the three values in a slot instead of a closure, so
+    scheduling an arrival allocates nothing beyond the boxed [dt].
+    Arrivals cannot be cancelled: the handler checks the tag instead.
+    @raise Invalid_argument if [dt] is NaN or negative, or if [l] is
+    beyond [e]'s lanes. *)
+val schedule_arrival : t -> lane -> float -> arrival -> Packet.t -> int -> unit
 
 (** [schedule_arrival_keyed e ~time ~sched ~sched2 h packet tag] is
-    {!schedule_arrival} with an explicit key, as {!schedule_keyed}.
+    {!schedule_arrival} with an explicit key, as {!schedule_keyed}, and
+    on no lane.
     @raise Invalid_argument if [time] is NaN. *)
 val schedule_arrival_keyed :
   t ->
@@ -127,14 +152,15 @@ val set_context_sched : t -> sched:float -> sched2:float -> unit
 (** [stop e] makes {!run} return after the current callback. *)
 val stop : t -> unit
 
-(** [pending e] is the number of queued (uncancelled) events.  O(1): the
-    engine counts cancellations instead of scanning the heap. *)
+(** [pending e] is the number of queued (uncancelled) events, in the heap
+    or waiting in a lane.  O(1): the engine counts cancellations instead
+    of scanning the heap. *)
 val pending : t -> int
 
 (** [processed e] counts callbacks run so far (for bench reporting). *)
 val processed : t -> int
 
-(** [heap_peak e] is the high-watermark heap occupancy (queued events,
-    including cancelled ones still awaiting purge) — an engine queue-depth
-    gauge for the metrics registry. *)
+(** [heap_peak e] is the high-watermark count of queued events — in the
+    heap or waiting in a lane, including cancelled ones still awaiting
+    purge — an engine queue-depth gauge for the metrics registry. *)
 val heap_peak : t -> int

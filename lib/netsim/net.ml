@@ -59,8 +59,13 @@ type channel = {
   mutable queued_bytes : int;
   mutable wake_scheduled : bool;
   mutable epoch : int; (* bumped on failure: invalidates in-flight events *)
-  mutable owner_rid : int; (* region of the transmitting endpoint *)
-  mutable x_cut : bool; (* receiving endpoint lives in another region *)
+  owner_rid : int; (* region of the transmitting endpoint *)
+  x_cut : bool; (* receiving endpoint lives in another region *)
+  lane : Engine.lane;
+      (* on the owner region's engine.  [transmit] starts a packet only
+         once the previous one has left, so the channel's arrivals come in
+         key order; the engine's heap takes the exceptions (a stale
+         arrival outliving a fail and repair, a one-ulp rounding) *)
   mutable arrive : Engine.arrival;
       (* built once by [build] (it closes over the net), so scheduling an
          arrival allocates no closure *)
@@ -146,6 +151,8 @@ type t = {
   region_of_node : int array;
   solo : bool;
   lookahead : float; (* min cut-link delay; [infinity] when solo *)
+  admin_lane : Engine.lane;
+      (* a solo net's admin events, on its engine (unused when sharded) *)
   mutable in_admin : bool; (* true between epochs: barrier context *)
   mutable admin : (float * float * float * int * (unit -> unit)) list;
       (* (time, sched, sched2, seq, fn), sorted *)
@@ -201,10 +208,12 @@ let make_shard_metrics r =
     Registry.counter r "netsim/region-stalls",
     Registry.gauge r "topo/cut-edges-ppm" )
 
-let build_channels graph =
+let build_channels graph ~engines ~region_of_node =
   let n_links = Graph.n_links graph in
   let channel_of link dir =
+    let near = if dir = 0 then link.Graph.ep0 else link.Graph.ep1 in
     let far = if dir = 0 then link.Graph.ep1 else link.Graph.ep0 in
+    let owner_rid = region_of_node.(near.Graph.node) in
     {
       link_id = link.Graph.id;
       idx = (2 * link.Graph.id) + dir;
@@ -216,8 +225,9 @@ let build_channels graph =
       queued_bytes = 0;
       wake_scheduled = false;
       epoch = 0;
-      owner_rid = 0;
-      x_cut = false;
+      owner_rid;
+      x_cut = owner_rid <> region_of_node.(far.Graph.node);
+      lane = Engine.lane engines.(owner_rid);
       arrive = (fun _ _ -> ());
     }
   in
@@ -405,14 +415,15 @@ let deliver net node packet ~in_port =
 
 (* Put a packet on the wire of an idle channel: one merged event covers
    serialisation and propagation (the transmitter frees at [busy_until];
-   the packet arrives [delay_s] later).  The event is an engine arrival:
-   the channel's [arrive] handler, the packet and the epoch at send time,
-   so a failure during either phase is caught by the epoch check when it
-   fires.  On a cut channel the arrival becomes a handoff in the peer
-   region's outbox instead, carrying the (time, sched) key the serial
-   engine would have used. *)
+   the packet arrives [delay_s] later).  The event is an engine arrival
+   on the channel's lane: the channel's [arrive] handler, the packet and
+   the epoch at send time, so a failure during either phase is caught by
+   the epoch check when it fires.  On a cut channel the arrival becomes a
+   handoff in the peer region's outbox instead, carrying the (time,
+   sched) key the serial engine would have used.  A channel transmits
+   only from its owner region. *)
 let transmit net ch packet =
-  let rg = ctx net in
+  let rg = net.regions.(ch.owner_rid) in
   let e = rg.r_engine in
   let now = Engine.now e in
   let tx_time = float_of_int (Packet.size_bytes packet * 8) /. ch.rate_bps in
@@ -438,7 +449,9 @@ let transmit net ch packet =
       :: rg.outboxes.(dst_rid);
     rg.r_octr <- rg.r_octr + 1
   end
-  else Engine.schedule_arrival e (tx_time +. ch.delay_s) ch.arrive packet epoch
+  else
+    Engine.schedule_arrival e ch.lane (tx_time +. ch.delay_s) ch.arrive packet
+      epoch
 
 (* Where every arrival lands, local or from a cut link: the packet is
    delivered if the channel's epoch is still the one it was sent under,
@@ -514,18 +527,9 @@ let build ~who ~graph ~engines ~region_of_node ~lookahead ?registry
   let n_nodes = Graph.n_nodes graph in
   let n_regions = Array.length engines in
   let solo = n_regions = 1 in
-  let channels, out_channel = build_channels graph in
-  (* channel ownership and cut marking *)
-  Array.iter
-    (fun chans ->
-      let link = Graph.link graph chans.(0).link_id in
-      let r0 = region_of_node.(link.Graph.ep0.Graph.node) in
-      let r1 = region_of_node.(link.Graph.ep1.Graph.node) in
-      chans.(0).owner_rid <- r0;
-      chans.(1).owner_rid <- r1;
-      chans.(0).x_cut <- r0 <> r1;
-      chans.(1).x_cut <- r0 <> r1)
-    channels;
+  let channels, out_channel =
+    build_channels graph ~engines ~region_of_node
+  in
   let registry =
     match registry with Some r -> r | None -> Registry.create ()
   in
@@ -578,6 +582,7 @@ let build ~who ~graph ~engines ~region_of_node ~lookahead ?registry
       region_of_node;
       solo;
       lookahead;
+      admin_lane = Engine.lane engines.(0);
       in_admin = false;
       admin = [];
       admin_seq = 0;
@@ -652,11 +657,19 @@ let push_admin net ~at ~sched ~sched2 fn =
   in
   net.admin <- ins net.admin
 
+(* A solo net queues its admin events on the admin lane: [Driver.arm]
+   arms them in time order at one clock, so they wait behind one heap
+   entry. *)
 let schedule_admin net ~at f =
-  if net.solo then ignore (Engine.schedule_at net.regions.(0).r_engine at f)
-  else
-    let e = (ctx net).r_engine in
-    push_admin net ~at ~sched:(Engine.now e) ~sched2:(Engine.sched_now e) f
+  let e = (ctx net).r_engine in
+  let now = Engine.now e in
+  if not (at >= now) then
+    invalid_arg
+      (Printf.sprintf "Net.schedule_admin: time %g is %s (now %g)" at
+         (if Float.is_nan at then "not a number" else "in the past")
+         now);
+  if net.solo then Engine.schedule_lane_at e net.admin_lane at f
+  else push_admin net ~at ~sched:now ~sched2:(Engine.sched_now e) f
 
 let set_cached_up net id value =
   let link = Graph.link net.graph id in
@@ -736,6 +749,10 @@ let live_mask net node = net.live.(node)
 let schedule_at_node net node ~at f =
   let rg = net.regions.(net.region_of_node.(node)) in
   let now = Engine.now rg.r_engine in
+  if Float.is_nan at then
+    invalid_arg
+      (Printf.sprintf "Net.schedule_at_node: time %g is not a number (now %g)"
+         at now);
   if net.solo && at <= now then f ()
   else
     ignore

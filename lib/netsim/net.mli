@@ -130,16 +130,20 @@ val lookahead : t -> float
 
 (** [schedule_admin net ~at f] runs [f] at virtual time [at] in the
     global (single-threaded) context: at an epoch barrier on sharded
-    nets, as an ordinary engine event on solo nets.  All regions' clocks
-    read exactly [at] while [f] runs, so [f] may observe or mutate
-    cross-region state consistently. *)
+    nets, as an engine event on solo nets (queued on one admin lane, see
+    {!Engine.lane}).  All regions' clocks read exactly [at] while [f]
+    runs, so [f] may observe or mutate cross-region state consistently.
+    @raise Invalid_argument naming [at] and the clock, on either kind of
+    net, if [at] is NaN or before the current time; nothing is queued. *)
 val schedule_admin : t -> at:float -> (unit -> unit) -> unit
 
 (** [schedule_at_node net node ~at f] schedules [f] on the region that
     owns [node] — required for setup-time code entering a sharded
     timeline (e.g. a TCP flow kickoff at its source host).  On solo nets
     with [at] not in the future, [f] runs immediately (the historical
-    behaviour). *)
+    behaviour); on sharded nets it runs at the region's current time.
+    @raise Invalid_argument naming the clock, on either kind of net, if
+    [at] is NaN. *)
 val schedule_at_node :
   t -> Topo.Graph.node -> at:float -> (unit -> unit) -> unit
 

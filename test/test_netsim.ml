@@ -67,14 +67,24 @@ let test_engine_past_rejected () =
       ~born:0.0 Packet.Raw
   in
   let arrive _ _ = () in
+  let l = Engine.lane e in
   rejects "schedule_at NaN" (fun () -> ignore (Engine.schedule_at e nan ignore));
   rejects "schedule_in NaN" (fun () -> ignore (Engine.schedule_in e nan ignore));
   rejects "schedule_keyed NaN" (fun () ->
       ignore (Engine.schedule_keyed e ~time:nan ~sched:0.0 ~sched2:0.0 ignore));
+  rejects "schedule_lane_at NaN" (fun () -> Engine.schedule_lane_at e l nan ignore);
+  rejects "schedule_lane_at past" (fun () -> Engine.schedule_lane_at e l 1.0 ignore);
   rejects "schedule_arrival NaN" (fun () ->
-      Engine.schedule_arrival e nan arrive p 0);
+      Engine.schedule_arrival e l nan arrive p 0);
   rejects "schedule_arrival negative" (fun () ->
-      Engine.schedule_arrival e (-1e-3) arrive p 0);
+      Engine.schedule_arrival e l (-1e-3) arrive p 0);
+  let other = Engine.create () in
+  ignore (Engine.lane other);
+  let foreign = Engine.lane other in
+  rejects "schedule_arrival on a lane e lacks" (fun () ->
+      Engine.schedule_arrival e foreign 1.0 arrive p 0);
+  rejects "schedule_lane_at on a lane e lacks" (fun () ->
+      Engine.schedule_lane_at e foreign 6.0 ignore);
   rejects "schedule_arrival_keyed NaN" (fun () ->
       Engine.schedule_arrival_keyed e ~time:nan ~sched:0.0 ~sched2:0.0 arrive p
         0);
@@ -252,7 +262,9 @@ end
 type op =
   | At of float (* schedule_at, now + delay *)
   | Keyed of float * float * float (* schedule_keyed, now + delay *)
-  | Arrive of float (* schedule_arrival *)
+  | Arrive of float (* schedule_arrival on a lane made for it *)
+  | Lane_at of int * float (* schedule_lane_at on lane l, now + delay *)
+  | Lane_arrive of int * float (* schedule_arrival on lane l *)
   | Cancel of int (* a handle, by index modulo the handles so far *)
   | Run_until of float (* now + delay *)
   | Burst of int (* that many schedule_at at now + 0, 0.5, 1, 0, ... *)
@@ -262,21 +274,40 @@ let pp_op = function
   | At d -> Printf.sprintf "At %g" d
   | Keyed (d, s, s2) -> Printf.sprintf "Keyed (%g, %g, %g)" d s s2
   | Arrive d -> Printf.sprintf "Arrive %g" d
+  | Lane_at (l, d) -> Printf.sprintf "Lane_at (%d, %g)" l d
+  | Lane_arrive (l, d) -> Printf.sprintf "Lane_arrive (%d, %g)" l d
   | Cancel i -> Printf.sprintf "Cancel %d" i
   | Run_until d -> Printf.sprintf "Run_until %g" d
   | Burst n -> Printf.sprintf "Burst %d" n
   | Cancel_pattern m -> Printf.sprintf "Cancel_pattern %d" m
 
+(* The random lane ops push onto one of [n_lanes] lanes.  With the small
+   delay set, equal keys and pushes below a lane's tail (which take the
+   heap fallback) are common.  One more lane, [n_lanes], takes only the
+   two pushes just before the purging burst: it is empty until then, so
+   its second push is sure to wait behind its head while the purge
+   fires. *)
+let n_lanes = 3
+
 let gen_program =
   let open QCheck2.Gen in
   let delay = oneofl [ 0.0; 0.5; 1.0; 2.0 ] in
   let key = oneofl [ 0.0; 0.5; 1.0 ] in
+  let lane = 0 -- (n_lanes - 1) in
+  let lane_op =
+    oneof
+      [
+        map2 (fun l d -> Lane_at (l, d)) lane delay;
+        map2 (fun l d -> Lane_arrive (l, d)) lane delay;
+      ]
+  in
   let op =
     frequency
       [
         (4, map (fun d -> At d) delay);
         (3, map3 (fun d s s2 -> Keyed (d, s, s2)) delay key key);
         (1, map (fun d -> Arrive d) delay);
+        (3, lane_op);
         (3, map (fun i -> Cancel i) nat);
         (1, map (fun d -> Run_until d) delay);
         (* refills past an earlier peak make the purge's timing visible
@@ -285,89 +316,135 @@ let gen_program =
       ]
   in
   (* The middle burst and pattern guarantee a purge: at least 3/4 of 100+
-     fresh events get cancelled, against at most 40 earlier ones queued. *)
+     fresh events get cancelled, against at most 40 earlier ones queued
+     plus the lane pushes just before the burst. *)
   let* prefix = list_size (0 -- 40) op in
+  let* lanes = list_size (2 -- 6) lane_op in
   let* burst = 100 -- 160 in
   let* m = 4 -- 8 in
   let* suffix = list_size (0 -- 80) op in
-  return (prefix @ [ Burst burst; Cancel_pattern m ] @ suffix @ [ Run_until 10.0 ])
+  return
+    (prefix
+    @ [ Lane_arrive (n_lanes, 1.0); Lane_at (n_lanes, 2.0) ]
+    @ lanes
+    @ [ Burst burst; Cancel_pattern m ]
+    @ suffix
+    @ [ Run_until 10.0 ])
+
+(* Run [prog] on an engine and on the model, failing on the first
+   disagreement; returns the model. *)
+let run_against_model prog =
+  let e = Engine.create () and m = Model.create () in
+  let lanes = Array.init (n_lanes + 1) (fun _ -> Engine.lane e) in
+  let log = ref [] in
+  let handles = Hashtbl.create 256 and n = ref 0 in
+  let add h =
+    Hashtbl.replace handles !n h;
+    incr n
+  in
+  let next_id = ref 0 in
+  let fresh () =
+    let id = !next_id in
+    incr next_id;
+    id
+  in
+  let p =
+    Packet.make ~uid:0 ~src:0 ~dst:1 ~size_bytes:64 ~route_id:Bignum.Z.one
+      ~born:0.0 Packet.Raw
+  in
+  let arrive _ id = log := id :: !log in
+  let at d =
+    let id = fresh () in
+    let h =
+      Engine.schedule_at e (Engine.now e +. d) (fun () -> log := id :: !log)
+    in
+    add (h, Model.schedule m d id)
+  in
+  let cancel k =
+    let h, ev = Hashtbl.find handles k in
+    Engine.cancel e h;
+    Model.cancel m ev
+  in
+  let agree what =
+    if
+      List.rev !log <> List.rev m.Model.log
+      || Engine.pending e <> Model.pending m
+      || Engine.processed e <> m.Model.processed
+      || Engine.heap_peak e <> m.Model.peak
+      || Engine.now e <> m.Model.clock
+    then
+      QCheck2.Test.fail_reportf
+        "after %s: fired %d/%d, pending %d/%d, processed %d/%d, peak %d/%d, \
+         now %g/%g"
+        what (List.length !log) (List.length m.Model.log) (Engine.pending e)
+        (Model.pending m) (Engine.processed e) m.Model.processed
+        (Engine.heap_peak e) m.Model.peak (Engine.now e) m.Model.clock
+  in
+  List.iter
+    (fun op ->
+      (match op with
+       | At d -> at d
+       | Keyed (d, sched, sched2) ->
+         let id = fresh () in
+         let time = Engine.now e +. d in
+         let h =
+           Engine.schedule_keyed e ~time ~sched ~sched2 (fun () ->
+               log := id :: !log)
+         in
+         add (h, Model.push m ~time ~sched ~sched2 id)
+       | Arrive d ->
+         let id = fresh () in
+         Engine.schedule_arrival e (Engine.lane e) d arrive p id;
+         ignore (Model.schedule m d id)
+       | Lane_at (l, d) ->
+         let id = fresh () in
+         Engine.schedule_lane_at e lanes.(l) (Engine.now e +. d) (fun () ->
+             log := id :: !log);
+         ignore (Model.schedule m d id)
+       | Lane_arrive (l, d) ->
+         let id = fresh () in
+         Engine.schedule_arrival e lanes.(l) d arrive p id;
+         ignore (Model.schedule m d id)
+       | Cancel i -> if !n > 0 then cancel (i mod !n)
+       | Run_until d ->
+         let t = Engine.now e +. d in
+         Engine.run_until e t;
+         Model.run_until m t
+       | Burst k -> for i = 0 to k - 1 do at (float_of_int (i mod 3) *. 0.5) done
+       | Cancel_pattern md ->
+         for k = 0 to !n - 1 do if k mod md <> 0 then cancel k done);
+      agree (pp_op op))
+    prog;
+  m
+
+let print_program prog = String.concat "; " (List.map pp_op prog)
 
 let prop_engine_matches_model =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:200 ~name:"heap = list model"
-       ~print:(fun prog -> String.concat "; " (List.map pp_op prog))
+    (QCheck2.Test.make ~count:200 ~name:"heap = list model" ~print:print_program
        gen_program
        (fun prog ->
-         let e = Engine.create () and m = Model.create () in
-         let log = ref [] in
-         let handles = Hashtbl.create 256 and n = ref 0 in
-         let add h =
-           Hashtbl.replace handles !n h;
-           incr n
-         in
-         let next_id = ref 0 in
-         let fresh () =
-           let id = !next_id in
-           incr next_id;
-           id
-         in
-         let p =
-           Packet.make ~uid:0 ~src:0 ~dst:1 ~size_bytes:64 ~route_id:Bignum.Z.one
-             ~born:0.0 Packet.Raw
-         in
-         let arrive _ id = log := id :: !log in
-         let at d =
-           let id = fresh () in
-           let h = Engine.schedule_at e (Engine.now e +. d) (fun () -> log := id :: !log) in
-           add (h, Model.schedule m d id)
-         in
-         let cancel k =
-           let h, ev = Hashtbl.find handles k in
-           Engine.cancel e h;
-           Model.cancel m ev
-         in
-         let agree what =
-           if
-             List.rev !log <> List.rev m.Model.log
-             || Engine.pending e <> Model.pending m
-             || Engine.processed e <> m.Model.processed
-             || Engine.heap_peak e <> m.Model.peak
-             || Engine.now e <> m.Model.clock
-           then
-             QCheck2.Test.fail_reportf
-               "after %s: fired %d/%d, pending %d/%d, processed %d/%d, peak %d/%d, now %g/%g"
-               what (List.length !log) (List.length m.Model.log) (Engine.pending e)
-               (Model.pending m) (Engine.processed e) m.Model.processed
-               (Engine.heap_peak e) m.Model.peak (Engine.now e) m.Model.clock
-         in
-         List.iter
-           (fun op ->
-             (match op with
-              | At d -> at d
-              | Keyed (d, sched, sched2) ->
-                let id = fresh () in
-                let time = Engine.now e +. d in
-                let h =
-                  Engine.schedule_keyed e ~time ~sched ~sched2 (fun () ->
-                      log := id :: !log)
-                in
-                add (h, Model.push m ~time ~sched ~sched2 id)
-              | Arrive d ->
-                let id = fresh () in
-                Engine.schedule_arrival e d arrive p id;
-                ignore (Model.schedule m d id)
-              | Cancel i -> if !n > 0 then cancel (i mod !n)
-              | Run_until d ->
-                let t = Engine.now e +. d in
-                Engine.run_until e t;
-                Model.run_until m t
-              | Burst k -> for i = 0 to k - 1 do at (float_of_int (i mod 3) *. 0.5) done
-              | Cancel_pattern md ->
-                for k = 0 to !n - 1 do if k mod md <> 0 then cancel k done);
-             agree (pp_op op))
-           prog;
-         if m.Model.purges = 0 then QCheck2.Test.fail_report "no purge happened";
+         if (run_against_model prog).Model.purges = 0 then
+           QCheck2.Test.fail_report "no purge happened";
          true))
+
+(* A push below its lane's tail takes the heap fallback: after a delay-2
+   head, a delay-0 arrival and a delay-1 thunk on the same lane both go
+   into the heap and fire before it. *)
+let test_engine_lane_out_of_order =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1 ~name:"lane push below its tail"
+       ~print:print_program
+       (QCheck2.Gen.return
+          [
+            Lane_arrive (0, 2.0);
+            Lane_arrive (0, 0.0);
+            Lane_at (0, 1.0);
+            Run_until 10.0;
+          ])
+       (fun prog ->
+         let m = run_against_model prog in
+         List.rev m.Model.log = [ 1; 2; 0 ]))
 
 let test_engine_pending_after_purge_mixed () =
   let e = Engine.create () in
@@ -514,6 +591,101 @@ let test_repair_resumes () =
   Net.inject net ~at:a (make_packet net ~src:a ~dst:h);
   Engine.run engine;
   Alcotest.(check int) "delivered after repair" 1 !received
+
+(* One channel, 1 Mb/s with 1 ms delay: a 1500 B packet sent at 0 is due
+   at 13 ms; the link fails at 1 ms and is repaired at 2 ms, and a 64 B
+   packet sent at 3 ms is due at 4.512 ms — before the stale arrival
+   still queued on the channel, which must then drop as link-down. *)
+let test_post_repair_overtakes_stale () =
+  let b = Graph.Builder.create () in
+  let a = Graph.Builder.add_node b ~kind:Graph.Edge 100 in
+  let z = Graph.Builder.add_node b ~kind:Graph.Edge 101 in
+  let link = Graph.Builder.add_link b ~rate_bps:1e6 ~delay_s:1e-3 a z in
+  let g = Graph.Builder.finish b in
+  let engine = Engine.create () in
+  let net = Net.create ~graph:g ~engine () in
+  let recorder = Trace.Recorder.create () in
+  Net.set_recorder net (Some recorder);
+  let uids = ref [] in
+  let send size () =
+    let p =
+      Net.alloc net ~src:a ~dst:z ~size_bytes:size ~route_id:Bignum.Z.one
+        Packet.Raw
+    in
+    uids := Packet.uid p :: !uids;
+    Net.send net ~from_node:a ~port:0 p
+  in
+  ignore (Engine.schedule_at engine 0.0 (send 1500));
+  ignore (Engine.schedule_at engine 1e-3 (fun () -> Net.fail_link net link));
+  ignore (Engine.schedule_at engine 2e-3 (fun () -> Net.repair_link net link));
+  ignore (Engine.schedule_at engine 3e-3 (send 64));
+  Engine.run engine;
+  let big, small =
+    match List.rev !uids with
+    | [ big; small ] -> (big, small)
+    | _ -> Alcotest.fail "expected two packets"
+  in
+  (match Trace.Recorder.contents recorder with
+   | [ first; second ] ->
+     Alcotest.(check int) "the small packet first" small first.Trace.Event.uid;
+     Alcotest.(check bool) "delivered" true
+       (first.Trace.Event.action = Trace.Event.Deliver);
+     Alcotest.(check (float 1e-12)) "at 4.512 ms" 4.512e-3 first.Trace.Event.vtime;
+     Alcotest.(check int) "then the large one" big second.Trace.Event.uid;
+     Alcotest.(check bool) "dropped as link-down" true
+       (second.Trace.Event.action = Trace.Event.Drop "link_down");
+     Alcotest.(check (float 1e-12)) "at 13 ms" 13e-3 second.Trace.Event.vtime
+   | evs -> Alcotest.failf "expected 2 trace events, got %d" (List.length evs));
+  let s = Net.stats net in
+  Alcotest.(check int) "delivered" 1 s.Net.delivered;
+  Alcotest.(check int) "dropped link-down" 1 s.Net.dropped_link_down;
+  Alcotest.(check int) "nothing in flight" 0 (Net.pool_in_flight net)
+
+(* [schedule_admin] refuses a NaN or past time and [schedule_at_node] a
+   NaN one, on a solo and on a sharded net alike: nothing is queued, and
+   the actions queued before and after still run at their times. *)
+let check_admin_times ~regions () =
+  let g = Topo.Nets.net15.Topo.Nets.graph in
+  let net =
+    if regions = 1 then Net.create ~graph:g ~engine:(Engine.create ()) ()
+    else
+      Net.create_partitioned ~graph:g
+        ~partition:(Topo.Partition.make g ~regions)
+        ()
+  in
+  let ran = ref [] in
+  let action name () = ran := (name, Engine.now (Net.engine net)) :: !ran in
+  let rejects what ~names f =
+    match f () with
+    | () -> Alcotest.failf "%s was accepted" what
+    | exception Invalid_argument msg ->
+      List.iter
+        (fun affix ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %S names %s" what msg affix)
+            true
+            (Astring.String.is_infix ~affix msg))
+        names
+  in
+  let pending () = Engine.pending (Net.engine net) in
+  Net.schedule_admin net ~at:0.5 (action "a");
+  let queued = pending () in
+  rejects "a NaN admin time" ~names:[ "nan"; "(now 0)" ] (fun () ->
+      Net.schedule_admin net ~at:nan (action "nan"));
+  rejects "a NaN node time" ~names:[ "nan"; "(now 0)" ] (fun () ->
+      Net.schedule_at_node net 0 ~at:nan (action "node"));
+  Alcotest.(check int) "nothing queued" queued (pending ());
+  Net.schedule_admin net ~at:0.7 (action "c");
+  Net.run_until net 0.2;
+  let queued = pending () in
+  rejects "a past admin time" ~names:[ "0.1"; "(now 0.2)" ] (fun () ->
+      Net.schedule_admin net ~at:0.1 (action "past"));
+  Alcotest.(check int) "nothing queued at 0.2" queued (pending ());
+  Net.run_until net 1.0;
+  Alcotest.(check (list (pair string (float 0.0))))
+    "the valid actions ran at their times"
+    [ ("a", 0.5); ("c", 0.7) ]
+    (List.rev !ran)
 
 let test_ttl_enforced () =
   (* two switches in a loop would bounce forever without TTL; emulate by a
@@ -1004,6 +1176,7 @@ let () =
           Alcotest.test_case "foreign handle rejected" `Quick
             test_engine_foreign_handle;
           prop_engine_matches_model;
+          test_engine_lane_out_of_order;
         ] );
       ( "links",
         [
@@ -1016,6 +1189,12 @@ let () =
           Alcotest.test_case "failure kills queued/in-flight" `Quick
             test_failure_kills_queued_and_inflight;
           Alcotest.test_case "repair resumes" `Quick test_repair_resumes;
+          Alcotest.test_case "post-repair arrival overtakes a stale one" `Quick
+            test_post_repair_overtakes_stale;
+          Alcotest.test_case "admin times checked (solo)" `Quick
+            (check_admin_times ~regions:1);
+          Alcotest.test_case "admin times checked (2 regions)" `Quick
+            (check_admin_times ~regions:2);
           Alcotest.test_case "ttl enforced" `Quick test_ttl_enforced;
           Alcotest.test_case "detection delay black-holes" `Quick
             test_detection_delay_blackholes;
