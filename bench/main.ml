@@ -192,6 +192,24 @@ let tests =
       (Staged.stage (fun () -> Kar.Controller.scenario_plan net15 Kar.Controller.Full));
     Test.make ~name:"kar/plan-rnp-partial"
       (Staged.stage (fun () -> Kar.Controller.scenario_plan rnp Kar.Controller.Partial));
+    (* the plan server's planner on its 32-switch testbed: one partial
+       [protected_route] per run, cycling through 64 fixed ordered pairs,
+       so the estimate is the mean over the set (the destination trees are
+       built in the first pass, as a running server has them) *)
+    Test.make ~name:"kar/plan-gen32-partial"
+      (Staged.stage
+         (let g = Experiments.Service.testbed ~n_core:32 () in
+          let edges = Array.of_list (Topo.Graph.edge_nodes g) in
+          let n = Array.length edges in
+          let pairs =
+            Array.init 64 (fun i ->
+                (edges.(i * 7 mod n), edges.((i * 7 + 1 + (i mod (n - 1))) mod n)))
+          in
+          let next = ref 0 in
+          fun () ->
+            let src, dst = pairs.(!next land 63) in
+            incr next;
+            Kar.Controller.protected_route g ~src ~dst ~level:Kar.Controller.Partial));
     (* event engine throughput *)
     Test.make ~name:"netsim/engine-1000-events"
       (Staged.stage (fun () ->

@@ -146,23 +146,27 @@ let shift_right a k =
     end
   end
 
+let rec limb_width v acc = if v = 0 then acc else limb_width (v lsr 1) (acc + 1)
+
 let bit_length a =
   let n = Array.length a in
-  if n = 0 then 0
-  else begin
-    let top = a.(n - 1) in
-    let rec width v acc = if v = 0 then acc else width (v lsr 1) (acc + 1) in
-    ((n - 1) * limb_bits) + width top 0
-  end
+  if n = 0 then 0 else ((n - 1) * limb_bits) + limb_width a.(n - 1) 0
 
 (* Remainder-only reduction by a machine-int modulus: fold the limbs from
-   most to least significant with a precomputed [base mod s].  No quotient
-   array, no allocation — the loop is a tail recursion over machine ints.
-   Overflow-safe for s < base: r, bm <= base - 2 and a.(i) <= base - 1, so
-   r*bm + a.(i) <= (2^31-2)^2 + 2^31 - 1 < 2^62 - 1 = max_int. *)
-let rem_int a s =
+   most to least significant with a precomputed [bm = base mod s].  No
+   quotient array, no allocation — the loop is a tail recursion over
+   machine ints, top-level so that it compiles to a static call: a local
+   [let rec] capturing [a], [s] and [bm] is a heap-allocated closure on
+   every call.  Overflow-safe for s < base: r, bm <= base - 2 and
+   a.(i) <= base - 1, so r*bm + a.(i) <= (2^31-2)^2 + 2^31 - 1 < 2^62 - 1
+   = max_int. *)
+let rec rem_fold a s bm i r =
+  if i < 0 then r else rem_fold a s bm (i - 1) (((r * bm) + Array.unsafe_get a i) mod s)
+
+let rem_int_prefix a ~len s =
   if s <= 0 || s >= base then invalid_arg "Nat.rem_int: modulus out of range";
-  match Array.length a with
+  if len < 0 || len > Array.length a then invalid_arg "Nat.rem_int_prefix: bad length";
+  match len with
   (* magnitudes up to two limbs fit in 62 bits: one machine division,
      skipping even the [base mod s] setup (route IDs of small deployments
      land here) *)
@@ -170,13 +174,64 @@ let rem_int a s =
   | 1 -> Array.unsafe_get a 0 mod s
   | 2 ->
     ((Array.unsafe_get a 1 lsl limb_bits) lor Array.unsafe_get a 0) mod s
-  | len ->
-    let bm = base mod s in
-    let rec fold i r =
-      if i < 0 then r
-      else fold (i - 1) (((r * bm) + Array.unsafe_get a i) mod s)
-    in
-    fold (len - 1) 0
+  | len -> rem_fold a s (base mod s) (len - 1) 0
+
+let rem_int a s = rem_int_prefix a ~len:(Array.length a) s
+
+(* --- in-place kernels over a limb buffer ------------------------------
+
+   A buffer is an [int array] whose first [len] limbs hold a magnitude
+   (top limb nonzero, or [len = 0]); the limbs past [len] are scratch.
+   The CRT accumulator in [Rns] grows a route ID and its modulus with
+   these, one switch ID at a time, without allocating. *)
+
+(* Both factors are below base, so a limb product plus a carry below base
+   stays under (B-1)^2 + B - 1 < 2^62. *)
+let mul_int_into a ~len s dst =
+  let carry = ref 0 in
+  for i = 0 to len - 1 do
+    let t = (a.(i) * s) + !carry in
+    dst.(i) <- t land mask;
+    carry := t lsr limb_bits
+  done;
+  if !carry = 0 then len
+  else begin
+    dst.(len) <- !carry;
+    len + 1
+  end
+
+(* r.(i) + m.(i)*t + carry <= (B-1) + (B-1)^2 + (B-1) = B^2 - 1 = 2^62 - 1:
+   the same bound as [mul]'s inner step. *)
+let add_mul_int_into r ~rlen m ~mlen t =
+  let n = if rlen > mlen then rlen else mlen in
+  let carry = ref 0 in
+  for i = 0 to n - 1 do
+    let ri = if i < rlen then r.(i) else 0 in
+    let mi = if i < mlen then m.(i) else 0 in
+    let v = ri + (mi * t) + !carry in
+    r.(i) <- v land mask;
+    carry := v lsr limb_bits
+  done;
+  let len = ref n in
+  if !carry <> 0 then begin
+    r.(n) <- !carry;
+    incr len
+  end;
+  while !len > 0 && r.(!len - 1) = 0 do
+    decr len
+  done;
+  !len
+
+let rec zero_below a i = i < 0 || (a.(i) = 0 && zero_below a (i - 1))
+
+(* The bit length of [a - 1] for [a >= 1]: one less than [a]'s own exactly
+   when [a] is a power of two (top limb a power of two, every lower limb
+   zero). *)
+let bit_length_pred a ~len =
+  if len = 0 then invalid_arg "Nat.bit_length_pred: zero";
+  let top = a.(len - 1) in
+  let bits = ((len - 1) * limb_bits) + limb_width top 0 in
+  if top land (top - 1) = 0 && zero_below a (len - 2) then bits - 1 else bits
 
 (* --- byte-backed limb views ------------------------------------------
 
@@ -219,7 +274,12 @@ let equal_bytes a b ~pos ~limbs =
   Array.length a = limbs && equal_bytes_from a b pos (limbs - 1)
 
 (* Mirror of [rem_int] over the byte view, including the 0/1/2-limb fast
-   paths (two limbs fit in 62 bits: one machine division). *)
+   paths (two limbs fit in 62 bits: one machine division), with its fold
+   top-level for the same reason. *)
+let rec rem_fold_bytes b pos s bm i r =
+  if i < 0 then r
+  else rem_fold_bytes b pos s bm (i - 1) (((r * bm) + get_u32 b (pos + (4 * i))) mod s)
+
 let rem_int_bytes b ~pos ~limbs s =
   if s <= 0 || s >= base then
     invalid_arg "Nat.rem_int_bytes: modulus out of range";
@@ -227,13 +287,7 @@ let rem_int_bytes b ~pos ~limbs s =
   | 0 -> 0
   | 1 -> get_u32 b pos mod s
   | 2 -> ((get_u32 b (pos + 4) lsl limb_bits) lor get_u32 b pos) mod s
-  | len ->
-    let bm = base mod s in
-    let rec fold i r =
-      if i < 0 then r
-      else fold (i - 1) (((r * bm) + get_u32 b (pos + (4 * i))) mod s)
-    in
-    fold (len - 1) 0
+  | len -> rem_fold_bytes b pos s (base mod s) (len - 1) 0
 
 (* Division of a canonical magnitude by a single limb [d]; returns the
    quotient and the remainder limb. *)

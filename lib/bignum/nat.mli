@@ -59,10 +59,42 @@ val divmod : int array -> int array -> int array * int array
 
 (** [rem_int a s] is [a mod s] for a machine-int modulus [1 <= s < base],
     folding the limbs high-to-low with a precomputed [base mod s].  Unlike
-    {!divmod} it builds no quotient and allocates nothing — this is the
+    {!divmod} it builds no quotient and allocates nothing at any width
+    (the fold is a top-level tail recursion, not a closure) — this is the
     data-plane kernel behind [Rns.port].
     @raise Invalid_argument when [s] is outside [\[1, base)]. *)
 val rem_int : int array -> int -> int
+
+(** [rem_int_prefix a ~len s] is {!rem_int} of the magnitude in
+    [a.(0 .. len-1)] (a limb buffer, below); [rem_int a] is
+    [rem_int_prefix a ~len:(Array.length a)].
+    @raise Invalid_argument when [s] is outside [\[1, base)] or [len]
+    outside [\[0, Array.length a\]]. *)
+val rem_int_prefix : int array -> len:int -> int -> int
+
+(** {2 In-place kernels over a limb buffer}
+
+    A buffer is an [int array] whose first [len] limbs hold a canonical
+    magnitude (top limb nonzero, or [len = 0]); the limbs past [len] are
+    scratch.  These kernels read and write buffers in place and allocate
+    nothing; the caller guarantees the room each one states. *)
+
+(** [mul_int_into a ~len s dst] writes [a * s] for [0 <= s < base] to
+    [dst] (which may be [a]) and returns its length, [len] or [len + 1];
+    [dst] has room for [len + 1] limbs.  A zero [s] leaves zero limbs:
+    callers pass [s >= 1]. *)
+val mul_int_into : int array -> len:int -> int -> int array -> int
+
+(** [add_mul_int_into r ~rlen m ~mlen t] adds [m * t] for [0 <= t < base]
+    to the magnitude in [r] in place and returns its new length; [r] has
+    room for [max rlen mlen + 1] limbs. *)
+val add_mul_int_into : int array -> rlen:int -> int array -> mlen:int -> int -> int
+
+(** [bit_length_pred a ~len] is the bit length of [a - 1] for the nonzero
+    magnitude in [a.(0 .. len-1)]: the number of bits any value in
+    [\[0, a)] needs (paper Eq. 9).
+    @raise Invalid_argument when [len = 0]. *)
+val bit_length_pred : int array -> len:int -> int
 
 (** {2 Byte-backed limb views}
 

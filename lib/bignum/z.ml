@@ -96,6 +96,15 @@ let rem_int_bytes b ~pos ~limbs s = Nat.rem_int_bytes b ~pos ~limbs s
 let equal_limbs a b ~pos ~limbs =
   a.sign >= 0 && Nat.equal_bytes a.mag b ~pos ~limbs
 
+(* Limb buffers (the in-place kernels of Nat): non-negative values only. *)
+
+let blit_nat a dst =
+  let n = Array.length a.mag in
+  Array.blit a.mag 0 dst 0 n;
+  n
+
+let of_nat a ~len = mk 1 (Nat.normalize (Array.sub a 0 len))
+
 let compare a b =
   if a.sign <> b.sign then Stdlib.compare a.sign b.sign
   else if a.sign >= 0 then Nat.compare a.mag b.mag
@@ -114,6 +123,10 @@ let shift_right a k =
   mk a.sign (Nat.shift_right a.mag k)
 
 let bit_length a = Nat.bit_length a.mag
+
+let bit_length_pred a =
+  if a.sign <= 0 then invalid_arg "Z.bit_length_pred: not positive";
+  Nat.bit_length_pred a.mag ~len:(Array.length a.mag)
 
 let pow b k =
   if k < 0 then invalid_arg "Z.pow: negative exponent";

@@ -84,6 +84,19 @@ val rem_int_bytes : Bytes.t -> pos:int -> limbs:int -> int -> int
     for negative [a]. *)
 val equal_limbs : t -> Bytes.t -> pos:int -> limbs:int -> bool
 
+(** {2 Limb buffers}
+
+    Conversions to and from the {!Bignum.Nat} limb buffers that in-place
+    kernels grow (the CRT accumulator of [Rns]). *)
+
+(** [blit_nat a dst] copies the limbs of [|a|] to the start of [dst] and
+    returns their count; [dst] has room for {!limb_count}[ a] limbs. *)
+val blit_nat : t -> int array -> int
+
+(** [of_nat a ~len] is the non-negative value whose limbs are
+    [a.(0 .. len-1)], least significant first (copied). *)
+val of_nat : int array -> len:int -> t
+
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val min : t -> t -> t
@@ -98,6 +111,11 @@ val shift_right : t -> int -> t
 
 (** [bit_length a] is the bit length of [|a|]; [bit_length zero = 0]. *)
 val bit_length : t -> int
+
+(** [bit_length_pred a] is [bit_length (a - 1)] for [a >= 1], read off
+    [a]'s limbs without computing [a - 1].
+    @raise Invalid_argument when [a < 1]. *)
+val bit_length_pred : t -> int
 
 (** [pow b k] is [b^k] for [k >= 0]. *)
 val pow : t -> int -> t

@@ -4,16 +4,18 @@ module Paths = Topo.Paths
 let core_link l g =
   Graph.is_core g l.Graph.ep0.node && Graph.is_core g l.Graph.ep1.node
 
+(* The breadth-first tree toward [dest] over core-core links depends on
+   the graph and [dest] alone (one tree per destination serves every
+   source), so the graph keeps it once built. *)
+let core_tree g dest = snd (Paths.bfs g ~usable:(fun l -> core_link l g) dest)
+
 let tree_hops g ~dest members =
-  let usable l = core_link l g in
-  let dist, parent = Paths.bfs g ~usable dest in
+  let parent = Graph.dest_tree g dest ~build:core_tree in
   List.filter_map
     (fun m_label ->
       match Graph.find_label g m_label with
-      | None -> None
-      | Some m ->
-        if m = dest || dist.(m) = max_int then None
-        else Some (m_label, Graph.label g parent.(m)))
+      | Some m when parent.(m) >= 0 -> Some (m_label, Graph.label g parent.(m))
+      | Some _ | None -> None)
     members
 
 (* A multi-source BFS from the path over core-core links, each path node
@@ -55,7 +57,10 @@ let off_path_members g ~path ~radius =
     let v = queue.(i) in
     found := (dist.(v), Graph.label g v) :: !found
   done;
-  List.map snd (List.sort Stdlib.compare !found)
+  let by_distance_then_label (d, l) (d', l') =
+    if d <> d' then Int.compare d d' else Int.compare l l'
+  in
+  List.map snd (List.sort by_distance_then_label !found)
 
 (* The core nodes across [v]'s ports, in port order, leaving out the link
    [failed] and the node [except]. *)

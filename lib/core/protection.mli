@@ -14,7 +14,10 @@ module Graph = Topo.Graph
     shortest-path tree (over core links only) rooted at [dest]: the paper's
     driven-deflection forwarding paths.  Members already adjacent to the
     tree route through it; unreachable members are omitted.  [dest] is a
-    core node; members are given and returned as labels. *)
+    core node; members are given and returned as labels.  The tree is
+    {!Topo.Paths.bfs}'s over core-core links from [dest], built on the
+    first call for [dest] and kept on [g] ({!Topo.Graph.dest_tree}), so a
+    later call only reads it. *)
 val tree_hops : Graph.t -> dest:Graph.node -> int list -> (int * int) list
 
 (** [off_path_members g ~path ~radius] lists the labels of core switches

@@ -120,40 +120,32 @@ let protect g plan hops =
   encode_plan ~core_path:plan.core_path ~protection:(plan.protection @ hops) residues
 
 (* [protect] applied one hop at a time, continuing the plan's own CRT
-   state: a hop is kept when its residue is valid, its switch ID is > 1
-   and the CRT step finds it coprime with the plan's modulus (so with
-   every switch already in the plan, a repeated switch included), which
-   is everything [protect] checks, and the grown modulus keeps the Eq. 9
-   bound within [max_bits].  A kept residue is folded in once, when it is
-   kept. *)
+   state in an accumulator: a hop is kept when its residue is valid, its
+   switch ID is > 1 and the accumulator folds it in, i.e. finds it
+   coprime with the plan's modulus (so with every switch already in the
+   plan, a repeated switch included), which is everything [protect]
+   checks, and finds the grown modulus's Eq. 9 bound within [max_bits].
+   The route ID and modulus are built once, at the end. *)
 let protect_skipping ?(max_bits = Wire.Header.max_route_bits) g plan hops =
-  let rec select state bits kept extra = function
-    | [] -> (state, bits, List.rev kept, List.rev extra)
+  let acc = Rns.Acc.create plan.route_id plan.modulus in
+  let rec select kept extra = function
+    | [] -> (List.rev kept, List.rev extra)
     | hop :: rest ->
-      let grown =
-        match hop_residue g hop with
-        | Ok r when r.Rns.modulus > 1 ->
-          (match Rns.step state r with
-           | Some ((_, modulus) as state) ->
-             let bits = Rns.bit_length_bound modulus in
-             if bits <= max_bits then Some (r, state, bits) else None
-           | None -> None)
-        | Ok _ | Error _ -> None
-      in
-      (match grown with
-       | Some (r, state, bits) -> select state bits (hop :: kept) (r :: extra) rest
-       | None -> select state bits kept extra rest)
+      (match hop_residue g hop with
+       | Ok r when r.Rns.modulus > 1 && Rns.Acc.add ~max_bits acc r ->
+         select (hop :: kept) (r :: extra) rest
+       | Ok _ | Error _ -> select kept extra rest)
   in
-  match select (plan.route_id, plan.modulus) plan.bit_length [] [] hops with
-  | _, _, [], _ -> plan
-  | (route_id, modulus), bit_length, kept, extra ->
+  match select [] [] hops with
+  | [], _ -> plan
+  | kept, extra ->
     {
-      route_id;
-      modulus;
+      route_id = Rns.Acc.route_id acc;
+      modulus = Rns.Acc.modulus acc;
       residues = plan.residues @ extra;
       core_path = plan.core_path;
       protection = plan.protection @ kept;
-      bit_length;
+      bit_length = Rns.Acc.bits acc;
     }
 
 let of_labels_exn g labels ~egress_label =

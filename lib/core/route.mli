@@ -56,14 +56,15 @@ val protect : Topo.Graph.t -> plan -> (int * int) list -> (plan, error) result
 (** [protect_skipping ?max_bits g plan hops] folds in each hop that
     {!protect} would accept after the hops already kept and skips the
     others, in one pass that continues the plan's own CRT state
-    [(route_id, modulus)] with {!Rns.step}: a kept residue is folded in
-    once and nothing is re-encoded, so the result equals {!protect} of the
-    kept hops.  A hop is skipped when its switch and next hop are not
-    adjacent, its switch is not a core switch, its port is [>=] the switch
-    ID, the switch ID is [<= 1] or shares a factor with a switch already in
-    the plan (a repeated switch included), or the plan's Eq. 9 bound with
-    it would exceed [max_bits] (default {!Wire.Header.max_route_bits}, the
-    header's route-ID width).  A hop skipped for the budget does not end
+    [(route_id, modulus)] in an {!Rns.Acc} accumulator: a kept residue is
+    folded in once, nothing is re-encoded and the route ID and modulus are
+    built once, so the result equals {!protect} of the kept hops.  A hop
+    is skipped when its switch and next hop are not adjacent, its switch
+    is not a core switch, its port is [>=] the switch ID, the switch ID is
+    [<= 1] or shares a factor with a switch already in the plan (a
+    repeated switch included), or the plan's Eq. 9 bound with it would
+    exceed [max_bits] (default {!Wire.Header.max_route_bits}, the header's
+    route-ID width).  A hop skipped for the budget does not end
     the fold: a later hop through a smaller switch ID may still fit.
     Returns [plan] itself when every hop is skipped.  [plan] must be one
     this module built, so that its modulus is the product of its

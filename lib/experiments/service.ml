@@ -263,6 +263,77 @@ let canonical_metrics () =
   in
   Buffer.contents buf
 
+(* --- plan digests (golden fixture) ---
+
+   The planner's output on the serving testbeds, condensed to one line per
+   testbed, level and failed-link set: the pair count, how many raised,
+   and the MD5 of every field of every plan in pair order (the message for
+   a pair that raised).  gen:32 plans all 992 ordered edge pairs, with no
+   failed link and with links 3 and 17 failed; gen:128 the 50 pairs
+   test_kar's header-budget test samples, with no failed link, since its
+   full sweep takes tens of seconds.  Committed under test/fixtures/ and
+   recomputed by test_kar. *)
+let plan_digests () =
+  let buf = Buffer.create (1 lsl 20) and out = Buffer.create 1024 in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let int_pairs l =
+    String.concat "," (List.map (fun (a, b) -> Printf.sprintf "%d:%d" a b) l)
+  in
+  let plan_into g ?usable (src, dst) level =
+    let label = Graph.label g in
+    Printf.bprintf buf "%d>%d " (label src) (label dst);
+    match Kar.Controller.protected_route ?usable g ~src ~dst ~level with
+    | exception Invalid_argument msg ->
+      Printf.bprintf buf "error %s\n" msg;
+      1
+    | p ->
+      Printf.bprintf buf "%s %s %d [%s] [%s] [%s]\n"
+        (Bignum.Z.to_string p.Kar.Route.route_id)
+        (Bignum.Z.to_string p.Kar.Route.modulus)
+        p.Kar.Route.bit_length
+        (int_pairs (List.map (fun r -> (r.Rns.modulus, r.Rns.value)) p.Kar.Route.residues))
+        (ints p.Kar.Route.core_path)
+        (int_pairs p.Kar.Route.protection);
+      0
+  in
+  let testbed_lines name g ~failure_sets pairs =
+    List.iter
+      (fun failed ->
+        let usable =
+          match failed with
+          | [] -> None
+          | _ -> Some (fun l -> not (List.mem l.Graph.id failed))
+        in
+        List.iter
+          (fun level ->
+            Buffer.clear buf;
+            let raised =
+              List.fold_left (fun n pair -> n + plan_into g ?usable pair level) 0 pairs
+            in
+            Printf.bprintf out
+              "{\"testbed\":%S,\"level\":%S,\"failed\":[%s],\"pairs\":%d,\"raised\":%d,\"md5\":%S}\n"
+              name
+              (Kar.Controller.level_to_string level)
+              (ints failed)
+              (List.length pairs) raised
+              (Digest.to_hex (Digest.string (Buffer.contents buf))))
+          Kar.Controller.all_levels)
+      failure_sets
+  in
+  let g32 = testbed ~n_core:32 () in
+  let edges = Graph.edge_nodes g32 in
+  testbed_lines "gen:32" g32 ~failure_sets:[ []; [ 3; 17 ] ]
+    (List.concat_map
+       (fun src -> List.filter_map (fun dst -> if src = dst then None else Some (src, dst)) edges)
+       edges);
+  let g128 = testbed ~n_core:128 () in
+  let edges = Array.of_list (Graph.edge_nodes g128) in
+  let n = Array.length edges in
+  testbed_lines "gen:128" g128 ~failure_sets:[ [] ]
+    (List.init 50 (fun i ->
+         (edges.(i * 13 mod n), edges.((i * 13 + 1 + (i * 7 mod (n - 1))) mod n))));
+  Buffer.contents out
+
 let metrics_to_string ?profile () =
   let s = storm ?profile () in
   "Replan-storm registry snapshot (end of run)\n"

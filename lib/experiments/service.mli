@@ -63,6 +63,16 @@ val canonical_trace : unit -> string
     Byte-identical at any pool width. *)
 val canonical_metrics : unit -> string
 
+(** [plan_digests ()] is the JSONL behind the committed
+    [test/fixtures/plan_digests.jsonl]: per testbed, level and failed-link
+    set, one line with the pair count, how many pairs raised, and the MD5
+    of every {!Kar.Controller.protected_route} plan field (or error
+    message) in pair order.  The 32-switch testbed plans all 992 ordered
+    edge pairs, with no failed link and with links 3 and 17 failed (the
+    primary path avoids them); the 128-switch testbed plans a fixed
+    sample of 50 pairs with no failed link. *)
+val plan_digests : unit -> string
+
 (** [metrics_to_string ()] renders the storm run's end-of-run registry and
     span summaries (the [--metrics] view of the [svc] experiment). *)
 val metrics_to_string : ?profile:Profile.t -> unit -> string

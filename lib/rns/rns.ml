@@ -1,4 +1,5 @@
 module Z = Bignum.Z
+module Nat = Bignum.Nat
 
 type residue = { modulus : int; value : int }
 
@@ -46,8 +47,8 @@ let pairwise_coprime ids =
 
 let modulus_product ids = Z.product (List.map Z.of_int ids)
 
-(* Moduli below 2^31 keep every product in the fold step below inside a
-   63-bit int, and keep [Z.rem_int] on its machine-int limb fold. *)
+(* Moduli below 2^31 keep every product in the CRT fold below inside a
+   63-bit int, and keep the remainders on their machine-int limb folds. *)
 let max_modulus = 1 lsl 31
 
 let range_error r =
@@ -69,26 +70,74 @@ let inverse_mod a s =
   in
   go a 1 s 0
 
-(* One incremental CRT step (paper Eq. 4-8 folded one residue at a time):
+(* The incremental CRT (paper Eq. 4-8 folded one residue at a time):
    given R < M solving the residues so far, R' = R + M*t with
    t = (p - R mod s) * (M mod s)^-1 mod s solves them and R' = p mod s,
    and R' < M*s.  M mod s is reduced once: s is coprime with every
    modulus folded into M exactly when gcd (s, M mod s) = 1, and the same
-   Euclid pass gives the inverse.  Both factors of the product are below
-   s < 2^31, so it fits a 63-bit int. *)
-let step (r, m) ({ modulus = s; value = p } as res) =
-  (match range_error res with
-   | Some e -> invalid_arg ("Rns.step: " ^ error_to_string e)
-   | None -> ());
-  let inv = inverse_mod (Z.rem_int m s) s in
-  if inv < 0 then None
-  else begin
-    let t = (p - Z.rem_int r s + s) mod s * inv mod s in
-    Some (Z.add r (Z.mul m (Z.of_int t)), Z.mul m (Z.of_int s))
-  end
+   Euclid pass gives the inverse.  Both factors of t's product are below
+   s < 2^31, so it fits a 63-bit int.
+
+   (R, M) live in limb buffers that grow in place.  M*s goes to the spare
+   buffer [next] first, so the Eq. 9 bound of the grown modulus is known
+   before anything is committed; R then takes M*t in place and [m] and
+   [next] swap.  A buffer has room for one more limb than M, all that one
+   factor below 2^31 can add. *)
+module Acc = struct
+  type t = {
+    mutable r : int array;
+    mutable rlen : int;
+    mutable m : int array;
+    mutable mlen : int;
+    mutable next : int array;
+    mutable bits : int;
+  }
+
+  let create route_id modulus =
+    let cap = Z.limb_count modulus + 8 in
+    let r = Array.make cap 0 and m = Array.make cap 0 in
+    let rlen = Z.blit_nat route_id r and mlen = Z.blit_nat modulus m in
+    { r; rlen; m; mlen; next = Array.make cap 0; bits = Nat.bit_length_pred m ~len:mlen }
+
+  let grow a len =
+    let b = Array.make (2 * Array.length a) 0 in
+    Array.blit a 0 b 0 len;
+    b
+
+  let add ?(max_bits = max_int) acc ({ modulus = s; value = p } as res) =
+    (match range_error res with
+     | Some e -> invalid_arg ("Rns.Acc.add: " ^ error_to_string e)
+     | None -> ());
+    let inv = inverse_mod (Nat.rem_int_prefix acc.m ~len:acc.mlen s) s in
+    if inv < 0 then false
+    else begin
+      if acc.mlen >= Array.length acc.next then begin
+        acc.r <- grow acc.r acc.rlen;
+        acc.m <- grow acc.m acc.mlen;
+        acc.next <- Array.make (Array.length acc.m) 0
+      end;
+      let nlen = Nat.mul_int_into acc.m ~len:acc.mlen s acc.next in
+      let bits = Nat.bit_length_pred acc.next ~len:nlen in
+      if bits > max_bits then false
+      else begin
+        let t = (p - Nat.rem_int_prefix acc.r ~len:acc.rlen s + s) mod s * inv mod s in
+        acc.rlen <- Nat.add_mul_int_into acc.r ~rlen:acc.rlen acc.m ~mlen:acc.mlen t;
+        let m = acc.m in
+        acc.m <- acc.next;
+        acc.mlen <- nlen;
+        acc.next <- m;
+        acc.bits <- bits;
+        true
+      end
+    end
+
+  let route_id acc = Z.of_nat acc.r ~len:acc.rlen
+  let modulus acc = Z.of_nat acc.m ~len:acc.mlen
+  let bits acc = acc.bits
+end
 
 (* R is unique below M, so folding the residues in any order gives the
-   same (R, M).  Every range check runs before the first step.  A step
+   same (R, M).  Every range check runs before the first fold.  A fold
    that finds a shared factor only knows that some earlier modulus shares
    it, so [pairwise_coprime] then names the first offending pair in list
    order; it always finds one. *)
@@ -99,17 +148,17 @@ let encode residues =
     (match List.find_map range_error residues with
      | Some e -> Error e
      | None ->
-       let rec fold acc = function
-         | [] -> Ok acc
+       let acc = Acc.create Z.zero Z.one in
+       let rec fold = function
+         | [] -> Ok (Acc.route_id acc, Acc.modulus acc)
          | res :: rest ->
-           (match step acc res with
-            | Some acc -> fold acc rest
-            | None ->
-              (match pairwise_coprime (List.map (fun r -> r.modulus) residues) with
-               | Error e -> Error e
-               | Ok () -> assert false))
+           if Acc.add acc res then fold rest
+           else (
+             match pairwise_coprime (List.map (fun r -> r.modulus) residues) with
+             | Error e -> Error e
+             | Ok () -> assert false)
        in
-       fold (Z.zero, Z.one) residues)
+       fold residues)
 
 let encode_exn residues =
   match encode residues with
@@ -122,5 +171,4 @@ let port route_id switch_id = Z.rem_int route_id switch_id
 
 let decode route_id ids = List.map (port route_id) ids
 
-let bit_length_bound m =
-  if Z.compare m Z.one <= 0 then 0 else Z.bit_length (Z.sub m Z.one)
+let bit_length_bound m = if Z.compare m Z.one <= 0 then 0 else Z.bit_length_pred m

@@ -32,30 +32,56 @@ val error_to_string : error -> string
 val coprime : int -> int -> bool
 
 (** [pairwise_coprime ids] is [Ok ()] or the first offending pair.  O(n^2)
-    gcds; {!encode} runs it only once a step has already failed. *)
+    gcds; {!encode} runs it only once a fold has already failed. *)
 val pairwise_coprime : int list -> (unit, error) result
 
 (** [modulus_product ids] is [M = prod ids] (Eq. 1). *)
 val modulus_product : int list -> Z.t
 
-(** [step (r, m) res] folds one residue [(s, p)] into the CRT state of
-    the residues so far ([r < m], [m] their modulus product): [Some] the
-    pair [(r + m*t, m*s)], [t = (p - r mod s) * (m mod s)^-1 mod s] in
-    machine ints, or [None] when [s] shares a factor with [m], i.e. with
-    some modulus already folded in.  [m mod s] is reduced once and one
-    extended-Euclid pass over it gives both the gcd that decides
-    coprimality and the inverse, so a step costs one gcd however many
-    residues came before.
-    @raise Invalid_argument when [res] fails {!encode}'s range checks. *)
-val step : Z.t * Z.t -> residue -> (Z.t * Z.t) option
+(** The CRT accumulator: the state [(R, M)] of the residues folded so far
+    ([R < M], [M] their modulus product), kept in {!Bignum.Nat} limb
+    buffers that grow in place.  Folding a residue [(s, p)] reduces [M]
+    and [R] by [s] with limb folds, then, when [s] is coprime with [M],
+    makes [R' = R + M*t], [t = (p - R mod s) * (M mod s)^-1 mod s], and
+    [M' = M*s] with carries, allocating nothing.  [M mod s] is reduced once
+    and one extended-Euclid pass over it gives both the gcd that decides
+    coprimality and the inverse, so a fold costs one gcd however many
+    residues came before.  This is the one CRT: {!encode} and the
+    protection fold ([Route.protect_skipping]) both run it and build
+    their {!Z.t} results once, at the end.  An accumulator belongs to one
+    caller: make one per encoding. *)
+module Acc : sig
+  type t
+
+  (** [create route_id modulus] starts from [(R, M) = (route_id, modulus)],
+      which must satisfy [0 <= R < M] with [M] the product of the moduli
+      [R] solves ([(zero, one)] for an empty system). *)
+  val create : Z.t -> Z.t -> t
+
+  (** [add ?max_bits acc res] folds [res] in and is [true], or is [false]
+      and leaves [acc] untouched when [res]'s modulus shares a factor with
+      [M] (with some modulus already folded in) or when the grown
+      modulus's Eq. 9 bound ({!bit_length_bound}) would exceed [max_bits]
+      (default: no limit).
+      @raise Invalid_argument when [res] fails {!encode}'s range checks. *)
+  val add : ?max_bits:int -> t -> residue -> bool
+
+  (** [route_id acc] and [modulus acc] are [R] and [M] as fresh values. *)
+  val route_id : t -> Z.t
+
+  val modulus : t -> Z.t
+
+  (** [bits acc] is [bit_length_bound M], kept up to date by {!add}. *)
+  val bits : t -> int
+end
 
 (** [encode residues] is [Ok (route_id, m)] where [route_id] is the CRT
     reconstruction (Eq. 4) and [m] the modulus product, or an [error] when
     the system is invalid.  It runs the range checks over the whole list
     (in list order: [Nonpositive_modulus], [Modulus_too_large],
-    [Residue_out_of_range]), then folds {!step} left to right from
-    [(R, M) = (0, 1)], so a valid system of n residues costs n gcds.  At
-    the first step that finds a shared factor it runs {!pairwise_coprime}
+    [Residue_out_of_range]), then folds them into an {!Acc} left to right
+    from [(R, M) = (0, 1)], so a valid system of n residues costs n gcds.
+    At the first fold that finds a shared factor it runs {!pairwise_coprime}
     to name the first offending pair in list order.  [R] is unique below
     [M], so the result equals Eq. 4's sum and does not depend on the order
     of [residues]. *)

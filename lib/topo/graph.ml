@@ -22,6 +22,7 @@ type t = {
   far : node array array; (* far.(v).(p) = the node across port p of v *)
   link_arr : link array;
   by_label : (int, node) Hashtbl.t;
+  trees : node array option Atomic.t array; (* per destination, filled on first use *)
 }
 
 let default_rate_bps = 200e6
@@ -155,7 +156,8 @@ module Builder = struct
             arr)
         ports
     in
-    { labels; kinds; ports; far; link_arr; by_label }
+    let trees = Array.init (Array.length labels) (fun _ -> Atomic.make None) in
+    { labels; kinds; ports; far; link_arr; by_label; trees }
 end
 
 let n_nodes g = Array.length g.labels
@@ -212,6 +214,17 @@ let port_towards g v u =
   go 0
 
 let links g = Array.to_list g.link_arr
+
+(* Two domains may fill a slot at once: both build the same tree and the
+   first compare-and-set wins, so every caller sees one array. *)
+let dest_tree g dest ~build =
+  let slot = g.trees.(dest) in
+  match Atomic.get slot with
+  | Some parent -> parent
+  | None ->
+    let parent = build g dest in
+    if Atomic.compare_and_set slot None (Some parent) then parent
+    else Option.get (Atomic.get slot)
 
 let link_between g u v =
   match port_towards g u v with

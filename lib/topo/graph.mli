@@ -13,9 +13,10 @@
     KAR switch ID (pairwise coprime across the core).  Edge nodes (hosts /
     autonomous systems) are [Edge]-kind and never appear in route IDs.
 
-    The structure is immutable after {!Builder.finish}; transient state
-    (link failures, queue contents) lives in the simulator and analyses,
-    parameterised by link predicates. *)
+    The structure is immutable after {!Builder.finish}, apart from the
+    trees it keeps per destination ({!dest_tree}), which depend on the
+    structure alone; transient state (link failures, queue contents) lives
+    in the simulator and analyses, parameterised by link predicates. *)
 
 type node = int
 (** Dense node index in [0 .. n_nodes-1]. *)
@@ -119,6 +120,19 @@ val port_towards : t -> node -> node -> int option
 val links : t -> link list
 val link : t -> link_id -> link
 
+(** [dest_tree g dest ~build] is the tree toward node [dest] that [g] keeps:
+    a parent array, [parent.(v)] being [v]'s next node toward [dest]
+    ([-1] at [dest] and at nodes the tree does not reach).  The first call
+    for [dest] stores [build g dest] and later calls return the stored
+    array without calling [build], so a tree must depend only on the
+    graph and [dest], and every caller must pass a [build] that makes the
+    same tree: [Protection]'s core-link tree is the one user.  Filling is
+    domain-safe: two domains may build [dest]'s tree at once, one array is
+    stored (atomic compare-and-set) and both return it.  The array is
+    shared; callers must not mutate it.  {!relabel} keeps the trees, and
+    shares them with the copy, since they hold nodes, not labels. *)
+val dest_tree : t -> node -> build:(t -> node -> node array) -> node array
+
 (** [link_between g u v] is the lowest-id link joining [u] and [v]. *)
 val link_between : t -> node -> node -> link_id option
 
@@ -146,7 +160,8 @@ val core_links : t -> link_id list
 val core_labels : t -> int list
 
 (** [relabel g mapping] returns a copy of [g] whose node [v] carries label
-    [mapping.(v)]; used by switch-ID assignment strategies.
+    [mapping.(v)]; used by switch-ID assignment strategies.  The copy
+    shares [g]'s destination trees ({!dest_tree}).
     @raise Invalid_argument on duplicate labels, wrong array length, or a
     core label outside [\[1, max_core_label)]. *)
 val relabel : t -> int array -> t

@@ -2,12 +2,14 @@ type path = Graph.node list
 
 let always_usable (_ : Graph.link) = true
 
-(* The FIFO is an int array: each node is enqueued at most once, when it
-   is discovered.  [usable] is asked only about a link to an undiscovered
-   node; since it is pure, skipping the other questions cannot change
-   which port a node is first discovered over, so every distance, parent
-   and port-order tie-break is the plain search's. *)
-let bfs g ?(usable = always_usable) src =
+(* The one breadth-first search.  The FIFO is an int array: each node is
+   enqueued at most once, when it is discovered.  [usable] is asked only
+   about a link to an undiscovered node; since it is pure, skipping the
+   other questions cannot change which port a node is first discovered
+   over, so every distance, parent and port-order tie-break is the plain
+   search's.  A node's parent is fixed when it is discovered, so the
+   search may stop there once it discovers [stop] (-1: never). *)
+let search g ~usable src ~stop =
   let n = Graph.n_nodes g in
   let dist = Array.make n max_int and parent = Array.make n (-1) in
   let queue = Array.make n src in
@@ -16,28 +18,34 @@ let bfs g ?(usable = always_usable) src =
   while !head < !tail do
     let v = queue.(!head) in
     incr head;
-    let d = dist.(v) + 1 in
-    for p = 0 to Graph.degree g v - 1 do
-      let far = Graph.far g v p in
-      if dist.(far) = max_int && usable (Graph.link_at g v p) then begin
+    let d = dist.(v) + 1 and degree = Graph.degree g v in
+    let p = ref 0 in
+    while !p < degree do
+      let far = Graph.far g v !p in
+      if dist.(far) = max_int && usable (Graph.link_at g v !p) then begin
         dist.(far) <- d;
         parent.(far) <- v;
         queue.(!tail) <- far;
-        incr tail
-      end
+        incr tail;
+        if far = stop then begin
+          p := degree;
+          head := !tail
+        end
+      end;
+      incr p
     done
   done;
   (dist, parent)
 
-let reconstruct parent src dst =
-  let rec go acc v = if v = src then src :: acc else go (v :: acc) parent.(v) in
-  if dst = src then Some [ src ]
-  else if parent.(dst) < 0 then None
-  else Some (go [] dst)
+let bfs g ?(usable = always_usable) src = search g ~usable src ~stop:(-1)
 
-let shortest_path g ?usable src dst =
-  let _, parent = bfs g ?usable src in
-  reconstruct parent src dst
+let shortest_path g ?(usable = always_usable) src dst =
+  if dst = src then Some [ src ]
+  else begin
+    let _, parent = search g ~usable src ~stop:dst in
+    let rec go acc v = if v = src then src :: acc else go (v :: acc) parent.(v) in
+    if parent.(dst) < 0 then None else Some (go [] dst)
+  end
 
 let path_links g = function
   | [] | [ _ ] -> []

@@ -18,7 +18,11 @@ val bfs :
   Graph.t -> ?usable:(Graph.link -> bool) -> Graph.node -> int array * int array
 
 (** [shortest_path g ?usable src dst] is a minimum-hop path, or [None].
-    Deterministic: among equal-length paths, prefers lower port numbers. *)
+    Deterministic: among equal-length paths, prefers lower port numbers.
+    It is the path {!bfs}'s parents give, from the same search stopped as
+    soon as it discovers [dst]: a node's parent is fixed when the node is
+    discovered, so stopping early changes no path, only how many links
+    [usable] is asked about. *)
 val shortest_path :
   Graph.t -> ?usable:(Graph.link -> bool) -> Graph.node -> Graph.node -> path option
 

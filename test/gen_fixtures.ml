@@ -49,6 +49,15 @@ let () =
   close_out oc;
   Printf.printf "wrote %s (%d lines)\n" path
     (String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 contents);
+  (* the plan-digest fixture is one JSON line per testbed, level and
+     failed-link set *)
+  let path = Filename.concat dir "plan_digests.jsonl" in
+  let oc = open_out path in
+  let contents = Experiments.Service.plan_digests () in
+  output_string oc contents;
+  close_out oc;
+  Printf.printf "wrote %s (%d lines)\n" path
+    (String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 contents);
   (* the verifier fixture is verdict + counterexample lines, already JSON *)
   let path = Filename.concat dir "verify_net15_k2.jsonl" in
   let oc = open_out path in

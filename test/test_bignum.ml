@@ -189,6 +189,19 @@ let prop_rem_int_limb_straddle =
       Z.rem_int v s = Z.to_int_exn (Z.erem v (Z.of_int s))
       && Z.rem_int pred s = Z.to_int_exn (Z.erem pred (Z.of_int s)))
 
+(* [bit_length_pred] reads the Eq. 9 width off the limbs: one less than
+   [bit_length] exactly at powers of two, here swept across limb
+   boundaries (2^k - 1, 2^k, 2^k + 1) and at random values. *)
+let prop_bit_length_pred =
+  qtest "bit_length_pred a = bit_length (a - 1)"
+    QCheck2.Gen.(pair (0 -- 200) (map Z.abs (gen_big 60)))
+    (fun (k, a) ->
+      let v = Z.pow Z.two k in
+      List.for_all
+        (fun a ->
+          Z.sign a <= 0 || Z.bit_length_pred a = Z.bit_length (Z.sub a Z.one))
+        [ Z.sub v Z.one; v; Z.add v Z.one; a ])
+
 let test_rem_int_edges () =
   let big = Z.of_string "123456789012345678901234567890" in
   Alcotest.(check int) "zero" 0 (Z.rem_int Z.zero 7);
@@ -208,6 +221,37 @@ let test_rem_int_edges () =
   Alcotest.check_raises "negative modulus"
     (Invalid_argument "Z.rem_int: modulus must be positive") (fun () ->
       ignore (Z.rem_int big (-3)))
+
+(* The remainder kernels fold limbs in machine ints and allocate nothing
+   at any width: 3, 5 and 32 limbs take the fold, past the 2-limb fast
+   path.  [Gc.minor_words] boxes its own float result, hence the slack. *)
+let test_rem_int_zero_alloc () =
+  List.iter
+    (fun limbs ->
+      let a = Array.init limbs (fun i -> (i * 7919 + 12345) land (Nat.base - 1)) in
+      let a = Array.append (Array.sub a 0 (limbs - 1)) [| 1 + a.(limbs - 1) |] in
+      let b = Bytes.create (4 * limbs) in
+      ignore (Nat.blit_bytes a b ~pos:0);
+      let iters = 10_000 in
+      let measure name f =
+        for s = 2 to 101 do ignore (Sys.opaque_identity (f s)) done;
+        let w0 = Gc.minor_words () in
+        for i = 1 to iters do
+          ignore (Sys.opaque_identity (f (2 + (i land 0xffff))))
+        done;
+        let delta = Gc.minor_words () -. w0 in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s, %d limbs: %.0f minor words over %d calls" name
+             limbs delta iters)
+          true (delta <= 256.0)
+      in
+      measure "rem_int" (fun s -> Nat.rem_int a s);
+      measure "rem_int_bytes" (fun s -> Nat.rem_int_bytes b ~pos:0 ~limbs s);
+      Alcotest.(check bool) (Printf.sprintf "%d limbs: byte view agrees" limbs) true
+        (List.for_all
+           (fun s -> Nat.rem_int a s = Nat.rem_int_bytes b ~pos:0 ~limbs s)
+           [ 2; 3; 7; 65537; Nat.base - 1 ]))
+    [ 3; 5; 32 ]
 
 let prop_erem_range =
   qtest "erem in [0, |b|) (big)" big_pair (fun (a, b) ->
@@ -302,6 +346,8 @@ let () =
           Alcotest.test_case "shift edges" `Quick test_shift_edges;
           Alcotest.test_case "trivial identities" `Quick test_trivial_identities;
           Alcotest.test_case "rem_int edges" `Quick test_rem_int_edges;
+          Alcotest.test_case "rem_int folds allocate nothing (3, 5, 32 limbs)"
+            `Quick test_rem_int_zero_alloc;
         ] );
       ( "oracle",
         [ prop_add_oracle; prop_mul_oracle; prop_divmod_oracle; prop_compare_oracle ] );
@@ -312,5 +358,6 @@ let () =
           prop_erem_range; prop_shift_is_mul_pow2; prop_bit_length_bound;
           prop_mul_split_consistent; nat_canonical;
           prop_rem_int_matches_erem; prop_rem_int_limb_straddle;
+          prop_bit_length_pred;
         ] );
     ]

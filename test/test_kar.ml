@@ -292,11 +292,11 @@ let test_residue_cache () =
    minor heap not at all.  [Gc.minor_words] itself boxes its float result,
    so allow a small constant slack rather than demanding an exact zero.
    The switch's reader is built once, as Karnet builds it at install. *)
-let test_forward_zero_alloc () =
+let check_forward_zero_alloc ?route_id () =
   let plan = Kar.Controller.scenario_plan Nets.net15 Kar.Controller.Full in
+  let route_id = Option.value route_id ~default:plan.Kar.Route.route_id in
   let buf = Wire.Flat.create () in
-  Wire.Flat.stamp buf ~uid:1 ~src:0 ~dst:1 ~size_bytes:64
-    ~route_id:plan.Kar.Route.route_id;
+  Wire.Flat.stamp buf ~uid:1 ~src:0 ~dst:1 ~size_bytes:64 ~route_id;
   let live = live 4 in
   let r = rng () in
   let port_at_13 = Kar.Route.cached_port_flat plan ~switch_id:13 in
@@ -319,6 +319,21 @@ let test_forward_zero_alloc () =
   Alcotest.(check bool)
     (Printf.sprintf "%.0f minor words over %d decisions" delta iters)
     true (delta <= 256.0)
+
+let test_forward_zero_alloc () = check_forward_zero_alloc ()
+
+(* A packet re-encoded at an edge carries a route ID that misses the
+   switch's cached residue, so the decision takes the remainder fold over
+   the image's limbs.  net15's own IDs take the 2-limb fast path; a
+   5-limb ID (131 bits, like the ~124-bit plans of dp-churn's uncached
+   flows) takes the fold.  Its port at SW13 is 1, a live port that is not
+   the input port, so no deflection draw is taken. *)
+let test_forward_miss_zero_alloc () =
+  let route_id = Z.add (Z.shift_left Z.one 130) (Z.of_int 12_341) in
+  Alcotest.(check int) "5 limbs" 5 (Z.limb_count route_id);
+  Alcotest.(check int) "port 1 at SW13" 1
+    (Kar.Policy.computed_port ~switch_id:13 ~route_id);
+  check_forward_zero_alloc ~route_id ()
 
 (* --- Route encoding --- *)
 
@@ -838,30 +853,71 @@ let test_controller_route_large_switch_id () =
 
 (* --- One protection recipe --- *)
 
-(* The reference for [Controller.protected_route]: the level's tree hops
-   through [fold_protect] under the header budget. *)
-let reference_protected ?usable g ~src ~dst ~level =
-  let base = Kar.Controller.route ?usable g ~src ~dst ~protection:[] in
-  let path = base.Kar.Route.core_path in
-  let members =
-    match level with
-    | Kar.Controller.Unprotected -> []
-    | Kar.Controller.Partial -> Kar.Protection.off_path_members g ~path ~radius:1
-    | Kar.Controller.Full -> Kar.Protection.off_path_members g ~path ~radius:max_int
-  in
-  let dest = List.nth path (List.length path - 1) in
-  fold_protect ~max_bits:Wire.Header.max_route_bits g base
-    (Kar.Protection.tree_hops g ~dest members)
-
-(* What the recipes must agree on, or None when planning raised. *)
-let plan_outcome f =
+(* Every field of a plan, or the message of the [Invalid_argument] that
+   planning raised. *)
+let plan_fields f =
   match f () with
-  | exception Invalid_argument _ -> None
+  | exception Invalid_argument msg -> Error msg
   | p ->
-    Some
+    Ok
       ( Z.to_string p.Kar.Route.route_id,
+        Z.to_string p.Kar.Route.modulus,
         List.map (fun r -> (r.Rns.modulus, r.Rns.value)) p.Kar.Route.residues,
-        p.Kar.Route.protection )
+        p.Kar.Route.core_path,
+        p.Kar.Route.protection,
+        p.Kar.Route.bit_length )
+
+(* The reference for [Controller.protected_route], composed from plain
+   parts: the primary path read off a full breadth-first search under the
+   no-edge-transit predicate, the level's members from the reference
+   above, each member's hop from a core-link tree searched afresh on
+   every call, and the per-hop [fold_protect] under the budget. *)
+let reference_protected ?usable ?(max_bits = Wire.Header.max_route_bits) g ~src ~dst
+    ~level =
+  let transit v = Graph.is_core g v || v = src || v = dst in
+  let usable l =
+    transit l.Graph.ep0.Graph.node
+    && transit l.Graph.ep1.Graph.node
+    && match usable with None -> true | Some f -> f l
+  in
+  let _, parent = Topo.Paths.bfs g ~usable src in
+  let rec back acc v = if v = src then src :: acc else back (v :: acc) parent.(v) in
+  let core =
+    if src = dst then invalid_arg "Controller.route: degenerate path"
+    else if parent.(dst) < 0 then
+      invalid_arg
+        (Printf.sprintf "Controller.route: no path between %d and %d" src dst)
+    else
+      match back [] dst with
+      | _ :: rest -> List.filter (fun v -> v <> dst) rest
+      | [] -> []
+  in
+  let base =
+    Kar.Route.of_labels_exn g (List.map (Graph.label g) core)
+      ~egress_label:(Graph.label g dst)
+  in
+  let radius =
+    match level with
+    | Kar.Controller.Unprotected -> None
+    | Kar.Controller.Partial -> Some 1
+    | Kar.Controller.Full -> Some max_int
+  in
+  match (radius, List.rev core) with
+  | None, _ | _, [] -> base
+  | Some radius, dest :: _ ->
+    let core_link l =
+      Graph.is_core g l.Graph.ep0.Graph.node && Graph.is_core g l.Graph.ep1.Graph.node
+    in
+    let dist, tree = Topo.Paths.bfs g ~usable:core_link dest in
+    let hops =
+      List.filter_map
+        (fun m_label ->
+          let m = Graph.node_of_label g m_label in
+          if m = dest || dist.(m) = max_int then None
+          else Some (m_label, Graph.label g tree.(m)))
+        (reference_off_path_members g ~path:core ~radius)
+    in
+    fold_protect ~max_bits g base hops
 
 let test_protected_route_matches_fold () =
   List.iter
@@ -891,11 +947,11 @@ let test_protected_route_matches_fold () =
               List.map
                 (fun level ->
                   let got =
-                    plan_outcome (fun () ->
+                    plan_fields (fun () ->
                         Kar.Controller.protected_route ?usable g ~src ~dst ~level)
                   in
                   let want =
-                    plan_outcome (fun () ->
+                    plan_fields (fun () ->
                         reference_protected ?usable g ~src ~dst ~level)
                   in
                   let case =
@@ -913,7 +969,7 @@ let test_protected_route_matches_fold () =
              (fun (case, got, want) -> if got = want then None else Some case)
              outcomes);
         Alcotest.(check bool) (name ^ ", " ^ view ^ ": pairs planned") true
-          (List.exists (fun (_, got, _) -> got <> None) outcomes);
+          (List.exists (fun (_, got, _) -> Result.is_ok got) outcomes);
         List.map (fun (_, got, _) -> got) outcomes
       in
       let all = sweep "all links" None in
@@ -972,11 +1028,12 @@ let test_protected_route_advisory_labels () =
   Alcotest.(check int) "server routed it" 0 report.Kar_service.Server.unroutable
 
 (* The planner's allocation budget: on the 32-switch serving testbed,
-   after a warm-up sweep, [protected_route] averages at most 6,000 minor
-   words per partial plan and 1,500 per unprotected plan over all 992
-   ordered edge pairs.  A plan allocates its result and the CRT's bignum
-   steps; the graph searches allocate their arrays and nothing per
-   visited node. *)
+   after a warm-up sweep (which also builds the destination trees),
+   [protected_route] averages at most 590 minor words per unprotected
+   plan, 2,650 per partial and 3,550 per full plan over all 992 ordered
+   edge pairs, about 25% above the 472, 2,126 and 2,861 measured.  A plan
+   allocates its result, its lists and the CRT accumulator's buffers; the
+   graph searches allocate their arrays and nothing per visited node. *)
 let test_plan_minor_words () =
   let g = Experiments.Service.testbed ~n_core:32 () in
   let edges = Graph.edge_nodes g in
@@ -1004,7 +1061,115 @@ let test_plan_minor_words () =
         (Printf.sprintf "%s: %.0f minor words per plan (<= %.0f)"
            (Kar.Controller.level_to_string level) per_plan bound)
         true (per_plan <= bound))
-    [ (Kar.Controller.Partial, 6_000.0); (Kar.Controller.Unprotected, 1_500.0) ]
+    [ (Kar.Controller.Unprotected, 590.0); (Kar.Controller.Partial, 2_650.0);
+      (Kar.Controller.Full, 3_550.0) ]
+
+(* --- The planner against the parent's pipeline --- *)
+
+(* Random Waxman, G(n,p), grid and torus cores, labelled by a random
+   [Ids] strategy, with hosts on a few switches, a random failed-link set
+   (each link with probability 1/10, which may disconnect pairs), three
+   host pairs (one in twenty a host twice), every level, and a budget
+   that is small, the header's or unbounded. *)
+let prop_planner_matches_reference =
+  let graph =
+    QCheck2.Gen.(
+      let* family = 0 -- 3 and* seed = 1 -- 10_000 and* strategy = 0 -- 3 in
+      let* core =
+        match family with
+        | 0 -> map (fun n -> Topo.Gen.waxman ~n ~alpha:0.9 ~beta:0.4 ~seed) (4 -- 30)
+        | 1 -> map (fun n -> Topo.Gen.gnp ~n ~p:0.25 ~seed) (4 -- 30)
+        | 2 -> map2 (fun w h -> Topo.Gen.grid ~w ~h) (2 -- 5) (2 -- 5)
+        | _ -> map2 (fun w h -> Topo.Gen.torus ~w ~h) (3 -- 5) (3 -- 5)
+      in
+      let strategy =
+        match strategy with
+        | 0 -> Kar.Ids.Primes_ascending
+        | 1 -> Kar.Ids.Degree_descending
+        | 2 -> Kar.Ids.Prime_powers
+        | _ -> Kar.Ids.Random_primes seed
+      in
+      let core = Kar.Ids.assign core strategy in
+      let n = Graph.n_nodes core in
+      let* attach = list_size (3 -- 8) (0 -- (n - 1)) in
+      let g, hosts = Topo.Gen.with_edge_hosts core (List.sort_uniq compare attach) in
+      let* failed = array_repeat (Graph.n_links g) (map (fun k -> k = 0) (0 -- 9)) in
+      let hosts = Array.of_list hosts in
+      let h = Array.length hosts in
+      let pair i k same =
+        let j = if same = 0 || h = 1 then i else (i + 1 + (k mod (h - 1))) mod h in
+        (hosts.(i), hosts.(j))
+      in
+      let* pairs = list_repeat 3 (map3 pair (0 -- (h - 1)) nat (0 -- 19)) in
+      let* budget = oneofl [ Some 24; Some 60; None; Some max_int ] in
+      pure (g, failed, pairs, budget))
+  in
+  qtest ~count:300 "protected_route = full search, fresh trees, per-hop fold" graph
+    (fun (g, failed, pairs, max_bits) ->
+      let usable l = not failed.(l.Graph.id) in
+      List.for_all
+        (fun (src, dst) ->
+          List.for_all
+            (fun level ->
+              plan_fields (fun () ->
+                  Kar.Controller.protected_route ~usable ?max_bits g ~src ~dst ~level)
+              = plan_fields (fun () ->
+                    reference_protected ~usable ?max_bits g ~src ~dst ~level))
+            Kar.Controller.all_levels)
+        pairs)
+
+(* Every ordered gen:32 pair at every level: the plan fields. *)
+let sweep_fields plan g =
+  let edges = Graph.edge_nodes g in
+  let cases =
+    List.concat_map
+      (fun src ->
+        List.concat_map
+          (fun dst ->
+            if src = dst then []
+            else List.map (fun level -> (src, dst, level)) Kar.Controller.all_levels)
+          edges)
+      edges
+    |> Array.of_list
+  in
+  Alcotest.(check int) "992 pairs x 3 levels" 2976 (Array.length cases);
+  plan cases ~f:(fun ~idx:_ (src, dst, level) ->
+      plan_fields (fun () -> Kar.Controller.protected_route g ~src ~dst ~level))
+
+(* Two domains plan on one fresh graph, so they fill its destination trees
+   at once; the plans equal a serial sweep on another fresh graph.  The
+   same holds on a relabelled copy of the swept graph, which shares its
+   filled trees, against a relabelled fresh graph. *)
+let test_concurrent_tree_fill () =
+  let testbed () = Experiments.Service.testbed ~n_core:32 () in
+  let serial cases ~f = Array.mapi (fun idx c -> f ~idx c) cases in
+  let pool = Util.Pool.create ~jobs:2 in
+  Fun.protect
+    ~finally:(fun () -> Util.Pool.shutdown pool)
+    (fun () ->
+      let shared = testbed () in
+      Alcotest.(check bool) "2 domains = serial" true
+        (sweep_fields (Util.Pool.map pool) shared = sweep_fields serial (testbed ()));
+      let relabel g = Kar.Ids.assign g (Kar.Ids.Random_primes 3) in
+      Alcotest.(check bool) "after relabel: 2 domains = serial" true
+        (sweep_fields (Util.Pool.map pool) (relabel shared)
+        = sweep_fields serial (relabel (testbed ()))))
+
+(* The planner's output on the serving testbeds is pinned: a fresh digest
+   equals the committed one. *)
+let test_plan_digests_match_fixture () =
+  let path =
+    let f = "fixtures/plan_digests.jsonl" in
+    if Sys.file_exists f then f else Filename.concat "test" f
+  in
+  let ic = open_in_bin path in
+  let golden = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check string)
+    "fresh plan digests equal the committed fixture (regenerate with \
+     test/gen_fixtures.exe after an intentional change to the planner)"
+    golden
+    (Experiments.Service.plan_digests ())
 
 (* --- The header budget --- *)
 
@@ -1031,8 +1196,8 @@ let test_protected_route_fits_header () =
     in
     if plan.Kar.Route.bit_length <= Wire.Header.max_route_bits && stamps
        && (i mod 5 <> 0
-          || plan_outcome (fun () -> plan)
-             = plan_outcome (fun () -> reference_protected g ~src ~dst ~level))
+          || plan_fields (fun () -> plan)
+             = plan_fields (fun () -> reference_protected g ~src ~dst ~level))
     then None
     else
       Some
@@ -1310,6 +1475,8 @@ let () =
           Alcotest.test_case "residue cache" `Quick test_residue_cache;
           Alcotest.test_case "steady-state zero allocation" `Quick
             test_forward_zero_alloc;
+          Alcotest.test_case "a 5-limb cache miss allocates nothing" `Quick
+            test_forward_miss_zero_alloc;
         ] );
       ( "route",
         [
@@ -1357,6 +1524,14 @@ let () =
             test_plan_minor_words;
           Alcotest.test_case "protected route skips advisory-label hops" `Quick
             test_protected_route_advisory_labels;
+        ] );
+      ( "planner",
+        [
+          prop_planner_matches_reference;
+          Alcotest.test_case "two domains fill the trees (gen:32)" `Quick
+            test_concurrent_tree_fill;
+          Alcotest.test_case "plan digests match the fixture" `Quick
+            test_plan_digests_match_fixture;
         ] );
       ( "budget",
         [

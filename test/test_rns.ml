@@ -217,6 +217,43 @@ let prop_brute_force =
       in
       solutions (Z.to_int_exn m - 1) [] = [ Z.to_int_exn r ])
 
+(* --- the accumulator under a budget: a residue is folded in exactly
+   when the grown modulus's Eq. 9 bound fits, a refused one leaves the
+   state as it was, and the state equals [encode] of the residues kept.
+   Small systems start from M = 1 with moduli such as 2, 4, 8 and 32, so
+   the bound is taken at powers of two too; wide ones grow the buffers
+   past their first size with factors up to 2^31 - 1. *)
+
+let eq9 m = if Z.compare m Z.one <= 0 then 0 else Z.bit_length (Z.sub m Z.one)
+
+let prop_acc_budget =
+  qtest ~count:300 "Acc.add under a budget = encode of the residues it kept"
+    QCheck2.Gen.(
+      pair (oneof [ gen_small_system; gen_wide_system ]) (oneof [ 0 -- 20; 0 -- 1200 ]))
+    (fun (rs, max_bits) ->
+      let acc = Rns.Acc.create Z.zero Z.one in
+      let rule_holds, kept, m =
+        List.fold_left
+          (fun (ok, kept, m) r ->
+            let grown = Z.mul m (Z.of_int r.Rns.modulus) in
+            let fits = eq9 grown <= max_bits in
+            let before = (Rns.Acc.route_id acc, Rns.Acc.modulus acc) in
+            let folded = Rns.Acc.add ~max_bits acc r in
+            let untouched = (Rns.Acc.route_id acc, Rns.Acc.modulus acc) = before in
+            ( ok && folded = fits && (folded || untouched),
+              (if folded then r :: kept else kept),
+              if folded then grown else m ))
+          (true, [], Z.one) rs
+      in
+      let want_r, want_m =
+        match kept with [] -> (Z.zero, Z.one) | _ -> Rns.encode_exn (List.rev kept)
+      in
+      rule_holds
+      && Z.equal (Rns.Acc.route_id acc) want_r
+      && Z.equal (Rns.Acc.modulus acc) want_m
+      && Z.equal want_m m
+      && Rns.Acc.bits acc = eq9 want_m)
+
 (* --- any system, valid or not: [encode] against a reference rule ---
 
    Moduli come from [-2, 60] plus 2^31 - 1 and 2^31, so composites,
@@ -329,7 +366,7 @@ let () =
         [
           prop_roundtrip; prop_range; prop_unique; prop_order_independent;
           prop_pairwise_coprime_check; prop_modulus_product; prop_wide_systems;
-          prop_brute_force;
+          prop_brute_force; prop_acc_budget;
           prop_any_system;
         ] );
     ]

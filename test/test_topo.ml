@@ -165,13 +165,27 @@ let gen_failed_graph =
     let* failed = array_repeat (Graph.n_links g) (map (fun k -> k = 0) (0 -- 3)) in
     pure (g, failed))
 
+(* The path from [src] to [dst] that a full search's parents give. *)
+let path_of_parents parent src dst =
+  let rec go acc v = if v = src then src :: acc else go (v :: acc) parent.(v) in
+  if dst = src then Some [ src ] else if parent.(dst) < 0 then None else Some (go [] dst)
+
+(* [shortest_path] stops its search at [dst]; its path must still be the
+   one the full search's parents give, for every ordered pair. *)
 let prop_bfs_matches_reference =
   qtest ~count:200 "bfs = queue-of-ports reference from every source"
     gen_failed_graph (fun (g, failed) ->
       let usable l = not failed.(l.Graph.id) in
+      let nodes = List.init (Graph.n_nodes g) Fun.id in
       List.for_all
-        (fun src -> Paths.bfs g ~usable src = reference_bfs g ~usable src)
-        (List.init (Graph.n_nodes g) Fun.id))
+        (fun src ->
+          let ((_, parent) as full) = reference_bfs g ~usable src in
+          Paths.bfs g ~usable src = full
+          && List.for_all
+               (fun dst ->
+                 Paths.shortest_path g ~usable src dst = path_of_parents parent src dst)
+               nodes)
+        nodes)
 
 let prop_far_matches_peer =
   qtest ~count:100 "far = fst peer at every port, also after relabel"
