@@ -32,9 +32,6 @@ val int : t -> int -> int
 (** [float g] is uniform in [\[0, 1)]. *)
 val float : t -> float
 
-(** [bool g] is a fair coin. *)
-val bool : t -> bool
-
 (** [exponential g ~mean] samples an exponential duration. *)
 val exponential : t -> mean:float -> float
 
