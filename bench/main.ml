@@ -14,7 +14,9 @@
      committed baseline);
    - [--check BASELINE]: after measuring, compare against a previous
      [--json] output and exit non-zero if any kernel regressed more than
-     [regression_factor].
+     [regression_factor].  Under a short [--quota], a bechamel kernel
+     over that factor is measured again at the default quota before it
+     fails the check ([confirm_kernels]).
 
    [--quota SECONDS] shrinks the per-test bechamel quota (CI smoke runs use
    a small one). *)
@@ -249,7 +251,9 @@ let tests =
           fun () -> Kar_obs.Export.snapshot_line ~t:1.0 r))
   ]
 
-let run_benchmarks ~quota () =
+(* ns/run of each of [tests], bechamel giving each [quota] seconds; sorted
+   by name. *)
+let run_benchmarks ~quota tests =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
   in
@@ -857,8 +861,39 @@ let check_entry (key, baseline) fresh =
            baseline now regression_factor)
     else None
 
+(* The per-kernel quota unless [--quota] says otherwise. *)
+let default_quota = 0.5
+
+(* Confirm before failing.  At a quota shorter than the default, a
+   nanosecond kernel on a shared host reads one-off outliers several times
+   its baseline, a different kernel in each run.  So a bechamel kernel
+   that reads more than [regression_factor] over its baseline is measured
+   again, alone, at the default quota; the check uses that second reading,
+   and both are printed.  A real slow-down repeats and still fails. *)
+let confirm_kernels ~quota baseline fresh =
+  if quota >= default_quota then fresh
+  else
+    List.map
+      (fun (key, now) ->
+        match
+          (List.assoc_opt key baseline, List.find_opt (fun t -> Test.name t = key) tests)
+        with
+        | Some base, Some test when base > 0.0 && now > base *. regression_factor ->
+          let again =
+            match run_benchmarks ~quota:default_quota [ test ] with
+            | [ (_, Some ns) ] -> ns
+            | _ -> now
+          in
+          Printf.printf
+            "bench check: %s read %.1f ns at a %.2f s quota (%.1fx its %.1f ns \
+             baseline); measured again at %.1f s: %.1f ns\n"
+            key now quota (now /. base) base default_quota again;
+          (key, again)
+        | _ -> (key, now))
+      fresh
+
 let measure_all ~quota ~packets =
-  let rows = run_benchmarks ~quota () in
+  let rows = run_benchmarks ~quota tests in
   print_benchmarks rows;
   let kernels =
     List.filter_map (fun (n, v) -> Option.map (fun est -> (n, est)) v) rows
@@ -899,7 +934,7 @@ let run_experiments () =
 let () =
   let json_file = ref None
   and check_file = ref None
-  and quota = ref 0.5 in
+  and quota = ref default_quota in
   let rec parse = function
     | [] -> ()
     | "--json" :: file :: rest ->
@@ -925,7 +960,7 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   match (!json_file, !check_file) with
   | None, None ->
-    print_benchmarks (run_benchmarks ~quota:!quota ());
+    print_benchmarks (run_benchmarks ~quota:!quota tests);
     run_experiments ()
   | _ ->
     let results = measure_all ~quota:!quota ~packets:10_000 in
@@ -938,6 +973,7 @@ let () =
      | None -> ()
      | Some baseline_file ->
        let baseline = parse_json baseline_file in
+       let results = confirm_kernels ~quota:!quota baseline results in
        let regressions =
          List.filter_map (fun kv -> check_entry kv results) baseline
        in

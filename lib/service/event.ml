@@ -46,5 +46,3 @@ let to_jsonl = function
   | Epoch e ->
     Printf.sprintf {|{"ev":"epoch","t":%.9g,"epoch":%d,"cause":"%s"}|} e.t
       e.epoch e.cause
-
-let pp ppf e = Format.pp_print_string ppf (to_jsonl e)

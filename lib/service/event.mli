@@ -50,5 +50,3 @@ type t =
 (** One-line JSON rendering, stable field order; the [--trace] and
     golden-fixture format. *)
 val to_jsonl : t -> string
-
-val pp : Format.formatter -> t -> unit

@@ -4,13 +4,6 @@ module Registry = Kar_obs.Registry
 module Span = Kar_obs.Span
 module Export = Kar_obs.Export
 
-type key = {
-  src : Graph.node;
-  dst : Graph.node;
-  level : Kar.Controller.level;
-  policy : Kar.Policy.t;
-}
-
 type config = {
   cache_capacity : int;
   batch_size : int;
@@ -43,7 +36,7 @@ type t = {
   pool : Util.Pool.t option;
   registry : Registry.t;
   spans : Span.t;
-  cache : (key, Kar.Route.plan option) Cache.t;
+  cache : Kar.Route.plan option Cache.t;
   latency_h : Registry.histogram;
   unroutable_c : Registry.counter;
   stale_completion_c : Registry.counter;
@@ -117,14 +110,41 @@ let repair_link t l =
   t.failed.(l) <- false;
   Cache.bump_epoch t.cache
 
+(* The unit of caching and of single-flight deduplication: a request's
+   (src, dst, level, policy) packed into one int,
+   ((src * n_nodes + dst) * 3 + level) * 4 + policy, so the cache and the
+   batcher hash and compare an immediate.  [unpack_key] is its inverse. *)
+let pack_key ~n_nodes ~src ~dst ~(level : Kar.Controller.level)
+    ~(policy : Kar.Policy.t) =
+  let level = match level with Unprotected -> 0 | Partial -> 1 | Full -> 2 in
+  let policy =
+    match policy with
+    | No_deflection -> 0
+    | Hot_potato -> 1
+    | Any_valid_port -> 2
+    | Not_input_port -> 3
+  in
+  ((((src * n_nodes) + dst) * 3) + level) * 4 + policy
+
+let unpack_key ~n_nodes key =
+  let level : Kar.Controller.level =
+    match key / 4 mod 3 with 0 -> Unprotected | 1 -> Partial | _ -> Full
+  in
+  let policy : Kar.Policy.t =
+    match key mod 4 with
+    | 0 -> No_deflection
+    | 1 -> Hot_potato
+    | 2 -> Any_valid_port
+    | _ -> Not_input_port
+  in
+  (key / 12 / n_nodes, key / 12 mod n_nodes, level, policy)
+
 (* Plan for a key on the current topology view: the controller's protected
    route with the primary path over the surviving links. *)
 let plan_for t key =
+  let src, dst, level, _ = unpack_key ~n_nodes:(Graph.n_nodes t.graph) key in
   let usable l = not t.failed.(l.Graph.id) in
-  match
-    Kar.Controller.protected_route ~usable t.graph ~src:key.src ~dst:key.dst
-      ~level:key.level
-  with
+  match Kar.Controller.protected_route ~usable t.graph ~src ~dst ~level with
   | plan -> Some plan
   | exception Invalid_argument _ -> None
 
@@ -171,8 +191,31 @@ type report = {
 (* histogram percentile (integer ns, bucket upper bound) back to seconds *)
 let q_s h p = float_of_int (Registry.h_quantile h p) /. 1e9
 
-let run t ?(sink = fun _ -> ()) ?(failures = []) ?(keep_records = false)
-    ?metrics_every ?metrics_sink requests =
+(* Hit completions in waiting: an int FIFO over a power-of-two ring that
+   doubles when full. *)
+type fifo = { mutable buf : int array; mutable first : int; mutable len : int }
+
+let fifo_push q x =
+  let cap = Array.length q.buf in
+  if q.len = cap then begin
+    let buf = Array.make (2 * cap) 0 in
+    for k = 0 to q.len - 1 do
+      buf.(k) <- q.buf.((q.first + k) land (cap - 1))
+    done;
+    q.buf <- buf;
+    q.first <- 0
+  end;
+  q.buf.((q.first + q.len) land (Array.length q.buf - 1)) <- x;
+  q.len <- q.len + 1
+
+let fifo_pop q =
+  let x = q.buf.(q.first) in
+  q.first <- (q.first + 1) land (Array.length q.buf - 1);
+  q.len <- q.len - 1;
+  x
+
+let run t ?sink ?(failures = []) ?(keep_records = false) ?metrics_every
+    ?metrics_sink requests =
   if t.ran then invalid_arg "Server.run: a server instance runs one workload";
   (* the whole schedule is checked before anything runs *)
   List.iter
@@ -181,6 +224,7 @@ let run t ?(sink = fun _ -> ()) ?(failures = []) ?(keep_records = false)
   t.ran <- true;
   let cfg = t.config in
   let g = t.graph in
+  let n_nodes = Graph.n_nodes g in
   let engine = Engine.create () in
   Registry.probe t.registry "engine/events" (fun () -> Engine.processed engine);
   Registry.probe t.registry "engine/pending" (fun () -> Engine.pending engine);
@@ -193,7 +237,8 @@ let run t ?(sink = fun _ -> ()) ?(failures = []) ?(keep_records = false)
       (if keep_records then n else 0)
       { arrival = 0.0; completion = 0.0; outcome = Event.Miss; ok = false }
   in
-  let makespan = ref 0.0 in
+  (* a float array cell, so raising it stores a float without a box *)
+  let makespan = [| 0.0 |] in
   let compute key = { plan = plan_for t key; born = Cache.epoch t.cache } in
   let cost _key result =
     match result with
@@ -202,8 +247,13 @@ let run t ?(sink = fun _ -> ()) ?(failures = []) ?(keep_records = false)
       +. (plan_residue_cost *. float_of_int (List.length p.Kar.Route.residues))
     | Ok { plan = None; _ } | Error _ -> plan_base_cost
   in
+  (* Events are built only for a listener: without one, neither the
+     records nor their labels and strings are made. *)
   let on_dispatch ~batch ~keys =
-    sink (Event.Dispatch { t = Engine.now engine; batch; size = Array.length keys })
+    match sink with
+    | None -> ()
+    | Some emit ->
+      emit (Event.Dispatch { t = Engine.now engine; batch; size = Array.length keys })
   in
   let on_key_complete ~batch ~key result =
     let ok, stale, value =
@@ -215,16 +265,20 @@ let run t ?(sink = fun _ -> ()) ?(failures = []) ?(keep_records = false)
     else
       (* plans that raised unexpectedly are not cached either: transient *)
       Option.iter (fun plan -> Cache.put t.cache key plan) value;
-    sink
-      (Event.Complete
-         {
-           t = Engine.now engine;
-           batch;
-           src = Graph.label g key.src;
-           dst = Graph.label g key.dst;
-           ok;
-           stale;
-         })
+    match sink with
+    | None -> ()
+    | Some emit ->
+      let src, dst, _, _ = unpack_key ~n_nodes key in
+      emit
+        (Event.Complete
+           {
+             t = Engine.now engine;
+             batch;
+             src = Graph.label g src;
+             dst = Graph.label g dst;
+             ok;
+             stale;
+           })
   in
   let batcher =
     Batcher.create ~engine ~batch_size:cfg.batch_size ~max_delay:cfg.batch_delay
@@ -232,48 +286,73 @@ let run t ?(sink = fun _ -> ()) ?(failures = []) ?(keep_records = false)
       ~registry:t.registry ~spans:t.spans ~on_dispatch ~on_key_complete ~compute
       ~cost ()
   in
+  (* Only a miss can raise either maximum: [Batcher.request] is where keys
+     join the queue and requests start waiting, a dispatch moves keys from
+     queued to in flight without changing the sum, and completions shrink
+     both.  So the gauges are sampled after misses alone. *)
   let sample_gauges () =
     Registry.set_max t.max_depth_g (Batcher.queued batcher + Batcher.in_flight batcher);
     Registry.set_max t.max_waiting_g (Batcher.waiting batcher)
   in
-  let finish seq ~arrival ~outcome ~ok =
+  let finish i ~outcome ~ok =
+    let r = requests.(i) in
     let completion = Engine.now engine in
-    Registry.observe_s t.latency_h (completion -. arrival);
+    Registry.observe t.latency_h
+      (int_of_float ((completion -. r.Workload.arrival) *. 1e9));
     if not ok then Registry.incr t.unroutable_c;
-    if completion > !makespan then makespan := completion;
-    if keep_records then records.(seq) <- { arrival; completion; outcome; ok }
+    if completion > makespan.(0) then makespan.(0) <- completion;
+    if keep_records then
+      records.(r.seq) <- { arrival = r.arrival; completion; outcome; ok }
   in
-  let process (r : Workload.request) =
-    let key = { src = r.src; dst = r.dst; level = r.level; policy = r.policy } in
-    let lookup = Cache.lookup t.cache key in
-    let outcome =
-      match lookup with
-      | Cache.Hit _ -> Event.Hit
-      | Cache.Miss -> Event.Miss
-      | Cache.Stale -> Event.Stale
+  (* Hit completions fire in arrival order.  Arrivals are non-decreasing
+     (the arrival chain's [schedule_at] refuses a past time), every hit
+     answers [hit_latency] after its arrival, and equal completion times
+     tie on [sched], [sched2] and then [seq], each of which grows from one
+     hit to the next.  So each hit queues its request index and [ok] bit
+     as [2i + ok], and one closure made here pops the head per
+     completion: still one engine event per hit, at the same key. *)
+  let hits = { buf = Array.make 64 0; first = 0; len = 0 } in
+  let complete_hit () =
+    let c = fifo_pop hits in
+    finish (c lsr 1) ~outcome:Event.Hit ~ok:(c land 1 = 1)
+  in
+  let process i =
+    let r = requests.(i) in
+    let key =
+      pack_key ~n_nodes ~src:r.Workload.src ~dst:r.dst ~level:r.level
+        ~policy:r.policy
     in
-    sink
-      (Event.Request
-         {
-           seq = r.seq;
-           t = r.arrival;
-           src = Graph.label g r.src;
-           dst = Graph.label g r.dst;
-           level = Kar.Controller.level_to_string r.level;
-           policy = Kar.Policy.to_string r.policy;
-           outcome;
-         });
-    (match lookup with
-     | Cache.Hit plan ->
-       let ok = plan <> None in
-       ignore
-         (Engine.schedule_in engine hit_latency (fun () ->
-              finish r.seq ~arrival:r.arrival ~outcome ~ok))
-     | Cache.Miss | Cache.Stale ->
-       Batcher.request batcher key ~ready:(fun result ->
-           let ok = match result with Ok { plan = Some _; _ } -> true | _ -> false in
-           finish r.seq ~arrival:r.arrival ~outcome ~ok));
-    sample_gauges ()
+    let slot = Cache.lookup t.cache key in
+    let outcome =
+      if slot >= 0 then Event.Hit
+      else if slot = Cache.lookup_stale then Event.Stale
+      else Event.Miss
+    in
+    (match sink with
+     | None -> ()
+     | Some emit ->
+       emit
+         (Event.Request
+            {
+              seq = r.seq;
+              t = r.arrival;
+              src = Graph.label g r.src;
+              dst = Graph.label g r.dst;
+              level = Kar.Controller.level_to_string r.level;
+              policy = Kar.Policy.to_string r.policy;
+              outcome;
+            }));
+    if slot >= 0 then begin
+      let ok = match Cache.value t.cache slot with Some _ -> 1 | None -> 0 in
+      fifo_push hits ((i lsl 1) lor ok);
+      ignore (Engine.schedule_in engine hit_latency complete_hit)
+    end
+    else begin
+      Batcher.request batcher key ~ready:(fun result ->
+          let ok = match result with Ok { plan = Some _; _ } -> true | _ -> false in
+          finish i ~outcome ~ok);
+      sample_gauges ()
+    end
   in
   (* topology events first so same-timestamp ties resolve failure-first *)
   List.iter
@@ -286,16 +365,19 @@ let run t ?(sink = fun _ -> ()) ?(failures = []) ?(keep_records = false)
              let now = Engine.now engine in
              Span.record t.spans Span.Epoch_invalidate ~t0:now ~t1:now
                ~detail:(Cache.epoch t.cache);
-             sink
-               (Event.Epoch
-                  {
-                    t = now;
-                    epoch = Cache.epoch t.cache;
-                    cause =
-                      (match action with
-                       | `Fail l -> link_cause t "fail" l
-                       | `Repair l -> link_cause t "repair" l);
-                  }))))
+             match sink with
+             | None -> ()
+             | Some emit ->
+               emit
+                 (Event.Epoch
+                    {
+                      t = now;
+                      epoch = Cache.epoch t.cache;
+                      cause =
+                        (match action with
+                         | `Fail l -> link_cause t "fail" l
+                         | `Repair l -> link_cause t "repair" l);
+                    }))))
     failures;
   (* periodic sim-clock snapshots: a self-chaining event that emits one
      JSONL line per interval and stops once the rest of the run has
@@ -322,15 +404,18 @@ let run t ?(sink = fun _ -> ()) ?(failures = []) ?(keep_records = false)
      in
      ignore (Engine.schedule_at engine every snap));
   (* arrivals chain one ahead instead of loading the heap with the whole
-     open-loop schedule up front *)
-  let rec arrive i () =
-    process requests.(i);
+     open-loop schedule up front: one closure, over the next index *)
+  let next = ref 0 in
+  let rec arrive () =
+    let i = !next in
+    process i;
+    next := i + 1;
     if i + 1 < n then
-      ignore (Engine.schedule_at engine requests.(i + 1).Workload.arrival (arrive (i + 1)))
+      ignore (Engine.schedule_at engine requests.(i + 1).Workload.arrival arrive)
   in
-  if n > 0 then ignore (Engine.schedule_at engine requests.(0).Workload.arrival (arrive 0));
+  if n > 0 then ignore (Engine.schedule_at engine requests.(0).Workload.arrival arrive);
   Engine.run engine;
-  let makespan = !makespan in
+  let makespan = makespan.(0) in
   let h = t.latency_h in
   {
     requests = n;

@@ -1,9 +1,10 @@
 (** The online route-plan server: cache in front, single-flight batcher
     behind, driven by the discrete-event clock.
 
-    A request asks for a route plan keyed by [(src, dst, level, policy)].
-    The server answers from the epoch-checked LRU {!Cache} when it can
-    (5 us later); otherwise the key goes to the {!Batcher}, which
+    A request asks for a route plan keyed by [(src, dst, level, policy)],
+    packed into one int for the cache and the batcher.  The server
+    answers from the epoch-checked LRU {!Cache} when it can (5 us
+    later); otherwise the key goes to the {!Batcher}, which
     plans batches of distinct keys on the domain pool and completes them on
     the modelled planner timeline.  Completed plans are inserted into the
     cache {e unless} the topology epoch moved while they were in flight —
@@ -22,14 +23,6 @@
     byte-identical at any [-j]. *)
 
 module Graph = Topo.Graph
-
-(** The unit of caching and of single-flight deduplication. *)
-type key = {
-  src : Graph.node;
-  dst : Graph.node;
-  level : Kar.Controller.level;
-  policy : Kar.Policy.t;
-}
 
 type config = {
   cache_capacity : int;
@@ -120,6 +113,9 @@ type report = {
 
 (** [run t ?sink ?failures ?keep_records ?metrics_every ?metrics_sink
     requests] serves the whole workload to completion and reports.
+    [sink] receives the {!Event} stream; the events, with their labels
+    and strings, are built only when a [sink] is given, so a run without
+    one allocates nothing on a cache hit beyond the engine's own clock.
     [failures] is a schedule of topology events
     [(time, `Fail l | `Repair l)]; each bumps the epoch and is announced
     on [sink].  [keep_records] (default false) materialises the

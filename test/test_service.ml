@@ -103,16 +103,24 @@ let test_pairs_ranked_universe () =
 
 (* --- LRU cache with epochs --- *)
 
+(* A lookup's class and, on a hit, the value it found. *)
+let classify c k =
+  let s = Cache.lookup c k in
+  if s >= 0 then `Hit (Cache.value c s)
+  else if s = Cache.lookup_stale then `Stale
+  else if s = Cache.lookup_miss then `Miss
+  else Alcotest.failf "lookup %d returned %d" k s
+
 let test_cache_lru_eviction () =
   let c = Cache.create ~capacity:2 () in
-  Cache.put c "a" 1;
-  Cache.put c "b" 2;
-  (* touch a so b is the LRU entry *)
-  Alcotest.(check bool) "a hits" true (Cache.lookup c "a" = Cache.Hit 1);
-  Cache.put c "c" 3;
-  Alcotest.(check bool) "b evicted" true (Cache.lookup c "b" = Cache.Miss);
-  Alcotest.(check bool) "a survives" true (Cache.lookup c "a" = Cache.Hit 1);
-  Alcotest.(check bool) "c resident" true (Cache.lookup c "c" = Cache.Hit 3);
+  Cache.put c 10 1;
+  Cache.put c 20 2;
+  (* touch 10 so 20 is the LRU entry *)
+  Alcotest.(check bool) "10 hits" true (classify c 10 = `Hit 1);
+  Cache.put c 30 3;
+  Alcotest.(check bool) "20 evicted" true (classify c 20 = `Miss);
+  Alcotest.(check bool) "10 survives" true (classify c 10 = `Hit 1);
+  Alcotest.(check bool) "30 resident" true (classify c 30 = `Hit 3);
   Alcotest.(check int) "one eviction" 1 (Cache.evictions c);
   Alcotest.(check int) "size at capacity" 2 (Cache.size c)
 
@@ -122,13 +130,12 @@ let test_cache_epoch_invalidation () =
   Cache.put c 2 "two";
   Cache.bump_epoch c;
   Alcotest.(check int) "epoch bumped" 1 (Cache.epoch c);
-  Alcotest.(check bool) "stale, not hit" true (Cache.lookup c 1 = Cache.Stale);
+  Alcotest.(check bool) "stale, not hit" true (classify c 1 = `Stale);
   (* the stale entry was dropped by the lookup *)
-  Alcotest.(check bool) "second lookup is a cold miss" true
-    (Cache.lookup c 1 = Cache.Miss);
+  Alcotest.(check bool) "second lookup is a cold miss" true (classify c 1 = `Miss);
   (* refilled entries hit under the new epoch *)
   Cache.put c 1 "one'";
-  Alcotest.(check bool) "refill hits" true (Cache.lookup c 1 = Cache.Hit "one'");
+  Alcotest.(check bool) "refill hits" true (classify c 1 = `Hit "one'");
   Alcotest.(check int) "stale counted once" 1 (Cache.stale c);
   Alcotest.(check int) "evictions untouched by epochs" 0 (Cache.evictions c)
 
@@ -141,6 +148,77 @@ let test_cache_hit_ratio () =
   ignore (Cache.lookup c 9);
   ignore (Cache.lookup c 9);
   Alcotest.(check (float 1e-9)) "2 hits of 4" 0.5 (Cache.hit_ratio c)
+
+(* The cache against a list-based LRU: entries most recent first, each
+   with the epoch it was put under.  Every lookup's class and value, the
+   four counters and the size must agree after every step. *)
+type cache_op = Put of int * int | Lookup of int | Bump
+
+let show_op = function
+  | Put (k, v) -> Printf.sprintf "put %d %d" k v
+  | Lookup k -> Printf.sprintf "lookup %d" k
+  | Bump -> "bump"
+
+let cache_matches_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map2 (fun k v -> Put (k, v)) (int_bound 9) (int_bound 99));
+          (5, map (fun k -> Lookup k) (int_bound 9));
+          (1, return Bump);
+        ])
+  in
+  let arb =
+    QCheck.make
+      ~shrink:QCheck.Shrink.(pair nil list)
+      ~print:(fun (cap, ops) ->
+        Printf.sprintf "capacity %d: %s" cap (String.concat ", " (List.map show_op ops)))
+      QCheck.Gen.(pair (int_range 1 8) (list_size (int_range 0 80) op))
+  in
+  QCheck.Test.make ~count:500 ~name:"cache = list-based LRU model" arb (fun (cap, ops) ->
+      let c = Cache.create ~capacity:cap () in
+      let entries = ref [] and epoch = ref 0 in
+      let hits = ref 0 and misses = ref 0 and stale = ref 0 and evictions = ref 0 in
+      let without k = List.filter (fun (k', _, _) -> k' <> k) in
+      List.iteri
+        (fun step op ->
+          (match op with
+           | Put (k, v) ->
+             Cache.put c k v;
+             if not (List.exists (fun (k', _, _) -> k' = k) !entries) then
+               while List.length !entries >= cap do
+                 entries := List.filteri (fun i _ -> i < List.length !entries - 1) !entries;
+                 incr evictions
+               done;
+             entries := (k, v, !epoch) :: without k !entries
+           | Lookup k ->
+             let expected =
+               match List.find_opt (fun (k', _, _) -> k' = k) !entries with
+               | None ->
+                 incr misses;
+                 `Miss
+               | Some (_, v, e) when e = !epoch ->
+                 incr hits;
+                 entries := (k, v, e) :: without k !entries;
+                 `Hit v
+               | Some _ ->
+                 incr stale;
+                 entries := without k !entries;
+                 `Stale
+             in
+             if classify c k <> expected then
+               QCheck.Test.fail_reportf "step %d (%s): lookup disagrees with the model"
+                 step (show_op op)
+           | Bump ->
+             Cache.bump_epoch c;
+             incr epoch);
+          let got = (Cache.hits c, Cache.misses c, Cache.stale c, Cache.evictions c, Cache.size c) in
+          let want = (!hits, !misses, !stale, !evictions, List.length !entries) in
+          if got <> want then
+            QCheck.Test.fail_reportf "step %d (%s): counters or size disagree" step (show_op op))
+        ops;
+      true)
 
 (* --- single-flight batcher --- *)
 
@@ -279,6 +357,69 @@ let test_svc_experiment_deterministic () =
   Alcotest.(check bool) "svc output byte-identical at -j 1 and -j 8" true
     (String.equal at1 at8)
 
+(* Events are built only for a listener; with one or without, the run
+   itself must not change.  This run fails a link and repairs it mid-run,
+   so it has stale lookups, and it has misses that coalesce onto a key
+   already queued or in flight. *)
+let test_sink_paths_agree () =
+  let sp = { Workload.default with Workload.n = 2_000; rate = 10_000.0; seed = 11 } in
+  let reqs = Workload.generate testbed sp in
+  let horizon = reqs.(Array.length reqs - 1).Workload.arrival in
+  let link = Experiments.Service.storm_link testbed in
+  let failures = [ (0.4 *. horizon, `Fail link); (0.7 *. horizon, `Repair link) ] in
+  let serve sink =
+    Server.run (Server.create ~graph:testbed ()) ?sink ~failures ~keep_records:true reqs
+  in
+  let heard = ref 0 in
+  let quiet = serve None in
+  let loud = serve (Some (fun _ -> incr heard)) in
+  Alcotest.(check int) "failed and repaired" 2 quiet.Server.epoch;
+  Alcotest.(check bool) "stale lookups" true (quiet.Server.cache_stale > 0);
+  Alcotest.(check bool) "coalesced misses" true (quiet.Server.coalesced > 0);
+  Alcotest.(check bool) "the sink heard the run" true (!heard > Array.length reqs);
+  Alcotest.(check bool) "same report, records included" true (quiet = loud)
+
+(* A cache hit's marginal allocation.  Two runs over one key universe that
+   fits the cache: the first 20,000 requests of a 200,000-request workload,
+   then the whole workload less the requests for keys those 20,000 never
+   asked for.  The longer run adds no miss, so the words its extra
+   requests allocate are hits' alone: the engine's clock boxes, two words
+   for each of a hit's two events (its arrival and its answer). *)
+let test_hit_allocation_bound () =
+  let sp =
+    { Workload.default with Workload.n = 200_000; rate = 40_000.0; skew = 1.1; seed = 3 }
+  in
+  let reqs = Workload.generate testbed sp in
+  let short = Array.sub reqs 0 20_000 in
+  let key (r : Workload.request) = (r.src, r.dst, r.level, r.policy) in
+  let universe = Hashtbl.create 1024 in
+  Array.iter (fun r -> Hashtbl.replace universe (key r) ()) short;
+  let long =
+    Array.of_list (List.filter (fun r -> Hashtbl.mem universe (key r)) (Array.to_list reqs))
+  in
+  let serve reqs =
+    let pool = Pool.create ~jobs:1 in
+    let server =
+      Server.create
+        ~config:{ Server.default_config with Server.cache_capacity = 4096 }
+        ~pool ~graph:testbed ()
+    in
+    let w0 = Gc.minor_words () in
+    let r = Server.run server reqs in
+    let w = Gc.minor_words () -. w0 in
+    Pool.shutdown pool;
+    (r.Server.cache_misses, w)
+  in
+  let short_misses, w_short = serve short in
+  let long_misses, w_long = serve long in
+  Alcotest.(check int) "the longer run adds no miss" short_misses long_misses;
+  let extra = Array.length long - Array.length short in
+  Alcotest.(check bool) "most requests kept" true (extra > 170_000);
+  let per_hit = (w_long -. w_short) /. float_of_int extra in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per extra request, at most 4.5" per_hit)
+    true (per_hit <= 4.5)
+
 (* --- the replan storm: epoch invalidation then recovery --- *)
 
 let test_storm_invalidation_and_recovery () =
@@ -394,6 +535,7 @@ let () =
           Alcotest.test_case "lru eviction order" `Quick test_cache_lru_eviction;
           Alcotest.test_case "epoch invalidation" `Quick test_cache_epoch_invalidation;
           Alcotest.test_case "hit ratio" `Quick test_cache_hit_ratio;
+          QCheck_alcotest.to_alcotest cache_matches_model;
         ] );
       ( "batcher",
         [
@@ -407,6 +549,9 @@ let () =
           Alcotest.test_case "trace deterministic vs -j" `Quick
             test_trace_deterministic_vs_jobs;
           Alcotest.test_case "golden fixture replay" `Quick test_trace_matches_fixture;
+          Alcotest.test_case "a sink changes no report" `Quick test_sink_paths_agree;
+          Alcotest.test_case "a hit allocates only clock boxes" `Quick
+            test_hit_allocation_bound;
           Alcotest.test_case "svc experiment deterministic vs -j" `Slow
             test_svc_experiment_deterministic;
         ] );
