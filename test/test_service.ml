@@ -151,7 +151,10 @@ let test_cache_hit_ratio () =
 
 (* The cache against a list-based LRU: entries most recent first, each
    with the epoch it was put under.  Every lookup's class and value, the
-   four counters and the size must agree after every step. *)
+   four counters and the size must agree after every step.  Capacities
+   1-8 draw keys from 0-9; a quarter of the cases take capacities 9-24
+   and keys 0-29, so the slot arrays grow past their first 8 slots with
+   entries resident. *)
 type cache_op = Put of int * int | Lookup of int | Bump
 
 let show_op = function
@@ -160,12 +163,12 @@ let show_op = function
   | Bump -> "bump"
 
 let cache_matches_model =
-  let op =
+  let op keys =
     QCheck.Gen.(
       frequency
         [
-          (4, map2 (fun k v -> Put (k, v)) (int_bound 9) (int_bound 99));
-          (5, map (fun k -> Lookup k) (int_bound 9));
+          (4, map2 (fun k v -> Put (k, v)) (int_bound keys) (int_bound 99));
+          (5, map (fun k -> Lookup k) (int_bound keys));
           (1, return Bump);
         ])
   in
@@ -174,7 +177,10 @@ let cache_matches_model =
       ~shrink:QCheck.Shrink.(pair nil list)
       ~print:(fun (cap, ops) ->
         Printf.sprintf "capacity %d: %s" cap (String.concat ", " (List.map show_op ops)))
-      QCheck.Gen.(pair (int_range 1 8) (list_size (int_range 0 80) op))
+      QCheck.Gen.(
+        frequency [ (3, int_range 1 8); (1, int_range 9 24) ] >>= fun cap ->
+        let keys = if cap <= 8 then 9 else 29 in
+        pair (return cap) (list_size (int_range 0 120) (op keys)))
   in
   QCheck.Test.make ~count:500 ~name:"cache = list-based LRU model" arb (fun (cap, ops) ->
       let c = Cache.create ~capacity:cap () in
